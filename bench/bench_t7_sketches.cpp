@@ -3,17 +3,21 @@
 // widths, Bloom filter measured-vs-configured false-positive rate, and raw
 // update throughput. Expected shape: HLL error ~1.04/sqrt(m); CMS error
 // bounded by eps*N on heavy hitters; Bloom FP near its design point.
+// --json=FILE also writes the headline numbers (bench_json.hpp).
 
 #include <iostream>
 #include <map>
+#include <string>
 
+#include "bench_json.hpp"
 #include "common/rng.hpp"
 #include "common/sketch.hpp"
 #include "common/stats.hpp"
 #include "common/stopwatch.hpp"
 
-int main() {
+int main(int argc, char** argv) {
   using namespace hpbdc;
+  bench::JsonWriter json("t7_sketches", argc, argv);
 
   constexpr std::uint64_t kDistinct = 500000;
   std::cout << "T7: sketches over " << kDistinct << " distinct 64-bit keys\n\n";
@@ -30,10 +34,13 @@ int main() {
     const double est = hll.estimate();
     const double err = 100.0 * std::abs(est - static_cast<double>(kDistinct)) /
                        static_cast<double>(kDistinct);
+    const double mops = static_cast<double>(kDistinct) / sec / 1e6;
+    json.metric("hll_rel_err_pct", err, {{"precision", std::to_string(p)}});
+    json.metric("hll_mops_per_s", mops, {{"precision", std::to_string(p)}});
     hll_tbl.row({std::to_string(p), std::to_string(hll.memory_bytes()) + " B",
                  Table::num(est, 0), Table::num(err, 2),
                  Table::num(100.0 * hll.relative_error(), 2),
-                 Table::num(static_cast<double>(kDistinct) / sec / 1e6, 1)});
+                 Table::num(mops, 1)});
   }
   hll_tbl.print(std::cout);
 
@@ -62,6 +69,8 @@ int main() {
                        static_cast<double>(it->second);
       err.add(e);
     }
+    json.metric("cms_mean_hh_err_pct", err.mean(), {{"eps", Table::num(eps, 4)}});
+    json.metric("cms_max_hh_err_pct", err.max(), {{"eps", Table::num(eps, 4)}});
     cms_tbl.row({Table::num(eps, 4), std::to_string(cms.memory_bytes() / 1024),
                  Table::num(err.mean(), 3), Table::num(err.max(), 3)});
   }
@@ -78,6 +87,8 @@ int main() {
     for (std::uint64_t i = 0; i < kProbes; ++i) {
       hits += bf.may_contain(hash_u64(1'000'000 + i));
     }
+    json.metric("bloom_measured_fp_pct", 100.0 * hits / kProbes,
+                {{"target_fp_pct", Table::num(100 * fp, 2)}});
     bf_tbl.row({Table::num(100 * fp, 2),
                 Table::num(static_cast<double>(bf.bit_count()) / 200000, 1),
                 std::to_string(bf.hash_count()),

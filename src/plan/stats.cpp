@@ -1,6 +1,7 @@
 #include "plan/stats.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 
 #include "common/hash.hpp"
@@ -27,7 +28,12 @@ void sort_hot(std::vector<HotKey>& hot, std::size_t cap) {
 
 /// Sketch a source: HLL for NDV, CMS for heavy hitters, both over a prefix
 /// sample (prefixes of source_rows_ex are themselves exact: each row
-/// consumes a fixed number of RNG draws). The linear NDV scale-up
+/// consumes a fixed number of RNG draws). The sample is first counted by
+/// key in a flat open-addressing table; the sketches are then fed once per
+/// distinct key — the HLL with the key, the CMS with the key's count — so
+/// the cost is O(sample + distinct keys) with no sort. Both sketches come
+/// out exactly as if fed row by row: HLL registers depend only on the key
+/// set, CMS cells only on per-key totals. The linear NDV scale-up
 /// overestimates for sparse domains, but the key_bound cap makes it exact
 /// in the saturated case — which every star-schema domain here is.
 NodeStats sketch_source(std::uint64_t salt, std::uint64_t rows,
@@ -39,13 +45,32 @@ NodeStats sketch_source(std::uint64_t salt, std::uint64_t rows,
   st.key_bound = key_bound;
   const std::uint64_t sample_n = std::min<std::uint64_t>(rows, opts.sample_rows);
   if (sample_n == 0) return st;
-  const auto sample =
-      source_rows_ex(salt, sample_n, key_domain, skew, distinct_keys);
+  // Linear probing; count 0 marks an empty slot. The sample holds at most
+  // min(sample_n, key_bound) distinct keys, so the table stays at most half
+  // full and probes stay short.
+  struct KeyCount {
+    std::uint64_t key = 0;
+    std::uint64_t count = 0;
+  };
+  std::vector<KeyCount> table(
+      std::bit_ceil(2 * std::min(sample_n, key_bound)));
+  const std::size_t mask = table.size() - 1;
+  for (const Row& r :
+       source_rows_ex(salt, sample_n, key_domain, skew, distinct_keys)) {
+    std::size_t i = static_cast<std::size_t>(hash_u64(r.first)) & mask;
+    while (table[i].count != 0 && table[i].key != r.first) i = (i + 1) & mask;
+    table[i].key = r.first;
+    ++table[i].count;
+  }
   HyperLogLog hll(opts.hll_precision);
   CountMinSketch cms(opts.cms_epsilon, opts.cms_delta);
-  for (const Row& r : sample) {
-    hll.add(hash_u64(r.first));
-    cms.add(hash_u64(r.first));
+  std::size_t distinct = 0;
+  for (const KeyCount& kc : table) {
+    if (kc.count == 0) continue;
+    const std::uint64_t h = hash_u64(kc.key);
+    hll.add(h);
+    cms.add(h, kc.count);
+    table[distinct++] = kc;  // compact the distinct keys to the front
   }
   const double scale = static_cast<double>(rows) / static_cast<double>(sample_n);
   st.ndv = std::min(static_cast<double>(key_bound), hll.estimate() * scale);
@@ -54,16 +79,12 @@ NodeStats sketch_source(std::uint64_t salt, std::uint64_t rows,
   // missed; a false positive only costs a wasted salt.
   const auto threshold = static_cast<std::uint64_t>(
       opts.hot_fraction * static_cast<double>(sample_n));
-  std::vector<std::uint64_t> keys;
-  keys.reserve(sample.size());
-  for (const Row& r : sample) keys.push_back(r.first);
-  std::sort(keys.begin(), keys.end());
-  keys.erase(std::unique(keys.begin(), keys.end()), keys.end());
-  for (std::uint64_t k : keys) {
-    const std::uint64_t est = cms.estimate(hash_u64(k));
-    if (est >= threshold && threshold > 0) {
-      st.hot.push_back(
-          {k, static_cast<std::uint64_t>(static_cast<double>(est) * scale)});
+  if (threshold == 0) return st;
+  for (std::size_t i = 0; i < distinct; ++i) {
+    const std::uint64_t est = cms.estimate(hash_u64(table[i].key));
+    if (est >= threshold) {
+      st.hot.push_back({table[i].key,
+                        static_cast<std::uint64_t>(static_cast<double>(est) * scale)});
     }
   }
   sort_hot(st.hot, opts.max_hot_keys);

@@ -53,10 +53,12 @@ struct StatsOptions {
   std::size_t max_hot_keys = 8;
 };
 
-/// Estimate rows/ndv/hot for every node. Sources are sketched (HLL + CMS
-/// over up to sample_rows rows); interior nodes use propagation rules only
-/// — no interior node is ever materialized, so this is cheap enough to run
-/// on every submitted plan.
+/// Estimate rows/ndv/hot for every node. Sources are sketched over a prefix
+/// of up to sample_rows rows: the sample is counted by key, then the HLL
+/// and CMS are fed once per distinct key (the CMS with the key's count), so
+/// a source costs O(sample + distinct keys) with no sort. Interior nodes
+/// use propagation rules only — no interior node is ever materialized, so
+/// this is cheap enough to run on every submitted plan.
 std::vector<NodeStats> collect_stats(const LogicalPlan& plan,
                                      const StatsOptions& opts = {});
 

@@ -10,9 +10,11 @@
 #include <algorithm>
 #include <cstdint>
 #include <set>
+#include <string>
 #include <vector>
 
 #include "common/hash.hpp"
+#include "common/sketch.hpp"
 #include "dataflow/context.hpp"
 #include "exec/thread_pool.hpp"
 #include "plan/bigbench.hpp"
@@ -128,6 +130,92 @@ TEST(PlanStats, PropagationFollowsTextbookShapes) {
   EXPECT_TRUE(stats[2].hot.empty()) << "kMap remixes keys; hot list must clear";
   EXPECT_LE(stats[2].ndv, static_cast<double>(kKeyDomain));
   EXPECT_NEAR(stats[3].rows, stats[2].ndv, 1e-9);
+}
+
+/// The per-row source sketch collect_stats used to run, kept as the
+/// reference its one-pass-over-distinct-keys version must equal: every
+/// sampled row into the HLL and the CMS, then sort/unique the sampled keys
+/// and scan their CMS estimates for heavy hitters.
+NodeStats per_row_reference(const PlanNode& src, const StatsOptions& opts) {
+  const std::uint64_t bound = src.key_domain == 0 ? kKeyDomain : src.key_domain;
+  NodeStats st;
+  st.rows = static_cast<double>(src.rows);
+  st.key_bound = bound;
+  const std::uint64_t sample_n = std::min<std::uint64_t>(src.rows, opts.sample_rows);
+  if (sample_n != 0) {
+    const auto sample = source_rows_ex(src.salt, sample_n, src.key_domain,
+                                       src.skew, src.distinct_keys);
+    HyperLogLog hll(opts.hll_precision);
+    CountMinSketch cms(opts.cms_epsilon, opts.cms_delta);
+    for (const Row& r : sample) {
+      hll.add(hash_u64(r.first));
+      cms.add(hash_u64(r.first));
+    }
+    const double scale =
+        static_cast<double>(src.rows) / static_cast<double>(sample_n);
+    st.ndv = std::min(static_cast<double>(bound), hll.estimate() * scale);
+    const auto threshold = static_cast<std::uint64_t>(
+        opts.hot_fraction * static_cast<double>(sample_n));
+    std::vector<std::uint64_t> keys;
+    for (const Row& r : sample) keys.push_back(r.first);
+    std::sort(keys.begin(), keys.end());
+    keys.erase(std::unique(keys.begin(), keys.end()), keys.end());
+    for (std::uint64_t k : keys) {
+      const std::uint64_t est = cms.estimate(hash_u64(k));
+      if (est >= threshold && threshold > 0) {
+        st.hot.push_back(
+            {k, static_cast<std::uint64_t>(static_cast<double>(est) * scale)});
+      }
+    }
+    std::sort(st.hot.begin(), st.hot.end(), [](const HotKey& a, const HotKey& b) {
+      return a.count != b.count ? a.count > b.count : a.key < b.key;
+    });
+    if (st.hot.size() > opts.max_hot_keys) st.hot.resize(opts.max_hot_keys);
+  }
+  st.ndv = std::min(st.ndv, static_cast<double>(bound));
+  return st;
+}
+
+TEST(PlanStats, SketchEqualsPerRowReference) {
+  std::vector<StatsOptions> option_grid;
+  for (const std::uint64_t sample_rows : {StatsOptions{}.sample_rows,
+                                          std::uint64_t{1}, std::uint64_t{5000}}) {
+    for (const double hot_fraction : {0.05, 0.001}) {
+      StatsOptions o;
+      o.sample_rows = sample_rows;
+      o.hot_fraction = hot_fraction;
+      option_grid.push_back(o);
+    }
+  }
+  std::size_t cases = 0, with_hot = 0;
+  for (const std::uint64_t domain :
+       {std::uint64_t{1}, std::uint64_t{2}, std::uint64_t{64}, std::uint64_t{4096},
+        std::uint64_t{16384}, std::uint64_t{1} << 40}) {
+    for (const std::uint64_t rows : {0ull, 1ull, 19ull, 20ull, 4000ull, 65536ull,
+                                     100000ull}) {
+      for (const std::uint64_t skew : {0ull, 300ull, 999ull}) {
+        for (const bool distinct : {false, true}) {
+          const LogicalPlan p = source_only(rows, domain, skew, distinct);
+          for (const StatsOptions& o : option_grid) {
+            const NodeStats got = collect_stats(p, o)[0];
+            const NodeStats want = per_row_reference(p.nodes[0], o);
+            SCOPED_TRACE(::testing::Message()
+                         << "domain " << domain << " rows " << rows << " skew "
+                         << skew << " distinct " << distinct << " sample_rows "
+                         << o.sample_rows << " hot_fraction " << o.hot_fraction);
+            EXPECT_EQ(got.rows, want.rows);
+            EXPECT_EQ(got.ndv, want.ndv);
+            EXPECT_EQ(got.key_bound, want.key_bound);
+            EXPECT_EQ(got.hot, want.hot);
+            ++cases;
+            with_hot += !want.hot.empty();
+          }
+        }
+      }
+    }
+  }
+  EXPECT_EQ(cases, 6u * 7u * 3u * 2u * 6u);
+  EXPECT_GT(with_hot, cases / 4) << "the grid must exercise hot-key detection";
 }
 
 // ---- cost_optimize annotations ---------------------------------------------------
@@ -261,6 +349,53 @@ TEST(BigBench, OrderStarDimsPicksSmallestIntermediatesFirst) {
   EXPECT_NE(order, naive_order(spec));
   EXPECT_EQ(order.front(), spec.dims.size() - 1)
       << "the filtered narrowest dim joins first";
+}
+
+// Star specs shaped like the repository benchmark's: the canonical sales and
+// clickstream stars, plus fact-salted 60k-row variants (every other one
+// without the final group-by).
+std::vector<StarSpec> pinned_star_specs() {
+  StarSpec sales = sales_star(1);
+  sales.fact_rows = 60000;
+  sales.fact_salt ^= 0x9e3779b97f4a7c15ULL;
+  sales.final_reduce = false;
+  StarSpec clicks = clickstream_star(1);
+  clicks.fact_rows = 60000;
+  clicks.fact_salt ^= 0xc2b2ae3d27d4eb4fULL;
+  return {sales_star(1), clickstream_star(1), sales, clicks};
+}
+
+TEST(CostOptimize, StarPlansPinnedToParent) {
+  // Join order, build sides, salt fanouts and hot keys of the cost-optimized
+  // star plans, captured before sources were sketched once per distinct key.
+  // describe() renders order, build sides and fanouts; fingerprint() also
+  // folds in the hot keys and the stats salt. A sketch change that moves any
+  // of them fails here.
+  const std::vector<std::string> want_describe = {
+      "0:source{d16384} 1:fused[source+filter_key]{d512,dk} 2:join(1,0) "
+      "3:source{d8192,dk} 4:join(3,2)+br 5:source{d2048,dk} 6:join(5,4)+br "
+      "7:fused[map_values+map_values](6)+combine 8:reduce_by_key(7)",
+      "0:source{d4096,sk300} 1:source{d256,dk} 2:join(1,0)+salt5 "
+      "3:source{d4096,dk} 4:join(3,2)+salt8 5:map_values(4)+combine "
+      "6:reduce_by_key(5)",
+      "0:source{d16384} 1:fused[source+filter_key]{d512,dk} 2:join(1,0) "
+      "3:source{d8192,dk} 4:join(3,2)+br 5:source{d2048,dk} 6:join(5,4)+br "
+      "7:fused[map_values+map_values](6)",
+      "0:source{d4096,sk300} 1:source{d256,dk} 2:join(1,0)+salt5 "
+      "3:source{d4096,dk} 4:join(3,2)+br 5:map_values(4)+combine "
+      "6:reduce_by_key(5)",
+  };
+  const std::vector<std::uint64_t> want_fingerprint = {
+      0x187ba16a07510150ULL, 0xc43cdc9aec2177e5ULL, 0x55c4143197d67739ULL,
+      0x5d11fd93d2b36ecULL};
+  const std::vector<StarSpec> specs = pinned_star_specs();
+  for (std::size_t i = 0; i < specs.size(); ++i) {
+    const LogicalPlan costed =
+        cost_optimize(star_query(specs[i], order_star_dims(specs[i])));
+    EXPECT_EQ(costed.describe(), want_describe[i]) << "spec " << i;
+    EXPECT_EQ(fingerprint(costed), want_fingerprint[i])
+        << "spec " << i << " fingerprint 0x" << std::hex << fingerprint(costed);
+  }
 }
 
 TEST(BigBench, StarQueryOrdersAgreePerOrderAcrossBackends) {

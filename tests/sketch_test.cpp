@@ -230,5 +230,40 @@ TEST(CountMinSketch, OverestimatesOnlyAndWithinEpsOfTotalOnSkewedStream) {
       << "an absent key on a sparse sketch should read zero here";
 }
 
+// ---- exact identities plan/stats.cpp relies on -----------------------------------
+// Sources are sketched once per distinct key, not once per row: the HLL is
+// fed each key once and the CMS each key with its sample count. Both must
+// then equal the per-row sketches exactly, not approximately.
+
+TEST(CountMinSketch, WeightedAddEqualsRepeatedAdds) {
+  CountMinSketch weighted(0.005, 0.01), repeated(0.005, 0.01);
+  Rng rng(11);
+  for (std::uint64_t k = 0; k < 300; ++k) {
+    const std::uint64_t c = 1 + rng.next_below(k % 7 == 0 ? 400 : 20);
+    weighted.add(hash_u64(k), c);
+    for (std::uint64_t i = 0; i < c; ++i) repeated.add(hash_u64(k));
+  }
+  EXPECT_EQ(weighted.total(), repeated.total());
+  for (std::uint64_t probe = 0; probe < 1000; ++probe) {
+    EXPECT_EQ(weighted.estimate(hash_u64(probe)), repeated.estimate(hash_u64(probe)))
+        << "probe " << probe;
+  }
+}
+
+TEST(HyperLogLog, DuplicateAddsAreBitIdentical) {
+  for (const std::uint64_t ndv : {1ull, 40ull, 3000ull, 50000ull}) {
+    HyperLogLog multiset(12), distinct(12);
+    Rng rng(ndv);
+    for (std::uint64_t i = 0; i < 4 * ndv; ++i) {
+      multiset.add(hash_u64(rng.next_below(ndv)));
+    }
+    for (std::uint64_t k = 0; k < ndv; ++k) distinct.add(hash_u64(k));
+    // 4*ndv uniform draws miss ~2% of a large domain, so add the keys the
+    // multiset may have missed to it once more, in a different order.
+    for (std::uint64_t k = ndv; k-- > 0;) multiset.add(hash_u64(k));
+    EXPECT_EQ(multiset.estimate(), distinct.estimate()) << "ndv " << ndv;
+  }
+}
+
 }  // namespace
 }  // namespace hpbdc
