@@ -18,13 +18,11 @@ std::vector<Edge> erdos_renyi(NodeId nodes, std::size_t edges, Rng& rng) {
   return out;
 }
 
-std::vector<Edge> rmat(NodeId nodes, std::size_t edges, Rng& rng, RmatConfig cfg) {
+std::vector<Edge> rmat(NodeId nodes, std::size_t edges, Rng& rng) {
+  // Quadrant probabilities; the bottom-right one is 1 - a - b - c.
+  constexpr double a = 0.57, b = 0.19, c = 0.19;
   if (nodes == 0 || (nodes & (nodes - 1)) != 0) {
     throw std::invalid_argument("rmat: nodes must be a power of two");
-  }
-  const double d = 1.0 - cfg.a - cfg.b - cfg.c;
-  if (cfg.a <= 0 || cfg.b <= 0 || cfg.c <= 0 || d <= 0) {
-    throw std::invalid_argument("rmat: quadrant probabilities must be positive");
   }
   int scale = 0;
   for (NodeId n = nodes; n > 1; n >>= 1) ++scale;
@@ -35,11 +33,11 @@ std::vector<Edge> rmat(NodeId nodes, std::size_t edges, Rng& rng, RmatConfig cfg
     NodeId u = 0, v = 0;
     for (int bit = scale - 1; bit >= 0; --bit) {
       const double r = rng.next_double();
-      if (r < cfg.a) {
+      if (r < a) {
         // top-left: no bits set
-      } else if (r < cfg.a + cfg.b) {
+      } else if (r < a + b) {
         v |= (1u << bit);
-      } else if (r < cfg.a + cfg.b + cfg.c) {
+      } else if (r < a + b + c) {
         u |= (1u << bit);
       } else {
         u |= (1u << bit);

@@ -23,13 +23,9 @@ struct Edge {
 /// excluded, duplicates possible, as in typical big-data graph inputs).
 std::vector<Edge> erdos_renyi(NodeId nodes, std::size_t edges, Rng& rng);
 
-struct RmatConfig {
-  double a = 0.57, b = 0.19, c = 0.19;  // d = 1 - a - b - c
-};
-
 /// R-MAT (Chakrabarti et al.): recursive quadrant sampling yields a
 /// power-law degree distribution. nodes must be a power of two.
-std::vector<Edge> rmat(NodeId nodes, std::size_t edges, Rng& rng, RmatConfig cfg = {});
+std::vector<Edge> rmat(NodeId nodes, std::size_t edges, Rng& rng);
 
 /// Compressed sparse row adjacency (out-edges).
 class Csr {

@@ -20,20 +20,18 @@ std::string word_for_rank(std::size_t rank) {
 std::vector<std::string> generate_text(const TextGenConfig& cfg, std::size_t lines,
                                        Rng& rng) {
   if (cfg.vocabulary == 0) throw std::invalid_argument("generate_text: empty vocabulary");
-  if (cfg.words_per_line_min == 0 || cfg.words_per_line_min > cfg.words_per_line_max) {
-    throw std::invalid_argument("generate_text: bad words_per_line range");
-  }
   // Pre-render the dictionary once.
   std::vector<std::string> dict(cfg.vocabulary);
   for (std::size_t i = 0; i < cfg.vocabulary; ++i) dict[i] = word_for_rank(i);
 
-  ZipfGenerator zipf(cfg.vocabulary, cfg.zipf_theta);
+  constexpr double kZipfTheta = 0.9;  // word-popularity skew
+  ZipfGenerator zipf(cfg.vocabulary, kZipfTheta);
   std::vector<std::string> out;
   out.reserve(lines);
   for (std::size_t l = 0; l < lines; ++l) {
     const auto n = static_cast<std::size_t>(rng.next_in(
-        static_cast<std::int64_t>(cfg.words_per_line_min),
-        static_cast<std::int64_t>(cfg.words_per_line_max)));
+        static_cast<std::int64_t>(kWordsPerLineMin),
+        static_cast<std::int64_t>(kWordsPerLineMax)));
     std::string line;
     for (std::size_t w = 0; w < n; ++w) {
       if (w > 0) line.push_back(' ');

@@ -14,10 +14,11 @@ namespace hpbdc::algos {
 
 struct TextGenConfig {
   std::size_t vocabulary = 10000;
-  double zipf_theta = 0.9;
-  std::size_t words_per_line_min = 5;
-  std::size_t words_per_line_max = 15;
 };
+
+/// Every generated line holds between these many words, inclusive.
+inline constexpr std::size_t kWordsPerLineMin = 5;
+inline constexpr std::size_t kWordsPerLineMax = 15;
 
 /// Deterministic pseudo-word for a vocabulary rank (rank 0 most frequent).
 std::string word_for_rank(std::size_t rank);

@@ -13,6 +13,15 @@ namespace hpbdc::chaos {
 
 namespace {
 
+// Fixed bounds of the fault generator's draws.
+constexpr std::size_t kMaxKills = 2;
+constexpr double kMinDowntime = 0.8, kMaxDowntime = 3.0;
+constexpr double kMaxLoss = 0.3;        // loss-burst probability ceiling
+constexpr double kMaxJitter = 0.004;    // reorder-burst delivery jitter (s)
+constexpr double kMaxExtraDelay = 0.12;  // heartbeat-delay burst (s); keep well
+                                         // under the detector timeout
+constexpr double kMinSpeed = 0.2, kMaxSpeed = 0.6;
+
 std::uint64_t mix_seed(std::uint64_t a, std::uint64_t b) {
   std::uint64_t s = a ^ (b * 0x9e3779b97f4a7c15ULL);
   return splitmix64(s);
@@ -122,14 +131,14 @@ sim::FaultPlan make_fault_plan(std::uint64_t seed, const FaultGenOptions& opt) {
   // Kill/recover pairs in strictly sequential windows: at most one node down
   // at any time, and every kill recovers after a bounded downtime — the
   // survivability contract the differential oracle's success check rests on.
-  if (opt.nodes >= 2 && opt.max_kills > 0) {
-    const auto kills = rng.next_below(opt.max_kills + 1);
+  if (opt.nodes >= 2) {
+    const auto kills = rng.next_below(kMaxKills + 1);
     double cursor = 0.15;
     for (std::uint64_t i = 0; i < kills; ++i) {
       const double start =
           cursor + rng.next_double() * (opt.horizon / static_cast<double>(kills + 1));
-      const double down = opt.min_downtime +
-                          rng.next_double() * (opt.max_downtime - opt.min_downtime);
+      const double down =
+          kMinDowntime + rng.next_double() * (kMaxDowntime - kMinDowntime);
       std::size_t node;
       if (opt.target_leader && rng.next_bool(0.6)) {
         node = sim::FaultInjector::kLeaderTarget;
@@ -142,17 +151,17 @@ sim::FaultPlan make_fault_plan(std::uint64_t seed, const FaultGenOptions& opt) {
   }
   if (rng.next_bool(0.7)) {
     const double t0 = 0.05 + rng.next_double() * opt.horizon * 0.7;
-    const double p = 0.05 + rng.next_double() * (opt.max_loss - 0.05);
+    const double p = 0.05 + rng.next_double() * (kMaxLoss - 0.05);
     plan.loss_burst(t0, t0 + 0.2 + rng.next_double() * 1.0, p);
   }
   if (rng.next_bool(0.6)) {
     const double t0 = 0.05 + rng.next_double() * opt.horizon * 0.7;
-    const double jitter = 0.0005 + rng.next_double() * opt.max_jitter;
+    const double jitter = 0.0005 + rng.next_double() * kMaxJitter;
     plan.reorder_burst(t0, t0 + 0.2 + rng.next_double() * 1.0, jitter);
   }
   if (rng.next_bool(0.5)) {
     const double t0 = 0.05 + rng.next_double() * opt.horizon * 0.7;
-    const double extra = 0.02 + rng.next_double() * (opt.max_extra_delay - 0.02);
+    const double extra = 0.02 + rng.next_double() * (kMaxExtraDelay - 0.02);
     plan.delay_burst(t0, t0 + 0.2 + rng.next_double() * 0.8, extra);
   }
   if (opt.nodes >= 2 && opt.max_stragglers > 0) {
@@ -161,7 +170,7 @@ sim::FaultPlan make_fault_plan(std::uint64_t seed, const FaultGenOptions& opt) {
       const std::size_t node = pick_node();
       const double t0 = 0.05 + rng.next_double() * opt.horizon * 0.6;
       const double speed =
-          opt.min_speed + rng.next_double() * (opt.max_speed - opt.min_speed);
+          kMinSpeed + rng.next_double() * (kMaxSpeed - kMinSpeed);
       plan.slow(t0, node, speed).restore_speed(t0 + 1.0 + rng.next_double() * 2.0,
                                                node);
     }
@@ -194,12 +203,11 @@ sim::FaultPlan make_fault_plan(std::uint64_t seed, const FaultGenOptions& opt) {
 
 std::vector<KillEvent> make_kill_schedule(std::uint64_t seed, std::size_t nodes,
                                           std::size_t protect, std::size_t kills,
-                                          double horizon, double min_downtime,
-                                          double max_downtime) {
+                                          double horizon) {
   if (nodes < 2 || protect >= nodes) {
     throw std::invalid_argument("make_kill_schedule: need >= 2 nodes, protect in range");
   }
-  if (min_downtime <= 0 || max_downtime < min_downtime || horizon <= 0) {
+  if (horizon <= 0) {
     throw std::invalid_argument("make_kill_schedule: degenerate window");
   }
   Rng rng(mix_seed(seed, 0x5EACF));
@@ -211,8 +219,8 @@ std::vector<KillEvent> make_kill_schedule(std::uint64_t seed, std::size_t nodes,
     while (ev.node == protect) ev.node = rng.next_below(nodes);
     ev.kill_time =
         cursor + rng.next_double() * (horizon / static_cast<double>(kills + 1));
-    ev.recover_time = ev.kill_time + min_downtime +
-                      rng.next_double() * (max_downtime - min_downtime);
+    ev.recover_time = ev.kill_time + kMinDowntime +
+                      rng.next_double() * (kMaxDowntime - kMinDowntime);
     cursor = ev.recover_time + 0.2;  // sequential windows: one node down max
     out.push_back(ev);
   }

@@ -83,14 +83,7 @@ struct FaultGenOptions {
   std::size_t nodes = 6;
   std::size_t protect = 0;  // never killed/slowed (the driver)
   double horizon = 5.0;     // events land in (0, horizon)
-  std::size_t max_kills = 2;
-  double min_downtime = 0.8, max_downtime = 3.0;
-  double max_loss = 0.3;             // loss-burst probability ceiling
-  double max_jitter = 0.004;         // reorder-burst delivery jitter (s)
-  double max_extra_delay = 0.12;     // heartbeat-delay burst (s); keep well
-                                     // under the detector timeout
   std::size_t max_stragglers = 2;
-  double min_speed = 0.2, max_speed = 0.6;
   std::size_t max_dfs_losses = 2;
   /// Kill the current leader instead of a fixed node (Raft harness).
   bool target_leader = false;
@@ -119,15 +112,13 @@ struct KillEvent {
 /// Seed-deterministic executor-kill schedule for service-level campaigns
 /// (src/serve): exactly `kills` kill/recover pairs in strictly sequential
 /// windows (at most one node down at any time), never touching `protect`,
-/// spread over (0, horizon). Same survivability contract as the kill pairs
-/// of make_fault_plan, but returned as data so callers driving a
-/// dist::JobSlotPool — where a kill must fan out across every slot — can
-/// apply it through kill_node_at/recover_node_at.
+/// spread over (0, horizon). Same survivability contract and downtimes
+/// (0.8–3 s) as the kill pairs of make_fault_plan, but returned as data so
+/// callers driving a dist::JobSlotPool — where a kill must fan out across
+/// every slot — can apply it through kill_node_at/recover_node_at.
 std::vector<KillEvent> make_kill_schedule(std::uint64_t seed, std::size_t nodes,
                                           std::size_t protect, std::size_t kills,
-                                          double horizon,
-                                          double min_downtime = 0.8,
-                                          double max_downtime = 3.0);
+                                          double horizon);
 
 /// The simulated cluster every campaign runs on: `nodes` machines on a star
 /// fabric (node 0 hosts the driver) with a Dfs, which with `ec` stores files

@@ -102,6 +102,10 @@ bool linearizable(const std::vector<KvOp>& history, std::string* why) {
 
 namespace {
 
+constexpr std::size_t kOps = 24;     // client operations to issue
+constexpr std::uint64_t kKeys = 4;   // key domain
+constexpr double kOpGap = 0.35;      // mean gap between client ops (exponential)
+
 std::uint64_t mix(std::uint64_t a, std::uint64_t b) {
   std::uint64_t s = a ^ (b * 0x9e3779b97f4a7c15ULL);
   return splitmix64(s);
@@ -163,13 +167,13 @@ RaftChaosOutcome run_raft_chaos(const RaftChaosOptions& opt) {
     std::string marker;  // reads only: the unique log entry proposed
     bool committed = false;
   };
-  std::vector<Rec> recs(opt.ops);
+  std::vector<Rec> recs(kOps);
 
   Rng rng(mix(opt.seed, 5));
   double t = 0.6;  // let the first election settle
-  for (std::size_t i = 0; i < opt.ops; ++i) {
+  for (std::size_t i = 0; i < kOps; ++i) {
     Rec& rec = recs[i];
-    rec.op.key = rng.next_below(opt.keys);
+    rec.op.key = rng.next_below(kKeys);
     const bool is_write = rng.next_bool(0.5);
     if (is_write) {
       rec.op.kind = KvOpKind::kWrite;
@@ -190,7 +194,7 @@ RaftChaosOutcome run_raft_chaos(const RaftChaosOptions& opt) {
         rec.op.complete = true;
       });
     });
-    t += rng.next_exponential(1.0 / opt.op_gap);
+    t += rng.next_exponential(1.0 / kOpGap);
   }
 
   sim.run_until(opt.horizon);

@@ -48,10 +48,7 @@ bool linearizable(const std::vector<KvOp>& history, std::string* why = nullptr);
 struct RaftChaosOptions {
   std::uint64_t seed = 1;
   std::size_t nodes = 5;
-  std::size_t ops = 24;      // client operations to issue
-  std::uint64_t keys = 4;    // key domain
   double horizon = 40.0;     // simulated seconds to run
-  double op_gap = 0.35;      // mean gap between client ops (exponential)
 };
 
 struct RaftChaosOutcome : Outcome {

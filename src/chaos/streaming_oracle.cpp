@@ -109,7 +109,7 @@ StreamChaosOutcome run_stream_chaos_once(const StreamChaosConfig& cfg) {
   }
 
   // Kills land in (0, 3): the stream runs ~4 s, so every kill hits a live
-  // window. Downtimes use the harness defaults (min 0.8 s), which keep each
+  // window. Downtimes use the harness bounds (min 0.8 s), which keep each
   // outage comfortably above the runtime's heartbeat timeout.
   const std::vector<KillEvent> kills = make_kill_schedule(
       cfg.kill_seed, cfg.cluster_nodes, /*protect=*/0, cfg.kills, /*horizon=*/3.0);

@@ -9,6 +9,9 @@ namespace hpbdc::cluster {
 
 namespace {
 
+constexpr double kDiurnalAmplitude = 0.6;  // fraction of base
+constexpr double kNoise = 0.1;             // multiplicative noise stddev
+
 void validate(const AutoscalerConfig& cfg) {
   if (cfg.capacity_per_instance <= 0) throw std::invalid_argument("autoscaler: capacity");
   if (cfg.target_utilization <= 0 || cfg.target_utilization > 1) {
@@ -148,8 +151,8 @@ std::vector<double> generate_load_trace(const LoadTraceConfig& cfg, Rng& rng) {
   for (std::size_t p = 0; p < cfg.periods; ++p) {
     const double phase = kTwoPi * static_cast<double>(p) / static_cast<double>(cfg.periods);
     double rps = cfg.base_rps *
-                 (1.0 + cfg.diurnal_amplitude * std::sin(phase - kTwoPi / 4));
-    rps *= std::exp(cfg.noise * rng.next_gaussian());
+                 (1.0 + kDiurnalAmplitude * std::sin(phase - kTwoPi / 4));
+    rps *= std::exp(kNoise * rng.next_gaussian());
     if (cfg.flash_crowd && p >= spike_start && p < spike_end) rps *= 3.0;
     out.push_back(std::max(0.0, rps));
   }

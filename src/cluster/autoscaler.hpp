@@ -95,8 +95,6 @@ AutoscaleResult simulate_static_fleet(const AutoscalerConfig& cfg, std::size_t n
 struct LoadTraceConfig {
   std::size_t periods = 480;       // e.g. 4 hours at 30 s
   double base_rps = 1000;          // diurnal mean
-  double diurnal_amplitude = 0.6;  // fraction of base
-  double noise = 0.1;              // multiplicative noise stddev
   bool flash_crowd = true;         // 3x spike for ~20 periods mid-trace
 };
 

@@ -22,6 +22,12 @@ const char* sched_policy_name(SchedPolicy p) noexcept {
 
 namespace {
 
+// Generated-trace marginals.
+constexpr double kRuntimeMu = 6.5;       // log-normal: median ~665 s
+constexpr double kRuntimeSigma = 1.4;    // heavy tail, as in production traces
+constexpr std::size_t kMaxNodesLog2 = 5;  // requests are 2^k nodes, k in [0, this]
+constexpr double kUserZipfTheta = 0.8;   // a few users submit most jobs
+
 struct Running {
   double finish;          // actual completion (simulator-known)
   double est_finish;      // start + estimate (scheduler-visible)
@@ -233,16 +239,16 @@ std::vector<Job> generate_trace(const TraceConfig& cfg, Rng& rng,
                                 std::size_t cluster_nodes) {
   std::vector<Job> jobs;
   jobs.reserve(cfg.jobs);
-  ZipfGenerator user_gen(cfg.users, cfg.user_zipf_theta);
+  ZipfGenerator user_gen(kTraceUsers, kUserZipfTheta);
   double t = 0;
   for (std::size_t i = 0; i < cfg.jobs; ++i) {
     t += rng.next_exponential(cfg.arrival_rate);
     Job j;
     j.id = i;
     j.arrival = t;
-    j.runtime = std::max(1.0, rng.next_lognormal(cfg.runtime_mu, cfg.runtime_sigma));
+    j.runtime = std::max(1.0, rng.next_lognormal(kRuntimeMu, kRuntimeSigma));
     j.estimate = j.runtime * (1.0 + 2.0 * rng.next_double());
-    const auto k = rng.next_below(cfg.max_nodes_log2 + 1);
+    const auto k = rng.next_below(kMaxNodesLog2 + 1);
     j.nodes = std::min<std::size_t>(cluster_nodes, 1ULL << k);
     j.user = static_cast<std::uint32_t>(user_gen.next(rng));
     jobs.push_back(j);

@@ -74,12 +74,10 @@ ScheduleResult simulate_schedule(std::size_t cluster_nodes, SchedPolicy policy,
 struct TraceConfig {
   std::size_t jobs = 1000;
   double arrival_rate = 0.02;     // jobs/sec (Poisson)
-  double runtime_mu = 6.5;        // log-normal: median ~665 s
-  double runtime_sigma = 1.4;     // heavy tail, as in production traces
-  std::size_t max_nodes_log2 = 5; // requests are 2^k nodes, k in [0, this]
-  std::uint32_t users = 8;
-  double user_zipf_theta = 0.8;   // a few users submit most jobs
 };
+
+/// Users submitting a generated trace; job user ids are in [0, this).
+inline constexpr std::uint32_t kTraceUsers = 8;
 
 /// Deterministic synthetic trace with production-like marginals:
 /// Poisson arrivals, log-normal runtimes, power-of-two node counts,

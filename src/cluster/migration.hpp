@@ -7,7 +7,7 @@
 //   pre-copy      — iteratively transfer dirtied pages while the VM runs
 //                   (Clark et al., NSDI'05 / Xen). Round i transfers the
 //                   pages dirtied during round i-1; when the remaining set
-//                   drops below `stop_threshold` (or rounds are exhausted,
+//                   drops below kPreCopyStopThreshold (or rounds are exhausted,
 //                   i.e. dirty rate >= bandwidth so rounds do not converge),
 //                   stop and copy the remainder. Downtime = remainder/B.
 //   post-copy     — transfer minimal CPU/device state, resume on the target
@@ -26,13 +26,11 @@ struct MigrationConfig {
   std::uint64_t vm_memory = 4ULL << 30;     // resident RAM to move
   double bandwidth_bps = 1.25e9;            // migration link rate
   double dirty_rate_bps = 100e6;            // page-dirtying rate while running
-  std::uint64_t stop_threshold = 64ULL << 20;  // pre-copy: stop when dirty set below this
-  std::uint32_t max_rounds = 30;            // pre-copy: round cap
   std::uint64_t cpu_state_bytes = 8ULL << 20;  // post-copy: state moved during downtime
-  double fault_fraction = 0.1;              // post-copy: fraction of pages demand-faulted
-  double fault_rtt = 100e-6;                // post-copy: per-fault network round-trip
-  std::uint64_t page_size = 4096;
 };
+
+/// Pre-copy stops iterating once the dirty set falls below this many bytes.
+inline constexpr std::uint64_t kPreCopyStopThreshold = 64ULL << 20;
 
 struct MigrationResult {
   double total_time = 0;        // start of migration to source release

@@ -67,7 +67,7 @@ SpeculationResult simulate_speculation(const SpeculationConfig& cfg) {
   for (std::size_t n = 0; n < cfg.nodes; ++n) free_nodes.push_back(n);
   std::size_t next_task = 0;
   std::size_t tasks_done = 0;
-  LatePolicy policy(cfg.speculation_threshold, cfg.task_work);
+  LatePolicy policy(cfg.task_work);
 
   SpeculationResult res;
 
@@ -96,7 +96,7 @@ SpeculationResult simulate_speculation(const SpeculationConfig& cfg) {
     // time, if it exceeds the threshold and has no backup yet.
     while (!free_nodes.empty()) {
       std::size_t best_task = cfg.tasks;
-      double best_remaining = policy.threshold() * policy.median();
+      double best_remaining = LatePolicy::kThreshold * policy.median();
       for (std::size_t t = 0; t < cfg.tasks; ++t) {
         if (tasks[t].done || tasks[t].copies.empty()) continue;
         if (tasks[t].alive_copies(copies) != 1) continue;  // already backed up

@@ -22,14 +22,15 @@ namespace hpbdc::cluster {
 /// (src/dist), so both speculate with identical logic.
 class LatePolicy {
  public:
+  /// A copy merits a backup once its remaining time exceeds this many
+  /// median task durations.
+  static constexpr double kThreshold = 1.5;
+
   /// `default_duration` stands in for the median before any task completes;
   /// pass 0 to refuse speculation until real durations exist.
-  explicit LatePolicy(double threshold, double default_duration = 0.0)
-      : threshold_(threshold), default_(default_duration) {}
+  explicit LatePolicy(double default_duration = 0.0) : default_(default_duration) {}
 
   void record(double duration) { durations_.push_back(duration); }
-
-  double threshold() const noexcept { return threshold_; }
 
   /// Median completed duration (default_duration until one exists).
   double median() const {
@@ -45,11 +46,10 @@ class LatePolicy {
   /// is `t` merits a backup once t exceeds threshold * median.
   bool exceeds(double t) const {
     const double med = median();
-    return med > 0 && t > threshold_ * med;
+    return med > 0 && t > kThreshold * med;
   }
 
  private:
-  double threshold_;
   double default_;
   std::vector<double> durations_;
 };
@@ -62,7 +62,6 @@ struct SpeculationConfig {
   double straggler_fraction = 0.1;  // fraction of nodes degraded
   double straggler_speed = 0.2;     // degraded nodes run at this speed
   bool speculate = true;
-  double speculation_threshold = 1.5;  // backup when remaining > thr * median task time
   std::uint64_t seed = 1;
 };
 

@@ -20,10 +20,6 @@ namespace hpbdc::dataflow {
 class Context {
  public:
   struct Options {
-    /// 0 selects kPartitionsPerThread partitions per pool thread (the
-    /// contract lives in exec/tuning.hpp), giving the work-stealing
-    /// scheduler enough slack to absorb skew.
-    std::size_t default_partitions = 0;
     /// When set, dataflow/shuffle/exec counters and histograms flow here.
     obs::MetricsRegistry* metrics = nullptr;
     /// When set, actions and shuffles open named spans on this session.
@@ -35,11 +31,12 @@ class Context {
   Context(Executor& pool, Options opts)
       : pool_(pool),
         opts_(opts),
-        default_partitions_(opts.default_partitions != 0
-                                ? opts.default_partitions
-                                : pool.num_threads() * kPartitionsPerThread) {}
+        default_partitions_(pool.num_threads() * kPartitionsPerThread) {}
 
   Executor& pool() const noexcept { return pool_; }
+  /// kPartitionsPerThread partitions per pool thread (the contract lives in
+  /// exec/tuning.hpp), giving the work-stealing scheduler enough slack to
+  /// absorb skew.
   std::size_t default_partitions() const noexcept { return default_partitions_; }
 
   /// Nullable: instrumentation sites must branch on this.

@@ -160,7 +160,7 @@ void FlowFabric::on_message(std::size_t me, std::size_t from, const Bytes& paylo
     // Return the credit before stream bookkeeping so the ack's send time
     // never depends on resolve work.
     Header ack{kAck, epoch_, h.stage, h.task, h.child, h.seg, h.nseg};
-    comm_.send_sized(me, from, tag_, opts_.ack_bytes, encode(ack));
+    comm_.send_sized(me, from, tag_, kCreditAckBytes, encode(ack));
   }
   on_segment(me, from, h.stage, h.task, h.child, h.nseg);
 }
@@ -242,8 +242,7 @@ const Bytes* FlowFabric::stream_data(std::size_t node, std::size_t stage,
 }
 
 void FlowFabric::await(std::size_t node, std::size_t stage, std::size_t task,
-                       std::uint32_t child, double patience,
-                       std::function<void(bool)> cb) {
+                       std::uint32_t child, std::function<void(bool)> cb) {
   const std::uint64_t k = key(stage, task, child);
   Stream& st = bufs_[node][k];
   if (st.state == StreamState::kComplete) {
@@ -257,7 +256,7 @@ void FlowFabric::await(std::size_t node, std::size_t stage, std::size_t task,
   auto& sim = comm_.simulator();
   const std::uint64_t wid = next_waiter_++;
   st.waiters.push_back(Waiter{wid, sim.now(), std::move(cb)});
-  sim.schedule_after(patience, [this, node, k, wid, epoch = epoch_] {
+  sim.schedule_after(kReaderPatience, [this, node, k, wid, epoch = epoch_] {
     if (epoch != epoch_) return;
     auto it = bufs_[node].find(k);
     if (it == bufs_[node].end()) return;  // stream cleared (node died)

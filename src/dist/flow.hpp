@@ -130,13 +130,19 @@ class FlowFabric {
   const Bytes* stream_data(std::size_t node, std::size_t stage, std::size_t task,
                            std::uint32_t child) const;
 
+  /// A consumer finding its pushed stream incomplete waits this long
+  /// (simulated seconds) for the tail segments before falling back to an
+  /// origin pull fetch — the liveness valve for segments lost to loss
+  /// bursts or a producer death mid-stream.
+  static constexpr double kReaderPatience = 1.0;
+
   /// Wait for the stream to turn terminal. cb(true) on completion, cb(false)
-  /// on breakage or after `patience` simulated seconds — fired exactly once,
-  /// synchronously if the stream is already terminal. Registering on an
+  /// on breakage or after kReaderPatience simulated seconds — fired exactly
+  /// once, synchronously if the stream is already terminal. Registering on an
   /// absent stream is the reader-ahead-of-writer case: the reader blocks
   /// until segments catch up or patience expires.
   void await(std::size_t node, std::size_t stage, std::size_t task, std::uint32_t child,
-             double patience, std::function<void(bool)> cb);
+             std::function<void(bool)> cb);
 
   // ---- cluster membership -------------------------------------------------
 

@@ -31,13 +31,11 @@ inline const char* transport_name(TransportKind k) {
 struct FlowOptions {
   std::uint64_t segment_bytes = 256 * 1024;  // unit of streaming + credit
   std::size_t credits_per_channel = 4;       // in-flight segments per (src,dst)
-  std::uint64_t ack_bytes = 64;              // credit-return message body
-  /// A consumer finding its pushed stream incomplete waits this long
-  /// (simulated seconds) for the tail segments before falling back to an
-  /// origin pull fetch — the liveness valve for segments lost to loss
-  /// bursts or a producer death mid-stream.
-  double reader_patience = 1.0;
 };
+
+/// Body size of a credit-return message, on the push fabric and on the
+/// streaming runtime's data channels alike.
+inline constexpr std::uint64_t kCreditAckBytes = 64;
 
 /// Everything a caller may vary per job. Plain value type; default
 /// construction is the pre-redesign behavior (pull transport), which keeps

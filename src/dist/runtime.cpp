@@ -10,6 +10,9 @@ using sim::SimTime;
 
 namespace {
 
+constexpr double kTaskOverhead = 2e-3;  // fixed per-task startup (s)
+constexpr std::uint64_t kRpcBytes = 256;  // control-plane message body size
+
 // Sub-seed derivation: every stochastic component of the runtime draws from
 // an Rng seeded off DistConfig::seed through here, so one seed pins the
 // whole run (the determinism contract tested in dist_test.cpp).
@@ -27,8 +30,7 @@ DistRuntime::DistRuntime(sim::Comm& comm, DistConfig cfg, sim::Dfs* dfs)
       tag_exec_(comm.next_tag()),
       tag_drv_(comm.next_tag()),
       jitter_rng_(sub_seed(cfg.seed, 1)),
-      failure_rng_(sub_seed(cfg.seed, 2)),
-      late_(cfg.speculation_threshold, 0.0) {
+      failure_rng_(sub_seed(cfg.seed, 2)) {
   const std::size_t n = comm.nranks();
   if (cfg_.driver >= n) throw std::invalid_argument("DistRuntime: bad driver rank");
   if (cfg_.slots_per_node == 0) {
@@ -215,7 +217,7 @@ void DistRuntime::submit(JobSpec job, const RuntimeOptions& opts, JobDoneFn done
   }
   attempts_.clear();
   ckpt_data_.clear();
-  late_ = cluster::LatePolicy(cfg_.speculation_threshold, 0.0);
+  late_ = cluster::LatePolicy();
   result_ = JobResult{};
   result_.output.assign(job_.stages.back().ntasks, {});
   result_received_ = 0;
@@ -393,7 +395,7 @@ void DistRuntime::speculate() {
 // ---------------------------------------------------------------------------
 
 void DistRuntime::send_to_exec(std::size_t node, Bytes payload) {
-  comm_.send_sized(cfg_.driver, node, tag_exec_, cfg_.rpc_bytes, std::move(payload));
+  comm_.send_sized(cfg_.driver, node, tag_exec_, kRpcBytes, std::move(payload));
 }
 
 void DistRuntime::send_to_driver(std::size_t node, std::uint64_t body,
@@ -470,7 +472,7 @@ void DistRuntime::exec_start(std::uint64_t attempt_id) {
       BufWriter w;
       w.write_pod<std::uint8_t>(kTaskFailed);
       w.write_pod<std::uint64_t>(attempt_id);
-      send_to_driver(a.node, cfg_.rpc_bytes, w.take());
+      send_to_driver(a.node, kRpcBytes, w.take());
       return;
     }
     input_src = best;
@@ -500,7 +502,7 @@ void DistRuntime::exec_start(std::uint64_t attempt_id) {
     w.write_pod<std::uint64_t>(attempt_id);
     w.write_pod<std::uint64_t>(static_cast<std::uint64_t>(ps));
     w.write_pod<std::uint64_t>(static_cast<std::uint64_t>(pt));
-    send_to_driver(a2.node, cfg_.rpc_bytes, w.take());
+    send_to_driver(a2.node, kRpcBytes, w.take());
   };
   // May complete synchronously (no shuffle parents) or fail synchronously
   // (a parent block with no live source) — check before starting the input.
@@ -533,7 +535,7 @@ void DistRuntime::exec_compute(
   const Attempt& a = attempts_.at(attempt_id);
   ExecState& ex = execs_[a.node];
   const double delay =
-      cfg_.task_overhead +
+      kTaskOverhead +
       static_cast<double>(bytes_in) / (cfg_.compute_bps * ex.speed);
   sim().schedule_after(delay, [this, attempt_id, inputs] {
     if (attempt_dead(attempt_id)) return;
@@ -562,7 +564,7 @@ void DistRuntime::exec_compute(
           w.write_pod<std::uint8_t>(kTaskDone);
           w.write_pod<std::uint64_t>(attempt_id);
           // The result stage ships its blocks to the driver in the done message.
-          send_to_driver(a3.node, final_stage ? total : cfg_.rpc_bytes, w.take());
+          send_to_driver(a3.node, final_stage ? total : kRpcBytes, w.take());
         });
   });
 }
@@ -775,7 +777,7 @@ void DistRuntime::heartbeat_loop(std::size_t node) {
   if (!active_ || !execs_[node].alive) return;
   BufWriter w;
   w.write_pod<std::uint8_t>(kHeartbeat);
-  send_to_driver(node, cfg_.rpc_bytes, w.take());
+  send_to_driver(node, kRpcBytes, w.take());
   const double jitter = cfg_.heartbeat_jitter > 0
                             ? jitter_rng_.next_double() * cfg_.heartbeat_jitter
                             : 0.0;

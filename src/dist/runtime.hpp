@@ -48,16 +48,12 @@ struct DistConfig {
   std::size_t max_task_attempts = 4;
   // Cost model.
   double compute_bps = 250e6;       // task processing rate at node speed 1.0
-  double task_overhead = 2e-3;      // fixed per-task startup (s)
   double disk_bandwidth_bps = 200e6;
-  double disk_seek = 2e-3;
-  std::uint64_t rpc_bytes = 256;    // control-plane message body size
   // Stragglers: a seeded random fraction of nodes runs at reduced speed.
   double straggler_fraction = 0.0;
   double straggler_speed = 0.25;
   // LATE-style speculation (policy shared with cluster::LatePolicy).
   bool speculate = false;
-  double speculation_threshold = 1.5;
   // Random failure injection: per-node exponential failures with this mean
   // time between failures (0 = disabled); failed nodes recover after
   // node_downtime seconds (0 = stay dead).
@@ -170,7 +166,7 @@ class DistRuntime {
     sim::SimTime last_heartbeat = 0;
     sim::Disk disk;
     explicit ExecState(const DistConfig& cfg)
-        : disk(cfg.disk_bandwidth_bps, cfg.disk_seek) {}
+        : disk(cfg.disk_bandwidth_bps) {}
   };
 
   struct TaskState {

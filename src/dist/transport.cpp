@@ -10,10 +10,9 @@ ShuffleTransport::ShuffleTransport(Env env) : env_(std::move(env)) {
 }
 
 void ShuffleTransport::begin_job(const JobSpec* job, std::uint64_t epoch,
-                                 const RuntimeOptions& opts) {
+                                 const RuntimeOptions& /*opts*/) {
   job_ = job;
   epoch_ = epoch;
-  opts_ = opts;
   for (auto& m : store_) m.clear();
 }
 
@@ -275,7 +274,7 @@ void PushTransport::collect(CollectRequest req) {
   }
   for (const Need& w : waits) {
     fabric_.await(
-        ctx->req.node, w.ps, w.pt, w.child, opts_.flow.reader_patience,
+        ctx->req.node, w.ps, w.pt, w.child,
         [this, ctx, w](bool ok) {
           if (env_.attempt_dead(ctx->req.attempt_id) || ctx->failed) return;
           if (ok) {

@@ -173,7 +173,6 @@ class ShuffleTransport {
   Env env_;
   const JobSpec* job_ = nullptr;
   std::uint64_t epoch_ = 0;
-  RuntimeOptions opts_;
   std::vector<std::map<std::uint64_t, BlockSet>> store_;  // [node][stage<<32|task]
 };
 

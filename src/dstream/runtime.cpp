@@ -15,6 +15,11 @@ namespace {
 constexpr double kInf = std::numeric_limits<double>::infinity();
 constexpr double kNegInf = -std::numeric_limits<double>::infinity();
 
+constexpr double kEpochInterval = 0.5;  // barrier cadence, simulated seconds
+constexpr double kRetryDelay = 0.25;    // checkpoint-read retry backoff
+constexpr std::uint64_t kCtrlBytes = 96;  // heartbeat/trigger/ack wire body
+constexpr std::uint64_t kHeartbeatPhaseSeed = 1;
+
 // Message type bytes. Data plane (tag_data_) and control plane (tag_ctrl_)
 // each carry a one-byte discriminator so every rank needs exactly two
 // handlers regardless of how many tasks it hosts.
@@ -78,6 +83,7 @@ void StreamRuntime::submit(StreamJobSpec spec, const dist::RuntimeOptions& opts,
   on_epoch_ = std::move(on_epoch);
   start_ = sim().now();
   ++fence_;
+  ++submits_;
   stats_ = StreamStats{};
   committed_.clear();
   ckpt_state_.clear();
@@ -192,15 +198,16 @@ void StreamRuntime::submit(StreamJobSpec spec, const dist::RuntimeOptions& opts,
       });
     }
   }
+  const std::uint64_t job = submits_;
   for (std::size_t r = 0; r < comm_.nranks(); ++r) {
     if (r == cfg_.coordinator) continue;
     const double phase =
         cfg_.heartbeat_interval *
-        (static_cast<double>(mix64(cfg_.seed ^ r) % 1000) / 1000.0);
-    sim().schedule_after(phase, [this, r] { heartbeat_loop(r); });
+        (static_cast<double>(mix64(kHeartbeatPhaseSeed ^ r) % 1000) / 1000.0);
+    sim().schedule_after(phase, [this, r, job] { heartbeat_loop(r, job); });
   }
-  sim().schedule_after(cfg_.heartbeat_interval, [this] { monitor_tick(); });
-  sim().schedule_after(cfg_.epoch_interval, [this, f] {
+  sim().schedule_after(cfg_.heartbeat_interval, [this, job] { monitor_tick(job); });
+  sim().schedule_after(kEpochInterval, [this, f] {
     if (running_ && fence_ == f && !recovering_) trigger_epoch(1);
   });
 }
@@ -353,7 +360,7 @@ void StreamRuntime::service(std::size_t ch_idx, QItem& item) {
   w.write_pod(std::uint8_t{kMsgAck});
   w.write_pod(fence_);
   w.write_varint(ch_idx);
-  comm_.send_sized(t.node, tasks_[ch.src_gid].node, tag_data_, opts_.flow.ack_bytes,
+  comm_.send_sized(t.node, tasks_[ch.src_gid].node, tag_data_, dist::kCreditAckBytes,
                    w.take());
 }
 
@@ -534,7 +541,7 @@ void StreamRuntime::complete_barrier(Task& t) {
   w.write_pod(wm);
   w.write_bytes(state);
   comm_.send_sized(t.node, cfg_.coordinator, tag_ctrl_,
-                   cfg_.ctrl_bytes + state.size(), w.take());
+                   kCtrlBytes + state.size(), w.take());
   if (st.kind != StreamStage::Kind::kSink) enqueue_barrier(t, epoch, wm);
   // Unblock and drain the alignment backlog (epoch n+1 data).
   t.aligned = 0;
@@ -684,7 +691,7 @@ void StreamRuntime::trigger_epoch(std::uint64_t epoch) {
     w.write_pod(fence_);
     w.write_varint(epoch);
     w.write_varint(t.gid);
-    comm_.send_sized(cfg_.coordinator, t.node, tag_ctrl_, cfg_.ctrl_bytes, w.take());
+    comm_.send_sized(cfg_.coordinator, t.node, tag_ctrl_, kCtrlBytes, w.take());
   }
 }
 
@@ -700,7 +707,10 @@ void StreamRuntime::on_task_ack(std::uint64_t epoch, std::size_t gid, double wm,
   // the Dfs write provides the replication cost and availability semantics.
   std::uint64_t bytes = 64 * tasks_.size();
   for (const auto& [g, st] : acks_) bytes += st.size();
-  const std::string file = "stream-ckpt-" + std::to_string(epoch);
+  // Later jobs on a reused runtime get their own names; the first job keeps
+  // the plain one, which EC shard placement hashes.
+  const std::string job = submits_ == 1 ? "" : "j" + std::to_string(submits_) + "-";
+  const std::string file = "stream-ckpt-" + job + std::to_string(epoch);
   const std::uint64_t f = fence_;
   const double sink_w = sink_wm_pending_;
   const auto finish = [this, epoch, f, file, sink_w](bool ok) {
@@ -765,7 +775,7 @@ void StreamRuntime::complete_epoch(std::uint64_t epoch) {
 void StreamRuntime::schedule_next_trigger() {
   const std::uint64_t f = fence_;
   const std::uint64_t next = epoch_ + 1;
-  const double at = std::max(sim().now(), epoch_t0_ + cfg_.epoch_interval);
+  const double at = std::max(sim().now(), epoch_t0_ + kEpochInterval);
   sim().schedule_at(at, [this, f, next] {
     if (running_ && fence_ == f && !recovering_) trigger_epoch(next);
   });
@@ -829,7 +839,7 @@ void StreamRuntime::on_ctrl(std::size_t rank, std::size_t src, const Bytes& payl
       w.write_pod(t.src_wm);
       w.write_bytes(state);
       comm_.send_sized(rank, cfg_.coordinator, tag_ctrl_,
-                       cfg_.ctrl_bytes + state.size(), w.take());
+                       kCtrlBytes + state.size(), w.take());
       break;
     }
     case kMsgTaskAck: {
@@ -849,7 +859,7 @@ void StreamRuntime::on_ctrl(std::size_t rank, std::size_t src, const Bytes& payl
       w.write_pod(std::uint8_t{kMsgRestoreAck});
       w.write_pod(fence_);
       w.write_varint(gid);
-      comm_.send_sized(rank, cfg_.coordinator, tag_ctrl_, cfg_.ctrl_bytes, w.take());
+      comm_.send_sized(rank, cfg_.coordinator, tag_ctrl_, kCtrlBytes, w.take());
       break;
     }
     case kMsgRestoreAck: {
@@ -862,21 +872,22 @@ void StreamRuntime::on_ctrl(std::size_t rank, std::size_t src, const Bytes& payl
   }
 }
 
-void StreamRuntime::heartbeat_loop(std::size_t node) {
-  if (!running_) return;
+void StreamRuntime::heartbeat_loop(std::size_t node, std::uint64_t job) {
+  if (!running_ || job != submits_) return;
   if (alive_[node]) {
     BufWriter w(8);
     w.write_pod(std::uint8_t{kMsgHeartbeat});
-    comm_.send_sized(node, cfg_.coordinator, tag_ctrl_, cfg_.ctrl_bytes, w.take());
+    comm_.send_sized(node, cfg_.coordinator, tag_ctrl_, kCtrlBytes, w.take());
     ++stats_.heartbeats;
   }
   // Keep ticking while dead: ground-truth recovery resumes the beat, which
   // is how the coordinator learns the node is back.
-  sim().schedule_after(cfg_.heartbeat_interval, [this, node] { heartbeat_loop(node); });
+  sim().schedule_after(cfg_.heartbeat_interval,
+                       [this, node, job] { heartbeat_loop(node, job); });
 }
 
-void StreamRuntime::monitor_tick() {
-  if (!running_) return;
+void StreamRuntime::monitor_tick(std::uint64_t job) {
+  if (!running_ || job != submits_) return;
   bool need_recovery = false;
   for (std::size_t n = 0; n < comm_.nranks(); ++n) {
     if (n == cfg_.coordinator || believed_dead_[n]) continue;
@@ -891,7 +902,7 @@ void StreamRuntime::monitor_tick() {
     }
   }
   if (need_recovery) start_recovery();
-  sim().schedule_after(cfg_.heartbeat_interval, [this] { monitor_tick(); });
+  sim().schedule_after(cfg_.heartbeat_interval, [this, job] { monitor_tick(job); });
 }
 
 void StreamRuntime::start_recovery() {
@@ -908,7 +919,7 @@ void StreamRuntime::start_recovery() {
   }
   const std::uint64_t f = fence_;
   if (live.empty()) {
-    sim().schedule_after(cfg_.retry_delay, [this, f] {
+    sim().schedule_after(kRetryDelay, [this, f] {
       if (running_ && fence_ == f) start_recovery();
     });
     return;
@@ -968,22 +979,22 @@ void StreamRuntime::start_recovery() {
     send_restores();  // nothing durable yet: restart from scratch
     return;
   }
-  // Read the checkpoint back (availability + I/O realism; the bytes live in
-  // coordinator memory). Retry through transient Dfs unavailability.
-  const std::string file = ckpt_file_;
-  auto attempt = std::make_shared<std::function<void()>>();
-  *attempt = [this, f, file, attempt] {
-    if (!running_ || fence_ != f) return;
-    dfs_->read(cfg_.coordinator, file, [this, f, attempt](bool ok) {
-      if (!running_ || fence_ != f) return;
-      if (ok) {
-        send_restores();
-        return;
-      }
-      sim().schedule_after(cfg_.retry_delay, [attempt] { (*attempt)(); });
-    });
-  };
-  (*attempt)();
+  read_checkpoint(f);
+}
+
+// Read the checkpoint back (availability + I/O realism; the bytes live in
+// coordinator memory). Retry through transient Dfs unavailability until the
+// recovery round `fence` is superseded.
+void StreamRuntime::read_checkpoint(std::uint64_t fence) {
+  if (!running_ || fence_ != fence) return;
+  dfs_->read(cfg_.coordinator, ckpt_file_, [this, fence](bool ok) {
+    if (!running_ || fence_ != fence) return;
+    if (ok) {
+      send_restores();
+      return;
+    }
+    sim().schedule_after(kRetryDelay, [this, fence] { read_checkpoint(fence); });
+  });
 }
 
 void StreamRuntime::send_restores() {
@@ -1000,7 +1011,7 @@ void StreamRuntime::send_restores() {
     w.write_varint(t.gid);
     w.write_bytes(state);
     comm_.send_sized(cfg_.coordinator, t.node, tag_ctrl_,
-                     cfg_.ctrl_bytes + state.size(), w.take());
+                     kCtrlBytes + state.size(), w.take());
     ++stats_.restores_sent;
   }
 }

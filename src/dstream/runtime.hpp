@@ -61,14 +61,10 @@ namespace hpbdc::dstream {
 
 struct StreamConfig {
   std::size_t coordinator = 0;     // JobManager + sink host; never killed
-  double epoch_interval = 0.5;     // barrier cadence, simulated seconds
   double heartbeat_interval = 0.15;
   double heartbeat_timeout = 0.6;  // silence before a worker is declared dead
   double event_cost = 4e-6;        // operator compute per event, seconds
-  double retry_delay = 0.25;       // checkpoint-read retry backoff
   std::size_t max_buffered_segments = 8;  // per-channel cap before sources pause
-  std::uint64_t ctrl_bytes = 96;   // heartbeat/trigger/ack wire body
-  std::uint64_t seed = 1;          // heartbeat phase jitter
   /// Seeded-bug hook for the streaming chaos harness (mirrors
   /// DistConfig-style fault seeding): a recovery restores each source one
   /// event PAST its recorded offset, silently losing an event — the exact
@@ -274,9 +270,10 @@ class StreamRuntime {
 
   // Failure detection and recovery.
   void on_ctrl(std::size_t rank, std::size_t src, const Bytes& payload);
-  void heartbeat_loop(std::size_t node);
-  void monitor_tick();
+  void heartbeat_loop(std::size_t node, std::uint64_t job);
+  void monitor_tick(std::uint64_t job);
   void start_recovery();
+  void read_checkpoint(std::uint64_t fence);
   void send_restores();
   void on_restore_ack(std::size_t gid);
 
@@ -295,6 +292,7 @@ class StreamRuntime {
   std::size_t events_per_segment_ = 64;
   std::size_t init_credits_ = 4;
   std::uint64_t fence_ = 0;  // bumped per submit AND per recovery
+  std::uint64_t submits_ = 0;  // jobs submitted; fences the liveness loops
   std::vector<Task> tasks_;
   std::vector<Edge> edges_;
   std::vector<Channel> channels_;

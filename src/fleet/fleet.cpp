@@ -20,6 +20,13 @@ const char* node_state_name(NodeState s) {
 
 namespace {
 
+constexpr double kWarmCostFactor = 0.2;  // standby price of a warm machine
+// Signal shaping: when the service is backpressured or missing deadlines,
+// inflate demand by this fraction of current capacity so the tracker reacts
+// to overload the queue-depth signal alone understates.
+constexpr double kBackpressureBoost = 0.5;
+constexpr double kMissRateThreshold = 0.05;  // deadline sheds / completions per tick
+
 /// Resolve the 0-means-default knobs against the pool's actual cluster and
 /// validate the result; the ctor runs this before any member that depends
 /// on the final numbers (the tracker wants min/max at construction).
@@ -188,8 +195,8 @@ void FleetController::tick() {
   const double miss_rate =
       dmiss == 0 ? 0.0
                  : static_cast<double>(dmiss) / static_cast<double>(dmiss + ddone);
-  if (svc_.backpressured() || miss_rate > cfg_.miss_rate_threshold) {
-    demand += cfg_.backpressure_boost * static_cast<double>(pool_.slots());
+  if (svc_.backpressured() || miss_rate > kMissRateThreshold) {
+    demand += kBackpressureBoost * static_cast<double>(pool_.slots());
   }
 
   const std::size_t running = count_state(NodeState::kActive);
@@ -236,7 +243,7 @@ double FleetController::node_price(const Node& nd) const {
     case NodeState::kDraining:
       return base;
     case NodeState::kWarm:
-      return cfg_.warm_cost_factor * base;
+      return kWarmCostFactor * base;
     case NodeState::kOff:
     case NodeState::kPreempted:
       return 0.0;

@@ -10,7 +10,7 @@
 //   nodes — each non-driver cluster node is a machine with a lifecycle:
 //           off -> (provision_delay) -> active -> draining -> off. A warm
 //           pool keeps a few powered-off machines reserved (activation in
-//           warm_activate_delay at warm_cost_factor standby cost); a
+//           warm_activate_delay at 0.2x standby cost); a
 //           configurable tail of the fleet is SPOT capacity, billed at
 //           spot_cost_factor but revocable — preemption schedules reuse
 //           chaos::make_kill_schedule, and a revoked machine returns to
@@ -69,13 +69,7 @@ struct FleetConfig {
   double provision_delay = 3.0;       // cold boot
   double warm_activate_delay = 0.5;   // warm-pool activation
   std::size_t warm_target = 1;        // machines kept warm after a drain
-  double warm_cost_factor = 0.2;      // standby price of a warm machine
   double drain_grace = 2.0;           // drain before power-off
-  // Signal shaping: when the service is backpressured or missing
-  // deadlines, inflate demand by this fraction of current capacity so the
-  // tracker reacts to overload the queue-depth signal alone understates.
-  double backpressure_boost = 0.5;
-  double miss_rate_threshold = 0.05;  // deadline sheds / completions per tick
   // Spot market: the spot_fraction highest-id machines are preemptible at
   // spot_cost_factor price. preempt_seed = 0 disables revocations.
   double spot_fraction = 0.0;

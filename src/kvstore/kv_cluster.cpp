@@ -6,6 +6,9 @@ namespace hpbdc::kvstore {
 
 namespace {
 
+constexpr double kOpTimeout = 0.05;    // seconds before the coordinator gives up
+constexpr double kServiceTime = 5e-6;  // per-request CPU time at a replica
+
 struct WireVersion {
   std::string value;
   VectorClock clock;
@@ -32,7 +35,6 @@ WireVersion read_version(BufReader& r) {
 KvCluster::KvCluster(sim::Comm& comm, KvConfig cfg)
     : comm_(comm),
       cfg_(cfg),
-      ring_(cfg.ring_vnodes),
       store_(comm.nranks()),
       down_(comm.nranks(), false) {
   if (cfg_.replication == 0 || cfg_.replication > comm.nranks()) {
@@ -151,7 +153,7 @@ void KvCluster::client_put(std::size_t client, std::string key, std::string valu
       });
 
   // Client-side timeout covers a dead coordinator and lost quorums alike.
-  comm_.simulator().schedule_after(cfg_.op_timeout, [this, req_id] {
+  comm_.simulator().schedule_after(kOpTimeout, [this, req_id] {
     auto it = pending_puts_.find(req_id);
     if (it == pending_puts_.end() || it->second.done) return;
     it->second.done = true;
@@ -189,7 +191,7 @@ void KvCluster::handle_replica_put(std::size_t, const Bytes& payload, std::size_
   // Ack to the coordinator-side bookkeeping after local service time. The
   // ack is addressed to the client rank purely so the completion latency
   // includes the reply hop; the pending map is process-global.
-  comm_.simulator().schedule_after(cfg_.service_time, [this, self, client, req_id] {
+  comm_.simulator().schedule_after(kServiceTime, [this, self, client, req_id] {
     if (down_[self]) return;
     BufWriter w;
     w.write_pod(req_id);
@@ -245,7 +247,7 @@ void KvCluster::client_get(std::size_t client, std::string key, GetCallback cb) 
                          }
                        });
 
-  comm_.simulator().schedule_after(cfg_.op_timeout, [this, req_id] {
+  comm_.simulator().schedule_after(kOpTimeout, [this, req_id] {
     auto it = pending_gets_.find(req_id);
     if (it == pending_gets_.end() || it->second.done) return;
     it->second.done = true;
@@ -264,7 +266,7 @@ void KvCluster::handle_replica_get(std::size_t, const Bytes& payload, std::size_
   const auto client = r.read_pod<std::uint64_t>();
   const std::string key = r.read_string();
 
-  comm_.simulator().schedule_after(cfg_.service_time, [this, self, client, req_id, key] {
+  comm_.simulator().schedule_after(kServiceTime, [this, self, client, req_id, key] {
     if (down_[self]) return;
     BufWriter w;
     w.write_pod(req_id);

@@ -28,9 +28,6 @@ struct KvConfig {
   std::size_t replication = 3;  // N
   std::size_t read_quorum = 2;  // R
   std::size_t write_quorum = 2; // W
-  double op_timeout = 0.05;     // seconds before the coordinator gives up
-  double service_time = 5e-6;   // per-request CPU time at a replica
-  std::size_t ring_vnodes = 64;
 };
 
 struct KvStats {

@@ -7,6 +7,10 @@ namespace hpbdc::kvstore {
 
 namespace {
 
+// Randomized election timeout window (seconds).
+constexpr double kElectionTimeoutMin = 0.150;
+constexpr double kElectionTimeoutMax = 0.300;
+
 struct VoteReq {
   std::uint64_t term;
   std::uint64_t candidate;
@@ -101,9 +105,8 @@ std::vector<std::string> RaftCluster::committed_commands(std::size_t node) const
 void RaftCluster::arm_election_timer(std::size_t n) {
   Node& nd = nodes_[n];
   const std::uint64_t epoch = ++nd.timer_epoch;
-  const double delay = cfg_.election_timeout_min +
-                       (cfg_.election_timeout_max - cfg_.election_timeout_min) *
-                           rng_.next_double();
+  const double delay = kElectionTimeoutMin +
+                       (kElectionTimeoutMax - kElectionTimeoutMin) * rng_.next_double();
   comm_.simulator().schedule_after(delay, [this, n, epoch] {
     Node& node = nodes_[n];
     if (stopped_ || node.down || epoch != node.timer_epoch) return;

@@ -30,8 +30,6 @@ namespace hpbdc::kvstore {
 enum class RaftRole { kFollower, kCandidate, kLeader };
 
 struct RaftConfig {
-  double election_timeout_min = 0.150;  // seconds
-  double election_timeout_max = 0.300;
   double heartbeat_interval = 0.050;
   std::uint64_t seed = 1;
 };

@@ -17,6 +17,9 @@ const char* ycsb_name(YcsbWorkload w) noexcept {
 
 namespace {
 
+constexpr std::size_t kValueSize = 100;  // bytes
+constexpr double kZipfTheta = 0.99;
+
 struct DriverState {
   YcsbConfig cfg;
   Rng rng;
@@ -29,12 +32,12 @@ struct DriverState {
   double finish_time = 0;
 
   DriverState(const YcsbConfig& c)
-      : cfg(c), rng(c.seed), zipf(c.records, c.zipf_theta), key_count(c.records) {}
+      : cfg(c), rng(c.seed), zipf(c.records, kZipfTheta), key_count(c.records) {}
 
   std::string key_for(std::uint64_t id) const { return "user" + std::to_string(id); }
 
   std::string make_value() {
-    std::string v(cfg.value_size, 'x');
+    std::string v(kValueSize, 'x');
     // A little per-value entropy so dedup/compression paths can't cheat.
     const auto r = rng();
     for (std::size_t i = 0; i < sizeof(r) && i < v.size(); ++i) {

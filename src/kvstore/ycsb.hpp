@@ -26,8 +26,6 @@ struct YcsbConfig {
   std::uint64_t records = 10000;   // preloaded keys
   std::uint64_t operations = 20000;
   std::size_t clients = 4;         // concurrent closed-loop clients
-  std::size_t value_size = 100;    // bytes
-  double zipf_theta = 0.99;
   std::uint64_t seed = 7;
   /// Client-side retries per op after a timeout/failure (for lossy-network
   /// experiments). 0 = fail fast.

@@ -9,6 +9,14 @@ namespace hpbdc::plan {
 
 namespace {
 
+/// Annotate a join for skew salting when the probe side's hot keys carry at
+/// least this fraction of its estimated rows.
+constexpr double kHotWeightThreshold = 0.10;
+constexpr std::uint32_t kMaxFanout = 8;
+/// Sample size for measuring filter pass rates when reordering filter runs
+/// inside source-rooted fused chains.
+constexpr std::uint64_t kReorderSampleRows = 2048;
+
 bool is_filter_step(OpKind k) {
   return k == OpKind::kFilter || k == OpKind::kFilterKey;
 }
@@ -19,14 +27,14 @@ bool is_filter_step(OpKind k) {
 /// permutation of a filter run computes the same output — only the work
 /// per surviving row changes. Chains without a source head are left alone:
 /// sampling their input would mean executing the upstream plan.
-std::size_t reorder_fused_filters(LogicalPlan& plan, const CostOptions& opts) {
+std::size_t reorder_fused_filters(LogicalPlan& plan) {
   std::size_t reordered = 0;
   for (PlanNode& nd : plan.nodes) {
     if (nd.op != OpKind::kFused) continue;
     if (nd.steps.front().op != OpKind::kSource) continue;
     const NarrowStep& head = nd.steps.front();
     const std::uint64_t sample_n =
-        std::min<std::uint64_t>(head.rows, opts.reorder_sample_rows);
+        std::min<std::uint64_t>(head.rows, kReorderSampleRows);
     if (sample_n == 0) continue;
     // Prefixes of source_rows_ex are exact: each row consumes a fixed
     // number of RNG draws.
@@ -97,7 +105,7 @@ std::size_t reorder_fused_filters(LogicalPlan& plan, const CostOptions& opts) {
 }
 
 void annotate_joins(LogicalPlan& plan, const std::vector<NodeStats>& stats,
-                    const CostOptions& opts, CostReport& rep) {
+                    CostReport& rep) {
   for (PlanNode& nd : plan.nodes) {
     if (nd.op != OpKind::kJoin) continue;
     const NodeStats& l = stats[nd.left];
@@ -108,10 +116,9 @@ void annotate_joins(LogicalPlan& plan, const std::vector<NodeStats>& stats,
     double hot_weight = 0;
     for (const HotKey& h : probe.hot) hot_weight += static_cast<double>(h.count);
     hot_weight = probe.rows > 0 ? hot_weight / probe.rows : 0;
-    if (hot_weight >= opts.hot_weight_threshold && !probe.hot.empty()) {
+    if (hot_weight >= kHotWeightThreshold && !probe.hot.empty()) {
       nd.salt_fanout = std::clamp<std::uint32_t>(
-          static_cast<std::uint32_t>(std::ceil(hot_weight * 16.0)), 2,
-          opts.max_fanout);
+          static_cast<std::uint32_t>(std::ceil(hot_weight * 16.0)), 2, kMaxFanout);
       nd.hot_keys.clear();
       nd.hot_keys.reserve(probe.hot.size());
       for (const HotKey& h : probe.hot) nd.hot_keys.push_back(h.key);
@@ -126,20 +133,20 @@ void annotate_joins(LogicalPlan& plan, const std::vector<NodeStats>& stats,
 
 }  // namespace
 
-LogicalPlan cost_optimize(const LogicalPlan& in, const CostOptions& opts,
+LogicalPlan cost_optimize(const LogicalPlan& in, const StatsOptions& opts,
                           CostReport* report) {
   CostReport rep;
   // Rules first: fusion builds the chains the filter reorder works on.
   LogicalPlan p = optimize(in);
-  rep.filters_reordered = reorder_fused_filters(p, opts);
+  rep.filters_reordered = reorder_fused_filters(p);
   // Rules again: reordering is structure-preserving, but the contract is
   // "rule passes before and after costing" and optimize() is idempotent,
   // so this is cheap insurance against future reorder rules that do expose
   // rewrites.
   p = optimize(p);
-  rep.stats = collect_stats(p, opts.stats);
-  annotate_joins(p, rep.stats, opts, rep);
-  p.stats_salt = opts.stats.stats_salt;
+  rep.stats = collect_stats(p, opts);
+  annotate_joins(p, rep.stats, rep);
+  p.stats_salt = opts.stats_salt;
   if (report) *report = rep;
   return p;
 }

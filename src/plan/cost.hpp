@@ -24,17 +24,6 @@
 
 namespace hpbdc::plan {
 
-struct CostOptions {
-  StatsOptions stats;
-  /// Annotate a join for skew salting when the probe side's hot keys carry
-  /// at least this fraction of its estimated rows.
-  double hot_weight_threshold = 0.10;
-  std::uint32_t max_fanout = 8;
-  /// Sample size for measuring filter pass rates when reordering filter
-  /// runs inside source-rooted fused chains.
-  std::uint64_t reorder_sample_rows = 2048;
-};
-
 struct CostReport {
   std::size_t joins_flipped = 0;      ///< joins switched to build-right
   std::size_t joins_salted = 0;       ///< joins given a skew-salt fanout
@@ -43,10 +32,10 @@ struct CostReport {
 };
 
 /// Rule passes → selectivity-ordered filters → rule passes → join
-/// annotation. The result carries opts.stats.stats_salt as its
+/// annotation. The result carries opts.stats_salt as its
 /// LogicalPlan::stats_salt, so its fingerprint never aliases the merely
 /// rule-optimized plan in the serve result cache.
-LogicalPlan cost_optimize(const LogicalPlan& in, const CostOptions& opts = {},
+LogicalPlan cost_optimize(const LogicalPlan& in, const StatsOptions& opts = {},
                           CostReport* report = nullptr);
 
 }  // namespace hpbdc::plan

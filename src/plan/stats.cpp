@@ -19,11 +19,11 @@ double expected_distinct(double n, double d) {
   return d * (1.0 - std::exp(-n / d));
 }
 
-void sort_hot(std::vector<HotKey>& hot, std::size_t cap) {
+void sort_hot(std::vector<HotKey>& hot) {
   std::sort(hot.begin(), hot.end(), [](const HotKey& a, const HotKey& b) {
     return a.count != b.count ? a.count > b.count : a.key < b.key;
   });
-  if (hot.size() > cap) hot.resize(cap);
+  if (hot.size() > kMaxHotKeys) hot.resize(kMaxHotKeys);
 }
 
 /// Sketch a source: HLL for NDV, CMS for heavy hitters, both over a prefix
@@ -62,8 +62,8 @@ NodeStats sketch_source(std::uint64_t salt, std::uint64_t rows,
     table[i].key = r.first;
     ++table[i].count;
   }
-  HyperLogLog hll(opts.hll_precision);
-  CountMinSketch cms(opts.cms_epsilon, opts.cms_delta);
+  HyperLogLog hll(kHllPrecision);
+  CountMinSketch cms(kCmsEpsilon, kCmsDelta);
   std::size_t distinct = 0;
   for (const KeyCount& kc : table) {
     if (kc.count == 0) continue;
@@ -87,13 +87,12 @@ NodeStats sketch_source(std::uint64_t salt, std::uint64_t rows,
                         static_cast<std::uint64_t>(static_cast<double>(est) * scale)});
     }
   }
-  sort_hot(st.hot, opts.max_hot_keys);
+  sort_hot(st.hot);
   return st;
 }
 
 /// Propagate stats through one narrow/wide unary operator.
-NodeStats apply_op(NodeStats in, OpKind op, std::uint64_t salt,
-                   const StatsOptions& opts) {
+NodeStats apply_op(NodeStats in, OpKind op, std::uint64_t salt) {
   NodeStats out = std::move(in);
   switch (op) {
     case OpKind::kMap:
@@ -145,12 +144,10 @@ NodeStats apply_op(NodeStats in, OpKind op, std::uint64_t salt,
     case OpKind::kFused:
       break;  // handled by the caller
   }
-  (void)opts;
   return out;
 }
 
-NodeStats join_stats(const NodeStats& l, const NodeStats& r,
-                     const StatsOptions& opts) {
+NodeStats join_stats(const NodeStats& l, const NodeStats& r) {
   NodeStats out;
   out.key_bound = std::min(l.key_bound, r.key_bound);
   const double max_ndv = std::max({l.ndv, r.ndv, 1.0});
@@ -177,7 +174,7 @@ NodeStats join_stats(const NodeStats& l, const NodeStats& r,
     out.hot.push_back(
         {h.key, static_cast<std::uint64_t>(static_cast<double>(h.count) * l_mult)});
   }
-  sort_hot(out.hot, opts.max_hot_keys);
+  sort_hot(out.hot);
   return out;
 }
 
@@ -197,7 +194,7 @@ std::vector<NodeStats> collect_stats(const LogicalPlan& plan,
                                  opts);
         break;
       case OpKind::kJoin:
-        stats[i] = join_stats(stats[nd.left], stats[nd.right], opts);
+        stats[i] = join_stats(stats[nd.left], stats[nd.right]);
         break;
       case OpKind::kFused: {
         NodeStats cur;
@@ -213,13 +210,13 @@ std::vector<NodeStats> collect_stats(const LogicalPlan& plan,
           cur = stats[nd.left];
         }
         for (std::size_t s = first; s < nd.steps.size(); ++s) {
-          cur = apply_op(std::move(cur), nd.steps[s].op, nd.steps[s].salt, opts);
+          cur = apply_op(std::move(cur), nd.steps[s].op, nd.steps[s].salt);
         }
         stats[i] = std::move(cur);
         break;
       }
       default:
-        stats[i] = apply_op(stats[nd.left], nd.op, nd.salt, opts);
+        stats[i] = apply_op(stats[nd.left], nd.op, nd.salt);
         break;
     }
     stats[i].key_bound = bounds[i];

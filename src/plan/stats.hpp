@@ -43,15 +43,17 @@ struct StatsOptions {
   /// Per-source sketch cap: sources larger than this are sketched on a
   /// prefix sample and scaled.
   std::uint64_t sample_rows = 1 << 16;
-  int hll_precision = 12;
-  double cms_epsilon = 0.005;
-  double cms_delta = 0.01;
   /// A key is "hot" when its CMS estimate is at least this fraction of the
   /// sketched rows.
   double hot_fraction = 0.05;
-  /// Cap on the hot list per node (largest counts win).
-  std::size_t max_hot_keys = 8;
 };
+
+/// Source sketch geometry: HyperLogLog precision and count-min error bounds.
+inline constexpr int kHllPrecision = 12;
+inline constexpr double kCmsEpsilon = 0.005;
+inline constexpr double kCmsDelta = 0.01;
+/// Cap on the hot list per node (largest counts win).
+inline constexpr std::size_t kMaxHotKeys = 8;
 
 /// Estimate rows/ndv/hot for every node. Sources are sketched over a prefix
 /// of up to sample_rows rows: the sample is counted by key, then the HLL

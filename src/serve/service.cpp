@@ -17,6 +17,14 @@ namespace {
 
 constexpr double kInf = std::numeric_limits<double>::infinity();
 
+constexpr double kPriorityWeight = 0.02;  // dominant-share credit per priority unit
+constexpr std::size_t kMaxDistSubmits = 3;  // executor runs per job before kFailed
+// DRF capacity normalization for the non-slot resources; shares only
+// compare across tenants, so scale need not match the cluster exactly.
+constexpr double kDrfWorkCapacity = 256;     // task launches in flight
+constexpr double kDrfMemCapacity = 1 << 20;  // source rows in flight
+constexpr double kCacheHitLatency = 1e-3;    // simulated service time of a hit
+
 /// Source rows the job will materialize (the DRF memory-resource estimate).
 std::uint64_t source_rows_of(const plan::LogicalPlan& p) {
   std::uint64_t rows = 0;
@@ -64,16 +72,12 @@ JobService::JobService(dist::JobSlotPool& pool, ServeConfig cfg,
     : pool_(pool),
       cfg_(cfg),
       streams_(streams),
-      drf_({static_cast<double>(pool.slots()), cfg.drf_work_capacity,
-            cfg.drf_mem_capacity}),
+      drf_({static_cast<double>(pool.slots()), kDrfWorkCapacity, kDrfMemCapacity}),
       cache_(std::max<std::size_t>(1, cfg.cache_capacity)) {
   if (cfg_.bucket_rate <= 0 || cfg_.bucket_burst < 1) {
     throw std::invalid_argument("JobService: bucket must admit >= 1 request");
   }
   if (cfg_.ntasks == 0) throw std::invalid_argument("JobService: zero ntasks");
-  if (cfg_.max_dist_submits == 0) {
-    throw std::invalid_argument("JobService: need >= 1 dist submit");
-  }
   for (std::size_t c = 0; c < kSloClassCount; ++c) {
     const SloClassConfig& sc = cfg_.slo[c];
     if (sc.rate_mult <= 0 || sc.burst_mult <= 0 || sc.drf_weight <= 0 ||
@@ -154,7 +158,7 @@ JobService::HeapKey JobService::head_key(TenantId t,
   // and `now` is common to every entry of one class heap.
   k.key = burden(t) / cfg_.slo[ci].drf_weight +
           aging_eff(head.slo) * head.enqueue_time -
-          cfg_.priority_weight * cfg_.slo[ci].priority_mult *
+          kPriorityWeight * cfg_.slo[ci].priority_mult *
               static_cast<double>(head.priority);
   k.deadline = head.deadline > 0 ? head.deadline : kInf;
   k.id = head.id;
@@ -310,7 +314,7 @@ std::uint64_t JobService::submit(SubmitRequest req, DoneFn done) {
       auto sp = std::make_shared<PendingJob>(std::move(job));
       sp->dist_submits = 0;
       std::vector<plan::Row> copy = *rows;
-      sim().schedule_after(cfg_.cache_hit_latency,
+      sim().schedule_after(kCacheHitLatency,
                            [this, sp, copy = std::move(copy)]() mutable {
                              finish(*sp, Status::kCompleted, true, std::move(copy));
                            });
@@ -483,7 +487,7 @@ void JobService::on_job_done(const std::shared_ptr<PendingJob>& job,
     if (cfg_.cache_capacity > 0) cache_.put(job->fp, rows);
     reindex_all_classes(job->tenant);
     finish(*job, Status::kCompleted, false, std::move(rows));
-  } else if (job->dist_submits < cfg_.max_dist_submits) {
+  } else if (job->dist_submits < kMaxDistSubmits) {
     // Runtime-level failure (e.g. attempt budget burned by a node death):
     // retry from the front of the tenant's queue, keeping the original
     // enqueue time so the aging credit carries over. The terminal callback

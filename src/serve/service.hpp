@@ -31,12 +31,12 @@
 //   execute   — the winning job lowers its OPTIMIZED plan (the optimizer
 //               runs once, at admission) onto a dist::JobSlotPool slot; a
 //               runtime-level failure is retried at the service level up to
-//               max_dist_submits, so every admitted job gets EXACTLY ONE
+//               three executor runs, so every admitted job gets EXACTLY ONE
 //               terminal completion callback.
 //   cache     — successful results enter an LRU keyed by
 //               plan::fingerprint(optimized plan); a later submission with
-//               the same fingerprint is answered in cache_hit_latency
-//               seconds without consuming a queue entry or an executor.
+//               the same fingerprint is answered after a fixed 1 ms hit
+//               latency without consuming a queue entry or an executor.
 //
 // Everything runs on the single-threaded Simulator, so a (config, seed,
 // arrival schedule) triple reproduces a whole serving day bit-for-bit —
@@ -153,7 +153,7 @@ struct SloClassConfig {
   double burst_mult = 1.0;           // x bucket_burst
   double drf_weight = 1.0;           // burden divisor: >1 schedules sooner
   double aging_mult = 1.0;           // x aging_rate
-  double priority_mult = 1.0;        // x priority_weight
+  double priority_mult = 1.0;        // x the priority credit per unit
   double shed_watermark_mult = 1.0;  // x backpressure_watermark: <1 sheds first
 };
 
@@ -165,24 +165,16 @@ struct ServeConfig {
   std::size_t global_queue_cap = 64;
   std::size_t backpressure_watermark = 32;  // queued jobs, pool saturated
   // Scheduling. A queued job's score is the tenant's instantaneous DRF
-  // dominant share plus usage_weight times its accumulated dominant-share-
+  // dominant share plus a weighted sum of its accumulated dominant-share-
   // seconds (the cluster::UsageLedger), divided by the class DRF weight,
   // minus the aging and priority credits; lowest score dispatches first.
   // The accumulated term is what keeps scheduling fair across SEQUENTIAL
   // jobs — with a free slot the instantaneous share of every tenant is zero.
   double aging_rate = 0.02;       // dominant-share credit per queued second
-  double priority_weight = 0.02;  // dominant-share credit per priority unit
-  double usage_weight = 0.5;      // weight of accumulated past usage
   // Execution.
   std::size_t ntasks = 4;           // tasks per lowered dist stage
-  std::size_t max_dist_submits = 3; // executor runs per job before kFailed
-  // DRF capacity normalization for the non-slot resources; shares only
-  // compare across tenants, so scale need not match the cluster exactly.
-  double drf_work_capacity = 256;        // task launches in flight
-  double drf_mem_capacity = 1 << 20;     // source rows in flight
   // Result cache.
   std::size_t cache_capacity = 128;  // entries; 0 disables caching
-  double cache_hit_latency = 1e-3;   // simulated service time of a hit
   // Tier policy, indexed by SloClass. kStandard MUST stay all-1.0 to keep
   // the classless behavior; the latency/batch defaults encode the intended
   // shed order (batch first, latency last) and scheduling preference.
@@ -238,8 +230,8 @@ class JobService {
   void export_metrics(obs::MetricsRegistry& reg) const;
 
   /// Submit at the current simulated time. Returns the job id. `done` fires
-  /// exactly once per call: synchronously for sheds, after cache_hit_latency
-  /// for cache hits, and at job completion otherwise.
+  /// exactly once per call: synchronously for sheds, after a fixed hit
+  /// latency for cache hits, and at job completion otherwise.
   std::uint64_t submit(SubmitRequest req, DoneFn done);
 
   /// True while the executor pool is saturated and the queue is over the
@@ -308,8 +300,9 @@ class JobService {
   double aging_eff(SloClass c) const noexcept {
     return cfg_.aging_rate * cfg_.slo[static_cast<std::size_t>(c)].aging_mult;
   }
+  static constexpr double kUsageWeight = 0.5;  // weight of accumulated past usage
   double burden(TenantId t) const {
-    return drf_.dominant_share(t) + cfg_.usage_weight * usage_.usage(t);
+    return drf_.dominant_share(t) + kUsageWeight * usage_.usage(t);
   }
   HeapKey head_key(TenantId t, const PendingJob& head) const;
   /// Re-derive the (tenant, class) heap entry after any mutation of the

@@ -7,6 +7,10 @@
 
 namespace hpbdc::sim {
 
+namespace {
+constexpr std::uint64_t kNamenodeRpcBytes = 256;  // metadata RPC body size
+}  // namespace
+
 const char* read_status_name(ReadStatus s) {
   switch (s) {
     case ReadStatus::kOk: return "ok";
@@ -20,7 +24,6 @@ const char* read_status_name(ReadStatus s) {
 Dfs::Dfs(Comm& comm, DfsConfig cfg)
     : comm_(comm),
       cfg_(cfg),
-      ring_(cfg.ring_vnodes == 0 ? 1 : cfg.ring_vnodes),
       rs_(cfg.ec_data_shards, cfg.ec_parity_shards) {
   if (cfg_.replication == 0 || cfg_.replication > comm.nranks()) {
     throw std::invalid_argument("Dfs: bad replication factor");
@@ -29,7 +32,7 @@ Dfs::Dfs(Comm& comm, DfsConfig cfg)
   if (cfg_.ec_data_shards == 0 || cfg_.ec_parity_shards == 0) {
     throw std::invalid_argument("Dfs: RS(k, m) needs k >= 1 and m >= 1");
   }
-  disks_.assign(comm.nranks(), Disk(cfg_.disk_bandwidth_bps, cfg_.disk_seek));
+  disks_.assign(comm.nranks(), Disk(cfg_.disk_bandwidth_bps));
   down_.assign(comm.nranks(), false);
   for (std::size_t n = 0; n < comm.nranks(); ++n) ring_.add_node(n);
 }
@@ -382,12 +385,9 @@ void Dfs::start_write(std::size_t client, const std::string& name, DoneFn cb) {
   st->cb = std::move(cb);
 
   // Namenode RPC round-trip, then the per-block transfer fan-out.
-  net.send(client, cfg_.namenode, cfg_.namenode_rpc_bytes, [this, st, client,
-                                                            name] {
-    comm_.network().send(cfg_.namenode, client, cfg_.namenode_rpc_bytes, [this,
-                                                                          st,
-                                                                          client,
-                                                                          name] {
+  net.send(client, cfg_.namenode, kNamenodeRpcBytes, [this, st, client, name] {
+    comm_.network().send(cfg_.namenode, client, kNamenodeRpcBytes,
+                         [this, st, client, name] {
       const File& f = files_[name];
       for (std::size_t bi = 0; bi < f.blocks.size(); ++bi) {
         if (f.blocks[bi].shards.empty()) {
@@ -594,9 +594,9 @@ void Dfs::read_ex(std::size_t client, const std::string& name, ReadFn cb) {
     if (--st->pending == 0) finish();
   };
 
-  net.send(client, cfg_.namenode, cfg_.namenode_rpc_bytes, [this, st, client, name,
-                                                            done_one] {
-    comm_.network().send(cfg_.namenode, client, cfg_.namenode_rpc_bytes,
+  net.send(client, cfg_.namenode, kNamenodeRpcBytes,
+           [this, st, client, name, done_one] {
+    comm_.network().send(cfg_.namenode, client, kNamenodeRpcBytes,
                          [this, st, client, name, done_one] {
       auto fit = files_.find(name);
       if (fit == files_.end()) {

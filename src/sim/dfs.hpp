@@ -62,7 +62,10 @@ namespace hpbdc::sim {
 /// requests queue FIFO, like a real spindle/SSD channel.
 class Disk {
  public:
-  Disk(double bandwidth_bps, double seek_time)
+  /// Seek latency of every disk in the simulated cluster (s).
+  static constexpr double kSeekTime = 2e-3;
+
+  explicit Disk(double bandwidth_bps, double seek_time = kSeekTime)
       : bandwidth_bps_(bandwidth_bps), seek_time_(seek_time) {}
 
   /// Schedule an access of `bytes`; cb fires at completion time.
@@ -86,8 +89,6 @@ struct DfsConfig {
   std::uint64_t block_size = 64ULL << 20;
   bool rack_aware = true;          // HDFS default placement
   double disk_bandwidth_bps = 200e6;
-  double disk_seek = 2e-3;
-  std::uint64_t namenode_rpc_bytes = 256;
   std::size_t namenode = 0;
   // Erasure-coding profile for kErasureCoded files: RS(k, m).
   std::size_t ec_data_shards = 4;    // k
@@ -102,7 +103,6 @@ struct DfsConfig {
   /// later; the pass re-arms itself while damage remains. 0 keeps repair
   /// manual (call re_replicate()).
   double auto_repair_delay = 0;
-  std::size_t ring_vnodes = 64;  // consistent-hash ring smoothing
 };
 
 /// Typed outcome of read_ex(). kOk and kDegraded both return data (degraded

@@ -49,8 +49,8 @@ TEST(TextGen, GeneratesRequestedLines) {
   ASSERT_EQ(lines.size(), 100u);
   for (const auto& l : lines) {
     const auto words = tokenize(l);
-    EXPECT_GE(words.size(), cfg.words_per_line_min);
-    EXPECT_LE(words.size(), cfg.words_per_line_max);
+    EXPECT_GE(words.size(), kWordsPerLineMin);
+    EXPECT_LE(words.size(), kWordsPerLineMax);
   }
 }
 

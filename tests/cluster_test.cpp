@@ -169,7 +169,7 @@ TEST(Migration, PreCopyDowntimeBoundedWhenConverged) {
   cfg.vm_memory = 2 * GiB;
   cfg.bandwidth_bps = 1.25e9;
   const double bound =
-      static_cast<double>(cfg.stop_threshold) / cfg.bandwidth_bps + 1e-9;
+      static_cast<double>(kPreCopyStopThreshold) / cfg.bandwidth_bps + 1e-9;
   double worst_converged = 0;
   for (double rate : {10e6, 100e6, 400e6, 800e6}) {
     cfg.dirty_rate_bps = rate;
@@ -424,7 +424,7 @@ TEST(TraceGen, ProducesValidJobs) {
     EXPECT_GE(j.estimate, j.runtime);
     EXPECT_GE(j.nodes, 1u);
     EXPECT_LE(j.nodes, 32u);
-    EXPECT_LT(j.user, cfg.users);
+    EXPECT_LT(j.user, kTraceUsers);
   }
 }
 

@@ -145,8 +145,8 @@ NodeStats per_row_reference(const PlanNode& src, const StatsOptions& opts) {
   if (sample_n != 0) {
     const auto sample = source_rows_ex(src.salt, sample_n, src.key_domain,
                                        src.skew, src.distinct_keys);
-    HyperLogLog hll(opts.hll_precision);
-    CountMinSketch cms(opts.cms_epsilon, opts.cms_delta);
+    HyperLogLog hll(kHllPrecision);
+    CountMinSketch cms(kCmsEpsilon, kCmsDelta);
     for (const Row& r : sample) {
       hll.add(hash_u64(r.first));
       cms.add(hash_u64(r.first));
@@ -170,7 +170,7 @@ NodeStats per_row_reference(const PlanNode& src, const StatsOptions& opts) {
     std::sort(st.hot.begin(), st.hot.end(), [](const HotKey& a, const HotKey& b) {
       return a.count != b.count ? a.count > b.count : a.key < b.key;
     });
-    if (st.hot.size() > opts.max_hot_keys) st.hot.resize(opts.max_hot_keys);
+    if (st.hot.size() > kMaxHotKeys) st.hot.resize(kMaxHotKeys);
   }
   st.ndv = std::min(st.ndv, static_cast<double>(bound));
   return st;
@@ -331,8 +331,7 @@ TEST(PlanCost, FusedFiltersReorderMostSelectiveFirst) {
 TEST(PlanCost, CostOptimizedPlansCarryTheStatsSalt) {
   const LogicalPlan raw = source_only(1000, 128);
   EXPECT_EQ(optimize(raw).stats_salt, 0u);
-  const CostOptions opts;
-  EXPECT_EQ(cost_optimize(raw).stats_salt, opts.stats.stats_salt);
+  EXPECT_EQ(cost_optimize(raw).stats_salt, StatsOptions{}.stats_salt);
 }
 
 // ---- BigBench join ordering ------------------------------------------------------

@@ -9,6 +9,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <functional>
 #include <string>
 #include <vector>
 
@@ -152,6 +153,47 @@ TEST(DstreamRuntime, FaultFreeMatchesReference) {
   EXPECT_GE(c.rt.stats().epochs_completed, 1u);
   EXPECT_GT(c.rt.stats().windows_fired, 0u);
   EXPECT_EQ(c.rt.stats().recoveries, 0u);
+}
+
+TEST(DstreamRuntime, BackToBackJobsMatchAFreshRuntime) {
+  // A reused runtime (JobService keeps one) must run every job exactly as a
+  // fresh one would: no liveness loops left over from earlier jobs, and no
+  // checkpoint name collisions with an earlier job's epochs.
+  StreamingOptions opts;
+  opts.rate = 48.0;
+  opts.window = 0.5;
+  const StreamJobSpec spec = lower_streaming(aggregate_plan(3, 192), opts);
+
+  Cluster fresh(5);
+  const StreamResult want = run_to_completion(fresh, spec);
+  ASSERT_TRUE(want.ok);
+  const StreamStats want_stats = fresh.rt.stats();
+  ASSERT_GT(want_stats.checkpoints_written, 0u);
+
+  // Each job is submitted from the previous job's completion callback.
+  constexpr std::size_t kJobs = 4;
+  Cluster c(5);
+  std::vector<StreamResult> results;
+  std::vector<StreamStats> stats;
+  std::function<void()> submit_next = [&] {
+    c.rt.submit(spec, push_opts(), [&](const StreamResult& r) {
+      results.push_back(r);
+      stats.push_back(c.rt.stats());
+      if (results.size() < kJobs) submit_next();
+    });
+  };
+  submit_next();
+  c.sim.run_until(600.0);
+  ASSERT_EQ(results.size(), kJobs);
+  for (std::size_t j = 0; j < kJobs; ++j) {
+    SCOPED_TRACE(::testing::Message() << "job " << j + 1);
+    ASSERT_TRUE(results[j].ok);
+    EXPECT_NEAR(results[j].makespan, want.makespan, 1e-9);
+    EXPECT_EQ(stats[j].epochs_completed, want_stats.epochs_completed);
+    EXPECT_EQ(stats[j].checkpoints_written, want_stats.checkpoints_written);
+    EXPECT_EQ(stats[j].heartbeats, want_stats.heartbeats);
+    EXPECT_EQ(stats[j].ckpt_write_failures, 0u);
+  }
 }
 
 TEST(DstreamRuntime, GeneratedPlanMatchesReference) {

@@ -483,6 +483,9 @@ TEST(JobService, StreamingJobHoldsASlotChargesEpochsAndSkipsTheCache) {
   ASSERT_EQ(c2.status, Status::kCompleted);
   EXPECT_FALSE(c2.cache_hit);
   EXPECT_EQ(c2.dist_submits, 1u);
+  // The reused stream runtime runs the second job like the first.
+  EXPECT_EQ(c2.epochs, c1.epochs);
+  EXPECT_NEAR(c2.latency(), c1.latency(), 1e-9);
   EXPECT_EQ(svc.stats().cache_hits, 0u);
   EXPECT_EQ(svc.stats().cache_misses, 0u);
   EXPECT_EQ(svc.stats().streaming_launched, 2u);
