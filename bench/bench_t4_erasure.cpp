@@ -1,20 +1,25 @@
 // T4 — Erasure coding vs replication (DESIGN.md): storage overhead and
-// encode/decode throughput for RS(k,m) codes on 64 MiB objects. Expected
+// encode/decode throughput for RS(k,m) codes on a 16 MiB object. Expected
 // shape: RS overhead = 1 + m/k (vs 3.0x for triple replication); encode
 // throughput falls as m grows; decode of data-shard losses costs about one
 // matrix-vector pass over the object.
+// --json=FILE also writes encode_mb_per_s (and decode_mb_per_s for the RS
+// codes) per scheme (bench_json.hpp).
 
 #include <iostream>
 #include <optional>
+#include <string>
 
+#include "bench_json.hpp"
 #include "common/rng.hpp"
 #include "common/stats.hpp"
 #include "common/stopwatch.hpp"
 #include "storage/reed_solomon.hpp"
 
-int main() {
+int main(int argc, char** argv) {
   using namespace hpbdc;
   using namespace hpbdc::storage;
+  bench::JsonWriter json("t4_erasure", argc, argv);
 
   constexpr std::size_t kObject = 16ULL << 20;  // 16 MiB keeps 1-core runs short
   Rng rng(5);
@@ -30,10 +35,10 @@ int main() {
     Stopwatch sw;
     std::vector<std::vector<std::uint8_t>> replicas;
     for (int i = 0; i < 2; ++i) replicas.push_back(object);  // 3x total copies
-    const double ms = sw.elapsed_ms();
-    tbl.row({"3x replication", "3.00x",
-             Table::num(static_cast<double>(kObject) / 1e6 / (ms / 1e3), 0),
-             "(no decode needed)", "2 losses"});
+    const double mb_per_s = static_cast<double>(kObject) / 1e6 / (sw.elapsed_ms() / 1e3);
+    tbl.row({"3x replication", "3.00x", Table::num(mb_per_s, 0), "(no decode needed)",
+             "2 losses"});
+    json.metric("encode_mb_per_s", mb_per_s, {{"scheme", "3x replication"}});
   }
 
   struct Code {
@@ -61,11 +66,14 @@ int main() {
 
     const double overhead =
         1.0 + static_cast<double>(code.m) / static_cast<double>(code.k);
-    tbl.row({"RS(" + std::to_string(code.k) + "," + std::to_string(code.m) + ")",
-             Table::num(overhead) + "x",
-             Table::num(static_cast<double>(kObject) / 1e6 / (enc_ms / 1e3), 0),
-             Table::num(static_cast<double>(kObject) / 1e6 / (dec_ms / 1e3), 0),
-             std::to_string(code.m) + " losses"});
+    const std::string scheme =
+        "RS(" + std::to_string(code.k) + "," + std::to_string(code.m) + ")";
+    const double enc_mb_per_s = static_cast<double>(kObject) / 1e6 / (enc_ms / 1e3);
+    const double dec_mb_per_s = static_cast<double>(kObject) / 1e6 / (dec_ms / 1e3);
+    tbl.row({scheme, Table::num(overhead) + "x", Table::num(enc_mb_per_s, 0),
+             Table::num(dec_mb_per_s, 0), std::to_string(code.m) + " losses"});
+    json.metric("encode_mb_per_s", enc_mb_per_s, {{"scheme", scheme}});
+    json.metric("decode_mb_per_s", dec_mb_per_s, {{"scheme", scheme}});
   }
   tbl.print(std::cout);
   std::cout << "\nexpected shape: RS cuts storage overhead ~2x vs replication "

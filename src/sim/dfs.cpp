@@ -1,14 +1,32 @@
 #include "sim/dfs.hpp"
 
 #include <algorithm>
+#include <iterator>
 #include <memory>
 #include <set>
+#include <span>
 #include <stdexcept>
 
 namespace hpbdc::sim {
 
 namespace {
 constexpr std::uint64_t kNamenodeRpcBytes = 256;  // metadata RPC body size
+
+/// A stripe's stored shards as ReedSolomon::reconstruct reads them: each of
+/// `slots` points at its bytes, every other slot is lost (nullptr).
+std::vector<const std::uint8_t*> survivors(const std::vector<storage::Shard>& shards,
+                                           std::uint64_t shard_size,
+                                           const std::vector<std::size_t>& slots) {
+  std::vector<const std::uint8_t*> out(shards.size(), nullptr);
+  for (auto slot : slots) {
+    if (shards[slot].size() != shard_size) {
+      throw std::logic_error("Dfs: survivor shard " + std::to_string(slot) +
+                             " has lost its bytes");
+    }
+    out[slot] = shards[slot].data();
+  }
+  return out;
+}
 }  // namespace
 
 const char* read_status_name(ReadStatus s) {
@@ -348,18 +366,17 @@ void Dfs::put(std::size_t client, const std::string& name,
     f.content = std::move(content);
     return;
   }
-  // Stripe each block's bytes into k data + m parity shards.
+  // Stripe each block's bytes into k data + m parity shards; split() pads
+  // every data shard to shard_size = ceil(size / k).
+  const std::span<const std::uint8_t> bytes(content);
   std::uint64_t off = 0;
   for (Block& b : f.blocks) {
-    std::vector<std::uint8_t> blob(content.begin() + static_cast<std::ptrdiff_t>(off),
-                                   content.begin() +
-                                       static_cast<std::ptrdiff_t>(off + b.size));
+    b.shard_data = storage::ReedSolomon::split(bytes.subspan(off, b.size),
+                                               cfg_.ec_data_shards);
     off += b.size;
-    b.shard_data = storage::ReedSolomon::split(blob, cfg_.ec_data_shards);
-    // split() pads to shard_size; keep metadata and payload widths in sync.
-    for (auto& s : b.shard_data) s.resize(b.shard_size, 0);
-    const auto parity = rs_.encode(b.shard_data);
-    b.shard_data.insert(b.shard_data.end(), parity.begin(), parity.end());
+    auto parity = rs_.encode(b.shard_data);
+    b.shard_data.insert(b.shard_data.end(), std::make_move_iterator(parity.begin()),
+                        std::make_move_iterator(parity.end()));
   }
 }
 
@@ -425,10 +442,13 @@ void Dfs::write_block_replicated(std::size_t client, const std::string& name,
     if (--st->pending == 0) st->cb(!st->failed);
   };
 
+  // The step holds itself only weakly; each in-flight hop holds it strongly,
+  // so the chain frees itself once its last hop lands.
   auto step = std::make_shared<std::function<void(std::size_t, std::size_t)>>();
-  *step = [this, replicas, step, bytes, resolve, name, bi](std::size_t from,
-                                                           std::size_t idx) {
+  *step = [this, replicas, self = std::weak_ptr(step), bytes, resolve, name,
+           bi](std::size_t from, std::size_t idx) {
     if (idx >= replicas->size()) return;
+    const auto step = self.lock();  // alive: the caller holds it
     const std::size_t target = (*replicas)[idx];
     if (down_[target]) {
       // Dead before the data reached it: skip, forwarding from the
@@ -561,33 +581,28 @@ void Dfs::read_ex(std::size_t client, const std::string& name, ReadFn cb) {
     std::size_t pending = 0;
     bool unavailable = false;
     bool degraded = false;
-    std::vector<std::vector<std::uint8_t>> block_bytes;
+    // Content-bearing EC files: every block reconstructs into this one
+    // file-sized buffer, at offset bi * block_size.
+    std::vector<std::uint8_t> data;
     ReadFn cb;
   };
   auto st = std::make_shared<ReadState>();
   st->pending = f.blocks.size();
-  st->block_bytes.resize(f.blocks.size());
+  if (f.has_content && f.content.empty()) st->data.resize(f.size);
   st->cb = std::move(cb);
   auto finish = [this, st, name] {
     const ReadStatus status = st->unavailable ? ReadStatus::kUnavailable
                               : st->degraded  ? ReadStatus::kDegraded
                                               : ReadStatus::kOk;
-    std::vector<std::uint8_t> data;
-    if (read_ok(status)) {
-      auto fit = files_.find(name);
-      if (fit != files_.end() && fit->second.has_content) {
-        if (!fit->second.content.empty()) {
-          data = fit->second.content;  // replicated content: the single copy
-        } else {
-          for (auto& bb : st->block_bytes) {
-            data.insert(data.end(), bb.begin(), bb.end());
-          }
-        }
-      }
-    } else {
+    if (!read_ok(status)) {
       stats_.failed_reads++;
+      st->cb(status, {});
+      return;
     }
-    st->cb(status, data);
+    // Replicated content is handed over in place: files are never removed,
+    // so the stored copy outlives the callback.
+    const File& file = files_.at(name);
+    st->cb(status, file.content.empty() ? st->data : file.content);
   };
   auto done_one = [st, finish](bool ok) {
     if (!ok) st->unavailable = true;
@@ -689,13 +704,10 @@ void Dfs::read_block_ec(std::size_t client, const std::string& name,
     // All k shards at the client: reconstruct content-bearing blocks from
     // exactly the shards that were fetched (never a lost shard's stale
     // bytes) — the bit-identity guarantee degraded-read tests assert.
-    auto fit = files_.find(name);
-    if (fit != files_.end() && fit->second.has_content) {
-      const Block& blk = fit->second.blocks[bi];
-      std::vector<std::optional<storage::Shard>> avail(blk.shards.size());
-      for (auto slot : chosen) avail[slot] = blk.shard_data[slot];
-      const auto data = rs_.decode(avail);
-      st->block_bytes[bi] = storage::ReedSolomon::join(data, blk.size);
+    if (!st->data.empty()) {
+      const Block& blk = files_.at(name).blocks[bi];
+      rs_.reconstruct(survivors(blk.shard_data, blk.shard_size, chosen), blk.shard_size,
+                      st->data.data() + bi * cfg_.block_size, blk.size);
     }
     done_one(true);
   };
@@ -867,15 +879,14 @@ void Dfs::plan_ec_repair(const std::string& name, std::size_t bi, StatePtr st,
   // are only published when their disk writes land, so a concurrent
   // degraded read still reconstructs from survivors).
   if (file.has_content && !block.shard_data.empty()) {
-    std::vector<std::optional<storage::Shard>> avail(block.shards.size());
-    for (auto slot : survivor_slots) avail[slot] = block.shard_data[slot];
-    const auto data = rs_.decode(avail);
+    std::vector<std::uint8_t> blob(k * block.shard_size);
+    rs_.reconstruct(survivors(block.shard_data, block.shard_size, survivor_slots),
+                    block.shard_size, blob.data(), blob.size());
+    auto data = storage::ReedSolomon::split(blob, k);
+    std::vector<storage::Shard> parity;  // encoded once, if a parity slot is lost
+    if (lost_slots.back() >= k) parity = rs_.encode(data);
     for (auto slot : lost_slots) {
-      if (slot < k) {
-        block.shard_data[slot] = data[slot];
-      } else {
-        block.shard_data[slot] = rs_.encode(data)[slot - k];
-      }
+      block.shard_data[slot] = slot < k ? std::move(data[slot]) : std::move(parity[slot - k]);
     }
   }
 

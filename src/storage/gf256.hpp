@@ -1,9 +1,19 @@
 #pragma once
-// GF(2^8) arithmetic for Reed–Solomon coding, over the AES-standard
-// primitive polynomial x^8 + x^4 + x^3 + x^2 + 1 (0x11d). Multiplication is
-// exp/log table based; tables are built once at static-init time.
+// GF(2^8) arithmetic for Reed–Solomon coding, over the primitive polynomial
+// x^8 + x^4 + x^3 + x^2 + 1 (0x11d). Single products (mul/div/inv) use
+// exp/log tables, built once at static-init time.
+//
+// Bulk coding goes through one kernel, mul_add: dst[i] ^= c * src[i] over a
+// whole shard. Multiplying by c is linear over GF(2), so
+// c*x = c*(x & 0x0f) ^ c*(x & 0xf0), and two 16-entry tables hold every
+// product: ISA-L's split-nibble gftbl layout (MulTable). On x86-64 CPUs with
+// SSSE3 each table fits one register and _mm_shuffle_epi8 looks up 16 bytes
+// per step; elsewhere, and for every tail shorter than 16 bytes, a scalar
+// loop indexes the same tables. The kernel is picked once per process from
+// the CPU's features, not from any option, and both paths give equal bytes.
 
 #include <array>
+#include <cstddef>
 #include <cstdint>
 #include <stdexcept>
 #include <vector>
@@ -55,6 +65,24 @@ class GF256 {
     return t;
   }
 };
+
+/// Split-nibble product table of one coefficient c: t[i] = c*i and
+/// t[16 + i] = c*(i << 4) for i < 16.
+struct MulTable {
+  std::array<std::uint8_t, 32> t{};
+
+  explicit MulTable(std::uint8_t c) noexcept {
+    for (std::uint8_t i = 0; i < 16; ++i) {
+      t[i] = GF256::mul(c, i);
+      t[16 + i] = GF256::mul(c, static_cast<std::uint8_t>(i << 4));
+    }
+  }
+};
+
+/// dst[i] ^= c * src[i] for i < len, c given by its table. Unaligned
+/// pointers are fine; src and dst must not overlap.
+void mul_add(const MulTable& c, const std::uint8_t* src, std::uint8_t* dst,
+             std::size_t len) noexcept;
 
 /// Dense matrix over GF(2^8); just enough linear algebra for RS coding.
 class GFMatrix {

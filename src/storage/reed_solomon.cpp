@@ -1,5 +1,6 @@
 #include "storage/reed_solomon.hpp"
 
+#include <algorithm>
 #include <cstring>
 #include <stdexcept>
 
@@ -11,10 +12,12 @@ ReedSolomon::ReedSolomon(std::size_t k, std::size_t m)
   if (k + m > 256) throw std::invalid_argument("ReedSolomon: k + m must be <= 256");
   // Cauchy block: C[i][j] = 1 / (x_i ^ y_j), x_i = k + i, y_j = j.
   // x and y ranges are disjoint subsets of GF(256), so x_i ^ y_j != 0.
+  parity_tables_.reserve(m * k);
   for (std::size_t i = 0; i < m; ++i) {
     for (std::size_t j = 0; j < k; ++j) {
       parity_rows_.at(i, j) =
           GF256::inv(static_cast<std::uint8_t>((k + i) ^ j));
+      parity_tables_.emplace_back(parity_rows_.at(i, j));
     }
   }
 }
@@ -28,11 +31,7 @@ std::vector<Shard> ReedSolomon::encode(const std::vector<Shard>& data) const {
   std::vector<Shard> parity(m_, Shard(len, 0));
   for (std::size_t i = 0; i < m_; ++i) {
     for (std::size_t j = 0; j < k_; ++j) {
-      const std::uint8_t c = parity_rows_.at(i, j);
-      if (c == 0) continue;
-      const auto& src = data[j];
-      auto& dst = parity[i];
-      for (std::size_t b = 0; b < len; ++b) dst[b] ^= GF256::mul(c, src[b]);
+      mul_add(parity_tables_[i * k_ + j], data[j].data(), parity[i].data(), len);
     }
   }
   return parity;
@@ -43,60 +42,84 @@ std::vector<Shard> ReedSolomon::decode(
   if (shards.size() != k_ + m_) {
     throw std::invalid_argument("ReedSolomon: expected k+m shard slots");
   }
-  // Fast path: all data shards intact.
-  bool all_data = true;
-  for (std::size_t i = 0; i < k_; ++i) {
-    if (!shards[i]) {
-      all_data = false;
-      break;
-    }
-  }
-  if (all_data) {
-    std::vector<Shard> out;
-    out.reserve(k_);
-    for (std::size_t i = 0; i < k_; ++i) out.push_back(*shards[i]);
-    return out;
-  }
-  // Collect the first k survivors and the matching encode-matrix rows.
-  std::vector<std::size_t> rows;
-  rows.reserve(k_);
+  // The basis is the first k survivors; their lengths must agree whether
+  // or not any data shard is lost.
+  std::vector<const std::uint8_t*> basis(k_ + m_, nullptr);
   std::size_t len = 0;
-  for (std::size_t i = 0; i < k_ + m_ && rows.size() < k_; ++i) {
-    if (shards[i]) {
-      rows.push_back(i);
+  std::size_t found = 0;
+  for (std::size_t i = 0; i < shards.size() && found < k_; ++i) {
+    if (!shards[i]) continue;
+    if (found++ == 0) {
       len = shards[i]->size();
+    } else if (shards[i]->size() != len) {
+      throw std::invalid_argument("ReedSolomon: ragged shards");
     }
+    basis[i] = shards[i]->data();
+  }
+  if (found < k_) throw std::invalid_argument("ReedSolomon: fewer than k shards survive");
+  std::vector<Shard> out(k_, Shard(len));
+  if (len == 0) return out;  // empty shards have no bytes to point at
+  std::vector<std::uint8_t*> dst(k_);
+  for (std::size_t j = 0; j < k_; ++j) dst[j] = out[j].data();
+  rebuild(basis, len, dst, k_ * len);
+  return out;
+}
+
+void ReedSolomon::reconstruct(std::span<const std::uint8_t* const> shards,
+                              std::size_t shard_len, std::uint8_t* out,
+                              std::size_t n) const {
+  std::vector<std::uint8_t*> dst(k_, nullptr);
+  for (std::size_t j = 0; j < k_ && j * shard_len < n; ++j) dst[j] = out + j * shard_len;
+  rebuild(shards, shard_len, dst, n);
+}
+
+void ReedSolomon::rebuild(std::span<const std::uint8_t* const> shards,
+                          std::size_t shard_len, std::span<std::uint8_t* const> out,
+                          std::size_t n) const {
+  if (shards.size() != k_ + m_) {
+    throw std::invalid_argument("ReedSolomon: expected k+m shard slots");
+  }
+  if (n > k_ * shard_len) {
+    throw std::invalid_argument("ReedSolomon: n exceeds k * shard_len");
+  }
+  std::vector<std::size_t> rows;  // slots of the first k survivors
+  rows.reserve(k_);
+  for (std::size_t i = 0; i < k_ + m_ && rows.size() < k_; ++i) {
+    if (shards[i] != nullptr) rows.push_back(i);
   }
   if (rows.size() < k_) {
     throw std::invalid_argument("ReedSolomon: fewer than k shards survive");
   }
-  for (std::size_t i : rows) {
-    if (shards[i]->size() != len) throw std::invalid_argument("ReedSolomon: ragged shards");
-  }
-  GFMatrix sub(k_, k_);
-  for (std::size_t r = 0; r < k_; ++r) {
-    const std::size_t src = rows[r];
-    for (std::size_t c = 0; c < k_; ++c) {
-      sub.at(r, c) = src < k_ ? static_cast<std::uint8_t>(src == c ? 1 : 0)
-                              : parity_rows_.at(src - k_, c);
+  // A surviving data shard is one of the basis rows, so its row of the
+  // inverse is a unit vector: copy it. Only a lost one needs the inverse,
+  // data[j] = sum_r inv[j][r] * survivor[r].
+  std::optional<GFMatrix> inv;
+  for (std::size_t j = 0; j < k_ && j * shard_len < n; ++j) {
+    const std::size_t len = std::min(shard_len, n - j * shard_len);
+    if (shards[j] != nullptr) {
+      std::memcpy(out[j], shards[j], len);
+      continue;
     }
-  }
-  const GFMatrix inv = sub.inverse();
-  // data[j] = sum_r inv[j][r] * survivor[r]
-  std::vector<Shard> out(k_, Shard(len, 0));
-  for (std::size_t j = 0; j < k_; ++j) {
+    if (!inv) {
+      GFMatrix sub(k_, k_);
+      for (std::size_t r = 0; r < k_; ++r) {
+        const std::size_t src = rows[r];
+        for (std::size_t c = 0; c < k_; ++c) {
+          sub.at(r, c) = src < k_ ? static_cast<std::uint8_t>(src == c ? 1 : 0)
+                                  : parity_rows_.at(src - k_, c);
+        }
+      }
+      inv = sub.inverse();
+    }
+    std::memset(out[j], 0, len);
     for (std::size_t r = 0; r < k_; ++r) {
-      const std::uint8_t c = inv.at(j, r);
-      if (c == 0) continue;
-      const Shard& src = *shards[rows[r]];
-      auto& dst = out[j];
-      for (std::size_t b = 0; b < len; ++b) dst[b] ^= GF256::mul(c, src[b]);
+      const std::uint8_t c = inv->at(j, r);
+      if (c != 0) mul_add(MulTable(c), shards[rows[r]], out[j], len);
     }
   }
-  return out;
 }
 
-std::vector<Shard> ReedSolomon::split(const std::vector<std::uint8_t>& blob,
+std::vector<Shard> ReedSolomon::split(std::span<const std::uint8_t> blob,
                                       std::size_t k) {
   if (k == 0) throw std::invalid_argument("ReedSolomon::split: k must be >= 1");
   const std::size_t shard_len = (blob.size() + k - 1) / k;
@@ -115,10 +138,8 @@ std::vector<std::uint8_t> ReedSolomon::join(const std::vector<Shard>& data,
   std::vector<std::uint8_t> out;
   out.reserve(original_size);
   for (const auto& s : data) {
-    for (std::uint8_t b : s) {
-      if (out.size() == original_size) return out;
-      out.push_back(b);
-    }
+    const std::size_t n = std::min(s.size(), original_size - out.size());
+    out.insert(out.end(), s.begin(), s.begin() + static_cast<std::ptrdiff_t>(n));
   }
   if (out.size() != original_size) {
     throw std::invalid_argument("ReedSolomon::join: shards shorter than original_size");

@@ -3,10 +3,12 @@
 // shards, any k of the k+m suffice to reconstruct. The encoding matrix is
 // [ I_k ; C ] with C an m×k Cauchy matrix, whose every square submatrix is
 // nonsingular — the standard MDS construction (as in Jerasure). Used for
-// experiment T4 and by the block store.
+// experiment T4 and by the block store. Every shard byte goes through the
+// GF256 mul_add kernel; the parity coefficients' tables are built once.
 
 #include <cstdint>
 #include <optional>
+#include <span>
 #include <vector>
 
 #include "storage/gf256.hpp"
@@ -28,19 +30,34 @@ class ReedSolomon {
 
   /// Reconstruct the original k data shards from any k survivors.
   /// `shards[i]` is shard i (0..k-1 data, k..k+m-1 parity) or nullopt if
-  /// lost. Throws std::invalid_argument if fewer than k survive.
+  /// lost. Throws std::invalid_argument if fewer than k survive or the
+  /// survivors differ in length. A wrapper over reconstruct().
   std::vector<Shard> decode(const std::vector<std::optional<Shard>>& shards) const;
 
+  /// Reconstruct the first `n` bytes of the blob that split() striped into
+  /// the data shards, writing them straight to `out`. `shards[i]` points at
+  /// shard i's `shard_len` bytes, or is nullptr if lost. The first k
+  /// survivors in slot order are the basis, as in decode(). Throws
+  /// std::invalid_argument if fewer than k survive or n > k * shard_len.
+  void reconstruct(std::span<const std::uint8_t* const> shards,
+                   std::size_t shard_len, std::uint8_t* out, std::size_t n) const;
+
   /// Split a byte blob into k padded data shards (shard_len = ceil(n/k)).
-  static std::vector<Shard> split(const std::vector<std::uint8_t>& blob, std::size_t k);
+  static std::vector<Shard> split(std::span<const std::uint8_t> blob, std::size_t k);
 
   /// Inverse of split: reassemble the first `original_size` bytes.
   static std::vector<std::uint8_t> join(const std::vector<Shard>& data,
                                         std::size_t original_size);
 
  private:
+  /// The core: data shard j's first min(shard_len, n - j * shard_len)
+  /// bytes go to out[j], for every j with j * shard_len < n.
+  void rebuild(std::span<const std::uint8_t* const> shards, std::size_t shard_len,
+               std::span<std::uint8_t* const> out, std::size_t n) const;
+
   std::size_t k_, m_;
-  GFMatrix parity_rows_;  // m x k Cauchy block
+  GFMatrix parity_rows_;                // m x k Cauchy block
+  std::vector<MulTable> parity_tables_;  // the same, row-major, as tables
 };
 
 }  // namespace hpbdc::storage

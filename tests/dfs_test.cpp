@@ -425,6 +425,40 @@ TEST(DfsEc, DegradedReadDuringInFlightRepairIsBitIdentical) {
   EXPECT_GE(f.dfs.stats().shards_repaired, 2u);
 }
 
+// Repair rebuilds a lost data slot and a lost parity slot of one stripe
+// from one decode and one encode. Killing two original survivors afterwards
+// leaves exactly k live slots, both rebuilt shards among them, so the read
+// must decode from the rebuilt bytes.
+TEST(DfsEc, RebuiltDataAndParityShardsReadBitIdentical) {
+  DfsConfig cfg;
+  cfg.block_size = MiB;
+  DfsFixture f(cfg);
+  const auto content = pattern_bytes(MiB - 4321, 0x3e);  // single stripe
+  f.dfs.put(0, "/ec", content, StoragePolicy::kErasureCoded, [](bool) {});
+  f.sim.run();
+  ASSERT_TRUE(f.dfs.lose_shard("/ec", 0, 1));  // data slot
+  ASSERT_TRUE(f.dfs.lose_shard("/ec", 0, 5));  // parity slot
+  bool repaired = false;
+  f.dfs.re_replicate([&] { repaired = true; });
+  f.sim.run();
+  ASSERT_TRUE(repaired);
+  EXPECT_EQ(f.dfs.stats().shards_repaired, 2u);
+
+  const auto stripe = f.dfs.stripe_locations("/ec", 0);
+  for (const auto& slot : stripe) ASSERT_EQ(slot.size(), 1u);
+  f.dfs.fail_node(stripe[0][0]);
+  f.dfs.fail_node(stripe[2][0]);
+  ReadStatus status{};
+  std::vector<std::uint8_t> got;
+  f.dfs.read_ex(stripe[3][0], "/ec", [&](ReadStatus s, const std::vector<std::uint8_t>& d) {
+    status = s;
+    got = d;
+  });
+  f.sim.run();
+  EXPECT_EQ(status, ReadStatus::kDegraded);
+  EXPECT_EQ(got, content);
+}
+
 // ISSUE-named regression: killing exactly m shard holders keeps the file
 // readable (degraded), while m + 1 resolves promptly with a typed
 // kUnavailable — not a hang and not a bool false.

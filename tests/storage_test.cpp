@@ -7,6 +7,7 @@
 #include <bit>
 #include <map>
 #include <set>
+#include <span>
 
 #include "common/rng.hpp"
 #include "storage/chunker.hpp"
@@ -275,6 +276,227 @@ TEST(ReedSolomon, ZeroLengthAndNonMultipleBlocks) {
     avail[4] = parity[0];
     avail[5] = parity[1];
     EXPECT_EQ(ReedSolomon::join(rs.decode(avail), n), blob) << n;
+  }
+}
+
+// Both decode paths (every data shard present, or some rebuilt from
+// parity) check the survivor basis the same way; so does reconstruct.
+TEST(ReedSolomon, RaggedShardsThrowOnEveryPath) {
+  ReedSolomon rs(4, 2);
+  const std::vector<Shard> data(4, Shard(16, 0x5a));
+  const auto parity = rs.encode(data);
+  auto slots = [&] {
+    std::vector<std::optional<Shard>> s(6);
+    for (std::size_t i = 0; i < 4; ++i) s[i] = data[i];
+    s[4] = parity[0];
+    s[5] = parity[1];
+    return s;
+  };
+  auto all_data = slots();
+  all_data[2]->push_back(0);
+  EXPECT_THROW(rs.decode(all_data), std::invalid_argument);
+  auto lost_data = slots();
+  lost_data[0].reset();
+  lost_data[4]->pop_back();
+  EXPECT_THROW(rs.decode(lost_data), std::invalid_argument);
+  auto ragged_first = slots();
+  ragged_first[0]->resize(3);
+  EXPECT_THROW(rs.decode(ragged_first), std::invalid_argument);
+
+  std::vector<const std::uint8_t*> ptrs{data[0].data(), data[1].data(), nullptr,
+                                        nullptr,        parity[0].data(), nullptr};
+  std::vector<std::uint8_t> out(64);
+  EXPECT_THROW(rs.reconstruct(ptrs, 16, out.data(), 64), std::invalid_argument);
+  ptrs[5] = parity[1].data();
+  EXPECT_THROW(rs.reconstruct(ptrs, 16, out.data(), 65), std::invalid_argument);
+  EXPECT_THROW(rs.reconstruct(std::span(ptrs).first(5), 16, out.data(), 64),
+               std::invalid_argument);
+  rs.reconstruct(ptrs, 16, out.data(), 64);
+  EXPECT_EQ(out, ReedSolomon::join(data, 64));
+}
+
+// ---- The mul_add kernel against the per-byte codec -------------------------------
+
+/// The codec as it was before the mul_add kernel: one GF256::mul per byte,
+/// over the same Cauchy block. (Its all-data-present shortcut returned the
+/// survivors themselves, which the general path below reproduces.)
+class PerByteRs {
+ public:
+  PerByteRs(std::size_t k, std::size_t m) : k_(k), m_(m), rows_(m, k) {
+    for (std::size_t i = 0; i < m; ++i) {
+      for (std::size_t j = 0; j < k; ++j) {
+        rows_.at(i, j) = GF256::inv(static_cast<std::uint8_t>((k + i) ^ j));
+      }
+    }
+  }
+
+  std::vector<Shard> encode(const std::vector<Shard>& data) const {
+    const std::size_t len = data[0].size();
+    std::vector<Shard> parity(m_, Shard(len, 0));
+    for (std::size_t i = 0; i < m_; ++i) {
+      for (std::size_t j = 0; j < k_; ++j) {
+        const std::uint8_t c = rows_.at(i, j);
+        for (std::size_t b = 0; b < len; ++b) parity[i][b] ^= GF256::mul(c, data[j][b]);
+      }
+    }
+    return parity;
+  }
+
+  std::vector<Shard> decode(const std::vector<std::optional<Shard>>& shards) const {
+    std::vector<std::size_t> rows;
+    for (std::size_t i = 0; i < k_ + m_ && rows.size() < k_; ++i) {
+      if (shards[i]) rows.push_back(i);
+    }
+    GFMatrix sub(k_, k_);
+    for (std::size_t r = 0; r < k_; ++r) {
+      for (std::size_t c = 0; c < k_; ++c) {
+        sub.at(r, c) = rows[r] < k_ ? static_cast<std::uint8_t>(rows[r] == c ? 1 : 0)
+                                    : rows_.at(rows[r] - k_, c);
+      }
+    }
+    const GFMatrix inv = sub.inverse();
+    const std::size_t len = shards[rows[0]]->size();
+    std::vector<Shard> out(k_, Shard(len, 0));
+    for (std::size_t j = 0; j < k_; ++j) {
+      for (std::size_t r = 0; r < k_; ++r) {
+        const std::uint8_t c = inv.at(j, r);
+        const Shard& src = *shards[rows[r]];
+        for (std::size_t b = 0; b < len; ++b) out[j][b] ^= GF256::mul(c, src[b]);
+      }
+    }
+    return out;
+  }
+
+ private:
+  std::size_t k_, m_;
+  GFMatrix rows_;
+};
+
+/// Erasure patterns (bit i = slot i lost) of at most m of k + m slots:
+/// every one for m <= 3; for larger m every single loss plus a seeded draw.
+std::vector<std::uint32_t> erasure_patterns(std::size_t k, std::size_t m, Rng& rng) {
+  std::vector<std::uint32_t> out;
+  for (std::uint32_t bits = 0; bits < (1u << (k + m)); ++bits) {
+    const auto lost = static_cast<std::size_t>(std::popcount(bits));
+    if (lost > m) continue;
+    if (m <= 3 || lost <= 1 || rng.next_below(32) == 0) out.push_back(bits);
+  }
+  return out;
+}
+
+// The split-nibble kernel (SSSE3 body where the CPU has it, the scalar loop
+// for every tail) must reproduce the per-byte codec exactly: parity, decoded
+// data and reconstructed blobs, at lengths around the 16-byte step and from
+// unaligned slices.
+TEST(ReedSolomon, KernelEqualsPerByteReference) {
+  Rng rng(0x4e1b);
+  const std::size_t lengths[] = {0, 1, 15, 16, 17, 31, 33, 1023, 65543};
+
+  // The kernel alone: every coefficient, every src/dst offset mod 16.
+  std::vector<std::uint8_t> src(1100), dst(1100), want(1100);
+  for (auto& b : src) b = static_cast<std::uint8_t>(rng());
+  for (unsigned c = 0; c < 256; ++c) {
+    const std::size_t so = c % 16, doff = (c / 16 + c) % 16;
+    for (std::size_t len : {std::size_t{0}, std::size_t{1}, std::size_t{15},
+                            std::size_t{17}, std::size_t{33}, std::size_t{1023}}) {
+      for (auto& b : dst) b = static_cast<std::uint8_t>(rng());
+      want = dst;
+      for (std::size_t i = 0; i < len; ++i) {
+        want[doff + i] ^= GF256::mul(static_cast<std::uint8_t>(c), src[so + i]);
+      }
+      mul_add(MulTable(static_cast<std::uint8_t>(c)), src.data() + so, dst.data() + doff,
+              len);
+      ASSERT_EQ(dst, want) << "c=" << c << " len=" << len;
+    }
+  }
+
+  struct Code {
+    std::size_t k, m;
+  };
+  for (const Code code : {Code{1, 0}, Code{3, 0}, Code{4, 2}, Code{6, 3}, Code{8, 4},
+                          Code{10, 4}}) {
+    const std::size_t k = code.k, m = code.m, total = k + m;
+    const ReedSolomon rs(k, m);
+    const PerByteRs ref(k, m);
+    const auto patterns = erasure_patterns(k, m, rng);
+    for (std::size_t len : lengths) {
+      SCOPED_TRACE("RS(" + std::to_string(k) + "," + std::to_string(m) +
+                   ") len=" + std::to_string(len));
+      std::vector<Shard> data(k, Shard(len));
+      for (auto& s : data) {
+        for (auto& b : s) b = static_cast<std::uint8_t>(rng());
+      }
+      const auto parity = rs.encode(data);
+      if (m > 0) {
+        ASSERT_EQ(parity, ref.encode(data));
+      }
+
+      // Survivors at 1..15-byte offsets, so reconstruct's loads are unaligned.
+      std::vector<std::vector<std::uint8_t>> slices(total);
+      std::vector<const std::uint8_t*> at(total);
+      for (std::size_t i = 0; i < total; ++i) {
+        const std::size_t off = 1 + (i + len) % 15;
+        slices[i].assign(off, 0);
+        const Shard& s = i < k ? data[i] : parity[i - k];
+        slices[i].insert(slices[i].end(), s.begin(), s.end());
+        at[i] = slices[i].data() + off;
+      }
+      const std::vector<std::uint8_t> blob = ReedSolomon::join(data, k * len);
+      std::vector<std::uint8_t> out(k * len + 16);
+      const std::size_t out_off = 1 + len % 15;
+      for (std::size_t p = 0; p < patterns.size(); ++p) {
+        const std::uint32_t bits = patterns[p];
+        std::vector<std::optional<Shard>> shards(total);
+        std::vector<const std::uint8_t*> ptrs(total, nullptr);
+        for (std::size_t i = 0; i < total; ++i) {
+          if (bits & (1u << i)) continue;
+          shards[i] = i < k ? data[i] : parity[i - k];
+          ptrs[i] = at[i];
+        }
+        const auto got = rs.decode(shards);
+        ASSERT_EQ(got, data) << "lost 0x" << std::hex << bits;
+        if (len == 0) continue;  // nothing to point at
+        // The per-byte decode is slow: at the longest length, every 16th.
+        if (len < 65543 || p % 16 == 0) {
+          ASSERT_EQ(got, ref.decode(shards)) << "lost 0x" << std::hex << bits;
+        }
+        rs.reconstruct(ptrs, len, out.data() + out_off, blob.size());
+        ASSERT_TRUE(std::equal(blob.begin(), blob.end(), out.begin() + out_off))
+            << "lost 0x" << std::hex << bits;
+      }
+    }
+  }
+
+  // reconstruct(n) against join(decode(), n) for every n <= k * shard_len,
+  // with a guard band: no byte past n may be written.
+  const ReedSolomon rs(4, 2);
+  Rng prng(0x70);
+  for (std::size_t len : {std::size_t{1}, std::size_t{3}, std::size_t{17}}) {
+    std::vector<Shard> data(4, Shard(len));
+    for (auto& s : data) {
+      for (auto& b : s) b = static_cast<std::uint8_t>(prng());
+    }
+    const auto parity = rs.encode(data);
+    for (std::uint32_t bits : erasure_patterns(4, 2, prng)) {
+      std::vector<std::optional<Shard>> shards(6);
+      std::vector<const std::uint8_t*> ptrs(6, nullptr);
+      for (std::size_t i = 0; i < 6; ++i) {
+        if (bits & (1u << i)) continue;
+        shards[i] = i < 4 ? data[i] : parity[i - 4];
+        ptrs[i] = shards[i]->data();
+      }
+      const auto decoded = rs.decode(shards);
+      for (std::size_t n = 0; n <= 4 * len; ++n) {
+        std::vector<std::uint8_t> out(n + 8, 0xee);
+        rs.reconstruct(ptrs, len, out.data(), n);
+        const auto want = ReedSolomon::join(decoded, n);
+        ASSERT_TRUE(std::equal(want.begin(), want.end(), out.begin()))
+            << "len=" << len << " n=" << n << " lost 0x" << std::hex << bits;
+        ASSERT_TRUE(std::all_of(out.begin() + static_cast<std::ptrdiff_t>(n), out.end(),
+                                [](std::uint8_t b) { return b == 0xee; }))
+            << "wrote past n=" << n;
+      }
+    }
   }
 }
 
