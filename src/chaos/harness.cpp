@@ -22,11 +22,6 @@ constexpr double kMaxExtraDelay = 0.12;  // heartbeat-delay burst (s); keep well
                                          // under the detector timeout
 constexpr double kMinSpeed = 0.2, kMaxSpeed = 0.6;
 
-std::uint64_t mix_seed(std::uint64_t a, std::uint64_t b) {
-  std::uint64_t s = a ^ (b * 0x9e3779b97f4a7c15ULL);
-  return splitmix64(s);
-}
-
 /// The fault generator's knobs for one run; shared by the run itself and by
 /// the shrinker's mask width, which must agree on the schedule length.
 FaultGenOptions fault_options(const ChaosConfig& cfg) {

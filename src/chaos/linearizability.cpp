@@ -106,11 +106,6 @@ constexpr std::size_t kOps = 24;     // client operations to issue
 constexpr std::uint64_t kKeys = 4;   // key domain
 constexpr double kOpGap = 0.35;      // mean gap between client ops (exponential)
 
-std::uint64_t mix(std::uint64_t a, std::uint64_t b) {
-  std::uint64_t s = a ^ (b * 0x9e3779b97f4a7c15ULL);
-  return splitmix64(s);
-}
-
 /// "W|<key>|<value>" / "R|<key>|<opid>" command codecs.
 std::string write_cmd(std::uint64_t key, std::uint64_t value) {
   return "W|" + std::to_string(key) + "|" + std::to_string(value);
@@ -136,12 +131,12 @@ RaftChaosOutcome run_raft_chaos(const RaftChaosOptions& opt) {
   sim::NetworkConfig nc;
   nc.nodes = opt.nodes;
   nc.topology = sim::Topology::kFullMesh;
-  nc.loss_seed = mix(opt.seed, 1);
+  nc.loss_seed = mix_seed(opt.seed, 1);
   sim::Network net(sim, nc);
   sim::Comm comm(sim, net);
 
   kvstore::RaftConfig rc;
-  rc.seed = mix(opt.seed, 2);
+  rc.seed = mix_seed(opt.seed, 2);
   kvstore::RaftCluster cluster(comm, rc);
   cluster.start();
 
@@ -152,14 +147,14 @@ RaftChaosOutcome run_raft_chaos(const RaftChaosOptions& opt) {
   fo.target_leader = true;
   fo.max_stragglers = 0;  // Raft has no compute-speed knob
   fo.max_dfs_losses = 0;
-  const sim::FaultPlan faults = make_fault_plan(mix(opt.seed, 3), fo);
+  const sim::FaultPlan faults = make_fault_plan(mix_seed(opt.seed, 3), fo);
 
   sim::FaultTargets targets;
   targets.kill_node = [&cluster](std::size_t n) { cluster.fail_node(n); };
   targets.recover_node = [&cluster](std::size_t n) { cluster.recover_node(n); };
   targets.pick_leader = [&cluster] { return cluster.leader(); };
   targets.net = &net;
-  sim::FaultInjector injector(sim, targets, mix(opt.seed, 4));
+  sim::FaultInjector injector(sim, targets, mix_seed(opt.seed, 4));
   injector.arm(faults);
 
   struct Rec {
@@ -169,7 +164,7 @@ RaftChaosOutcome run_raft_chaos(const RaftChaosOptions& opt) {
   };
   std::vector<Rec> recs(kOps);
 
-  Rng rng(mix(opt.seed, 5));
+  Rng rng(mix_seed(opt.seed, 5));
   double t = 0.6;  // let the first election settle
   for (std::size_t i = 0; i < kOps; ++i) {
     Rec& rec = recs[i];

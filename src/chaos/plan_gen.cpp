@@ -5,15 +5,6 @@
 
 namespace hpbdc::chaos {
 
-namespace {
-
-std::uint64_t node_seed(std::uint64_t plan_seed, std::uint64_t i) {
-  std::uint64_t s = plan_seed ^ ((i + 1) * 0x9e3779b97f4a7c15ULL);
-  return splitmix64(s);
-}
-
-}  // namespace
-
 LogicalPlan make_plan(std::uint64_t seed, std::size_t nnodes,
                       std::uint64_t rows_per_source) {
   LogicalPlan plan;
@@ -24,7 +15,7 @@ LogicalPlan make_plan(std::uint64_t seed, std::size_t nnodes,
     // Fixed draw order (salt, op, parents, checkpoint, variant) from a
     // per-node rng: node i never depends on nnodes, which is what makes
     // plans prefix-stable.
-    Rng rng(node_seed(seed, i));
+    Rng rng(mix_seed(seed, i + 1));
     PlanNode nd;
     nd.salt = rng();
     if (i == 0) {

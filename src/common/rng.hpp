@@ -23,6 +23,13 @@ constexpr std::uint64_t splitmix64(std::uint64_t& state) noexcept {
   return z ^ (z >> 31);
 }
 
+/// Derive an independent sub-seed from (a, b): one splitmix64 step from
+/// a ^ (b * 2^64/phi).
+constexpr std::uint64_t mix_seed(std::uint64_t a, std::uint64_t b) noexcept {
+  std::uint64_t s = a ^ (b * 0x9e3779b97f4a7c15ULL);
+  return splitmix64(s);
+}
+
 /// Deterministic xoshiro256** generator. Satisfies
 /// std::uniform_random_bit_generator so it can feed <random> distributions.
 class Rng {
@@ -95,11 +102,6 @@ class Rng {
     double u = next_double();
     while (u <= 0.0) u = next_double();
     return -std::log(u) / rate;
-  }
-
-  /// Log-normal variate parameterized by the underlying normal's mu/sigma.
-  double next_lognormal(double mu, double sigma) noexcept {
-    return std::exp(mu + sigma * next_gaussian());
   }
 
   /// Bernoulli trial with probability p of returning true.

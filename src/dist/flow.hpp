@@ -16,7 +16,7 @@
 //   - A stream is keyed (consumer node, stage, task, child). Segments carry
 //     (seg index, nseg); arrival order is irrelevant, the stream completes
 //     when all nseg distinct segments arrived. Segment PAYLOADS are not
-//     materialized: like Comm collectives, only simulated sizes ride the
+//     materialized: as with Comm::send_sized, only simulated sizes ride the
 //     wire, and the content is copied from the producer's registry block at
 //     completion time (deterministic — block content is a pure function of
 //     the job spec). A producer that died before completion breaks the

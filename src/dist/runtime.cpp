@@ -13,14 +13,6 @@ namespace {
 constexpr double kTaskOverhead = 2e-3;  // fixed per-task startup (s)
 constexpr std::uint64_t kRpcBytes = 256;  // control-plane message body size
 
-// Sub-seed derivation: every stochastic component of the runtime draws from
-// an Rng seeded off DistConfig::seed through here, so one seed pins the
-// whole run (the determinism contract tested in dist_test.cpp).
-std::uint64_t sub_seed(std::uint64_t master, std::uint64_t salt) {
-  std::uint64_t s = master ^ (salt * 0x9e3779b97f4a7c15ULL);
-  return splitmix64(s);
-}
-
 }  // namespace
 
 DistRuntime::DistRuntime(sim::Comm& comm, DistConfig cfg, sim::Dfs* dfs)
@@ -29,8 +21,8 @@ DistRuntime::DistRuntime(sim::Comm& comm, DistConfig cfg, sim::Dfs* dfs)
       dfs_(dfs),
       tag_exec_(comm.next_tag()),
       tag_drv_(comm.next_tag()),
-      jitter_rng_(sub_seed(cfg.seed, 1)),
-      failure_rng_(sub_seed(cfg.seed, 2)) {
+      jitter_rng_(mix_seed(cfg.seed, 1)),
+      failure_rng_(mix_seed(cfg.seed, 2)) {
   const std::size_t n = comm.nranks();
   if (cfg_.driver >= n) throw std::invalid_argument("DistRuntime: bad driver rank");
   if (cfg_.slots_per_node == 0) {
@@ -40,7 +32,7 @@ DistRuntime::DistRuntime(sim::Comm& comm, DistConfig cfg, sim::Dfs* dfs)
   // Straggler assignment: a seeded random subset runs degraded, mirroring
   // cluster::SpeculationConfig.
   if (cfg_.straggler_fraction > 0) {
-    Rng srng(sub_seed(cfg_.seed, 3));
+    Rng srng(mix_seed(cfg_.seed, 3));
     std::vector<std::size_t> ids(n);
     for (std::size_t i = 0; i < n; ++i) ids[i] = i;
     srng.shuffle(ids);

@@ -16,8 +16,7 @@ JobSlotPool::JobSlotPool(sim::Comm& comm, DistConfig cfg, std::size_t slots,
 
 JobSlotPool::Slot& JobSlotPool::make_slot(std::size_t index) {
   DistConfig sc = cfg_;
-  std::uint64_t s = cfg_.seed ^ ((index + 1) * 0x9e3779b97f4a7c15ULL);
-  sc.seed = splitmix64(s);
+  sc.seed = mix_seed(cfg_.seed, index + 1);
   slots_.push_back(std::make_unique<Slot>(comm_, sc, dfs_));
   ++active_;
   return *slots_.back();

@@ -1,7 +1,6 @@
 #include "kvstore/raft.hpp"
 
 #include <algorithm>
-#include <memory>
 
 namespace hpbdc::kvstore {
 
@@ -187,19 +186,17 @@ void RaftCluster::become_leader(std::size_t n) {
   ++stats_.leaders_elected;
   if (m_leaders_ != nullptr) m_leaders_->add(1);
   const std::uint64_t epoch = ++nd.timer_epoch;  // cancel the election timer
+  heartbeat_tick(n, epoch);
+}
 
-  // Heartbeat loop; cancelled when the epoch moves (role change/crash).
-  auto beat = std::make_shared<std::function<void()>>();
-  *beat = [this, n, epoch, beat] {
-    Node& node = nodes_[n];
-    if (stopped_ || node.down || epoch != node.timer_epoch ||
-        node.role != RaftRole::kLeader) {
-      return;
-    }
-    send_heartbeats(n);
-    comm_.simulator().schedule_after(cfg_.heartbeat_interval, [beat] { (*beat)(); });
-  };
-  (*beat)();
+void RaftCluster::heartbeat_tick(std::size_t n, std::uint64_t epoch) {
+  Node& nd = nodes_[n];
+  if (stopped_ || nd.down || epoch != nd.timer_epoch || nd.role != RaftRole::kLeader) {
+    return;
+  }
+  send_heartbeats(n);
+  comm_.simulator().schedule_after(cfg_.heartbeat_interval,
+                                   [this, n, epoch] { heartbeat_tick(n, epoch); });
 }
 
 void RaftCluster::send_heartbeats(std::size_t n) {

@@ -109,6 +109,9 @@ class RaftCluster {
   void become_follower(std::size_t n, std::uint64_t term);
   void start_election(std::size_t n);
   void become_leader(std::size_t n);
+  /// One beat of a leader's heartbeat loop, which stops once `epoch` is
+  /// stale (role change, crash) or the cluster is stopped.
+  void heartbeat_tick(std::size_t n, std::uint64_t epoch);
   void send_heartbeats(std::size_t n);
   void send_append(std::size_t leader, std::size_t peer);
   void advance_commit(std::size_t leader);

@@ -1,8 +1,8 @@
 #pragma once
 // Rank-based message passing over the simulated network — an MPI-flavoured
 // layer: each node is a rank, messages carry a tag and opaque payload, and
-// each (rank, tag) pair has a registered handler. Collectives and the
-// distributed KV store are built on this.
+// each (rank, tag) pair has a registered handler. The distributed runtimes,
+// the flow shuffle, the Dfs and Raft are built on this.
 
 #include <cstdint>
 #include <functional>
@@ -26,16 +26,14 @@ class Comm {
   Network& network() noexcept { return net_; }
   std::size_t nranks() const noexcept { return net_.nodes(); }
 
-  /// Allocate a tag unique within this Comm (used by collectives so that
-  /// concurrent operations never cross-deliver).
+  /// Allocate a tag unique within this Comm, so that the protocols sharing
+  /// it never cross-deliver.
   int next_tag() noexcept { return tag_counter_++; }
 
   /// Register the handler for (rank, tag). Overwrites any previous handler.
   void set_handler(std::size_t rank, int tag, Handler h) {
     handlers_[key(rank, tag)] = std::move(h);
   }
-
-  void clear_handler(std::size_t rank, int tag) { handlers_.erase(key(rank, tag)); }
 
   /// Send payload from src to dst; delivery invokes the (dst, tag) handler.
   /// The simulated wire size is payload.size() + a fixed header.
@@ -45,7 +43,7 @@ class Comm {
   }
 
   /// Send with an explicit simulated body size, independent of the actual
-  /// payload carried (typically empty). Collectives use this: their cost
+  /// payload carried (typically empty). The runtimes use this: their cost
   /// model only needs sizes, and allocating real multi-MiB buffers for
   /// thousands of simulated messages would dominate the run.
   void send_sized(std::size_t src, std::size_t dst, int tag, std::uint64_t body_bytes,
@@ -58,9 +56,9 @@ class Comm {
                   ++dropped_;
                   return;
                 }
-                // Copy out before invoking: handlers may clear/replace
-                // themselves (collectives do on completion), which would
-                // otherwise destroy the std::function mid-call.
+                // Copy out before invoking: a handler may replace itself
+                // through set_handler, which would otherwise destroy the
+                // std::function mid-call.
                 Handler h = it->second;
                 h(src, p);
               });

@@ -5,7 +5,7 @@
 // topology-dependent propagation latency (hops * per_hop_latency), then
 // occupies b's RX for s/bw. NIC occupancy queues FIFO, which reproduces
 // endpoint congestion — the dominant contention effect for the workloads we
-// model (incast at shuffle reducers, quorum fan-in at KV coordinators).
+// model (incast at shuffle reducers).
 //
 // Topologies differ only in hop count: full mesh (1 hop), star/single switch
 // (2 hops), and a three-level fat-tree (2 hops within a rack, 4 within a

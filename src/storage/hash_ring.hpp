@@ -1,9 +1,10 @@
 #pragma once
 // Consistent-hash ring with virtual nodes (Karger-style). Keys and nodes
 // hash onto a 64-bit ring; a key is owned by the first vnode clockwise.
-// lookup_n returns the next n *distinct* physical nodes — the replica set
-// used by the KV store. Virtual nodes smooth key distribution: with v
-// vnodes per node the load imbalance is O(sqrt(log n / v)).
+// lookup_n returns the next n *distinct* physical nodes — a replica set;
+// walk() visits them one at a time for the Dfs shard placement. Virtual
+// nodes smooth key distribution: with v vnodes per node the load imbalance
+// is O(sqrt(log n / v)).
 
 #include <algorithm>
 #include <cstdint>

@@ -7,7 +7,6 @@
 #include <set>
 
 #include "algos/components.hpp"
-#include "algos/gemm.hpp"
 #include "algos/graph.hpp"
 #include "algos/kmeans.hpp"
 #include "algos/pagerank.hpp"
@@ -244,48 +243,6 @@ TEST(Triangles, DuplicatesAndSelfLoopsIgnored) {
   ThreadPool pool(2);
   std::vector<Edge> edges{{0, 1}, {1, 0}, {0, 1}, {1, 2}, {2, 0}, {2, 2}};
   EXPECT_EQ(count_triangles(pool, 3, edges), 1u);
-}
-
-// ---- gemm ------------------------------------------------------------------------
-
-TEST(Gemm, KnownSmallProduct) {
-  Matrix a(2, 3), b(3, 2);
-  // a = [1 2 3; 4 5 6], b = [7 8; 9 10; 11 12]
-  double av[] = {1, 2, 3, 4, 5, 6}, bv[] = {7, 8, 9, 10, 11, 12};
-  for (std::size_t i = 0; i < 2; ++i) {
-    for (std::size_t j = 0; j < 3; ++j) a.at(i, j) = av[i * 3 + j];
-  }
-  for (std::size_t i = 0; i < 3; ++i) {
-    for (std::size_t j = 0; j < 2; ++j) b.at(i, j) = bv[i * 2 + j];
-  }
-  auto c = gemm_naive(a, b);
-  EXPECT_DOUBLE_EQ(c.at(0, 0), 58);
-  EXPECT_DOUBLE_EQ(c.at(0, 1), 64);
-  EXPECT_DOUBLE_EQ(c.at(1, 0), 139);
-  EXPECT_DOUBLE_EQ(c.at(1, 1), 154);
-}
-
-class GemmShapes : public ::testing::TestWithParam<std::size_t> {};
-
-TEST_P(GemmShapes, AllVariantsAgree) {
-  ThreadPool pool(4);
-  Rng rng(GetParam());
-  const std::size_t n = GetParam();
-  auto a = Matrix::random(n, n + 3, rng);
-  auto b = Matrix::random(n + 3, n + 1, rng);
-  const auto ref = gemm_naive(a, b);
-  EXPECT_TRUE(gemm_ikj(a, b).approx_equal(ref, 1e-9));
-  EXPECT_TRUE(gemm_blocked(a, b, 16).approx_equal(ref, 1e-9));
-  EXPECT_TRUE(gemm_blocked(a, b, 7).approx_equal(ref, 1e-9));  // ragged tiles
-  EXPECT_TRUE(gemm_parallel(pool, a, b, 16).approx_equal(ref, 1e-9));
-}
-
-INSTANTIATE_TEST_SUITE_P(Sizes, GemmShapes, ::testing::Values(1, 5, 17, 64, 100));
-
-TEST(Gemm, ShapeMismatchThrows) {
-  Matrix a(2, 3), b(4, 2);
-  EXPECT_THROW(gemm_naive(a, b), std::invalid_argument);
-  EXPECT_THROW(gemm_blocked(a, a, 0), std::invalid_argument);
 }
 
 // ---- sssp ------------------------------------------------------------------------

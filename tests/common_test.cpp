@@ -1,5 +1,5 @@
-// Unit tests for src/common: RNG, zipf, hashing, serialization, statistics,
-// queues, and the sharded concurrent map.
+// Unit tests for src/common: RNG, zipf, hashing, serialization, statistics
+// and queues.
 
 #include <gtest/gtest.h>
 
@@ -7,7 +7,6 @@
 #include <set>
 #include <thread>
 
-#include "common/concurrent_map.hpp"
 #include "common/hash.hpp"
 #include "common/queue.hpp"
 #include "common/rng.hpp"
@@ -344,56 +343,6 @@ TEST(SpscRing, TwoThreadStream) {
   }
   consumer.join();
   EXPECT_EQ(sum, static_cast<long long>(kN) * (kN + 1) / 2);
-}
-
-// ---- concurrent map -----------------------------------------------------------
-
-TEST(ConcurrentMap, PutGetErase) {
-  ConcurrentMap<std::string, int> m;
-  m.put("a", 1);
-  m.put("b", 2);
-  EXPECT_EQ(m.get("a"), 1);
-  EXPECT_EQ(m.get("missing"), std::nullopt);
-  EXPECT_TRUE(m.erase("a"));
-  EXPECT_FALSE(m.erase("a"));
-  EXPECT_EQ(m.size(), 1u);
-}
-
-TEST(ConcurrentMap, PutIfAbsent) {
-  ConcurrentMap<int, int> m;
-  EXPECT_TRUE(m.put_if_absent(1, 10));
-  EXPECT_FALSE(m.put_if_absent(1, 20));
-  EXPECT_EQ(m.get(1), 10);
-}
-
-TEST(ConcurrentMap, UpdateReadModifyWrite) {
-  ConcurrentMap<int, int> m;
-  for (int i = 0; i < 100; ++i) m.update(7, [](int& v) { ++v; });
-  EXPECT_EQ(m.get(7), 100);
-}
-
-TEST(ConcurrentMap, ConcurrentIncrements) {
-  ConcurrentMap<int, long long> m;
-  constexpr int kThreads = 4, kIters = 10000;
-  std::vector<std::thread> threads;
-  for (int t = 0; t < kThreads; ++t) {
-    threads.emplace_back([&m] {
-      for (int i = 0; i < kIters; ++i) {
-        m.update(i % 13, [](long long& v) { ++v; });
-      }
-    });
-  }
-  for (auto& t : threads) t.join();
-  long long total = 0;
-  for (const auto& [k, v] : m.entries()) total += v;
-  EXPECT_EQ(total, static_cast<long long>(kThreads) * kIters);
-}
-
-TEST(ConcurrentMap, EntriesSnapshot) {
-  ConcurrentMap<int, int> m;
-  for (int i = 0; i < 50; ++i) m.put(i, i * i);
-  auto es = m.entries();
-  EXPECT_EQ(es.size(), 50u);
 }
 
 }  // namespace

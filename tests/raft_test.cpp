@@ -9,7 +9,6 @@
 
 #include "common/rng.hpp"
 #include "kvstore/raft.hpp"
-#include "kvstore/raft_kv.hpp"
 
 namespace hpbdc::kvstore {
 namespace {
@@ -275,81 +274,6 @@ TEST(Raft, DeterministicPerSeed) {
     return l;
   };
   EXPECT_EQ(run(7), run(7));
-}
-
-// ---- Raft-backed KV state machine ------------------------------------------
-
-TEST(RaftKv, PutGetThroughConsensus) {
-  RaftFixture f;
-  f.raft.start();
-  f.run_to(2.0);
-  RaftKv kv(f.raft);
-  bool ok = false;
-  kv.put("user:1", "alice", [&](bool committed) { ok = committed; });
-  f.run_to(3.0);
-  EXPECT_TRUE(ok);
-  const auto lead = *f.raft.leader();
-  EXPECT_EQ(kv.get(lead, "user:1"), "alice");
-  // Every replica applies the same state.
-  for (std::size_t n = 0; n < 5; ++n) {
-    EXPECT_EQ(kv.get(n, "user:1"), "alice") << n;
-  }
-  f.raft.stop();
-}
-
-TEST(RaftKv, OverwritesApplyInLogOrder) {
-  RaftFixture f;
-  f.raft.start();
-  f.run_to(2.0);
-  RaftKv kv(f.raft);
-  for (int i = 0; i < 5; ++i) {
-    kv.put("counter", std::to_string(i), [](bool) {});
-  }
-  f.run_to(4.0);
-  for (std::size_t n = 0; n < 5; ++n) {
-    EXPECT_EQ(kv.get(n, "counter"), "4") << n;  // last write wins, same everywhere
-  }
-  EXPECT_EQ(kv.applied_count(0), 5u);
-  f.raft.stop();
-}
-
-TEST(RaftKv, MissingKeyIsNullopt) {
-  RaftFixture f;
-  f.raft.start();
-  f.run_to(2.0);
-  RaftKv kv(f.raft);
-  EXPECT_EQ(kv.get(0, "nope"), std::nullopt);
-  f.raft.stop();
-}
-
-TEST(RaftKv, BinarySafeKeysAndValues) {
-  RaftFixture f;
-  f.raft.start();
-  f.run_to(2.0);
-  RaftKv kv(f.raft);
-  std::string key("k\0ey", 4), value("v\0al\xff", 5);
-  bool ok = false;
-  kv.put(key, value, [&](bool committed) { ok = committed; });
-  f.run_to(3.0);
-  EXPECT_TRUE(ok);
-  EXPECT_EQ(kv.get(0, key), value);
-  f.raft.stop();
-}
-
-TEST(RaftKv, StateSurvivesLeaderFailover) {
-  RaftFixture f;
-  f.raft.start();
-  f.run_to(2.0);
-  RaftKv kv(f.raft);
-  kv.put("durable", "v1", [](bool) {});
-  f.run_to(3.0);
-  f.raft.fail_node(*f.raft.leader());
-  f.run_to(5.0);
-  kv.put("durable", "v2", [](bool) {});
-  f.run_to(7.0);
-  const auto lead = *f.raft.leader();
-  EXPECT_EQ(kv.get(lead, "durable"), "v2");
-  f.raft.stop();
 }
 
 // Chaos property: random crash/recover cycles while proposing. Invariants

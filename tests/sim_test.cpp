@@ -1,12 +1,11 @@
-// Unit tests for src/sim: event ordering, the network cost model, rank
-// messaging, and collective algorithms.
+// Unit tests for src/sim: event ordering, the network cost model and rank
+// messaging.
 
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <functional>
 
-#include "sim/collectives.hpp"
 #include "sim/comm.hpp"
 #include "sim/network.hpp"
 #include "sim/simulator.hpp"
@@ -295,130 +294,6 @@ TEST(Comm, RetransmitWithAckSurvivesLoss) {
   EXPECT_GE(acked, 1);
   EXPECT_GT(attempts, 1);  // this seed loses traffic, forcing a retransmission
   EXPECT_GE(net.stats().dropped, 1u);
-}
-
-// ---- Collectives ------------------------------------------------------------------
-
-struct CollectiveFixtureParam {
-  std::size_t nodes;
-};
-
-class CollectivesNodes : public ::testing::TestWithParam<std::size_t> {};
-
-TEST_P(CollectivesNodes, BroadcastCompletes) {
-  Simulator sim;
-  NetworkConfig cfg;
-  cfg.nodes = GetParam();
-  Network net(sim, cfg);
-  Comm comm(sim, net);
-  double done_at = -1;
-  broadcast(comm, 0, 1024, [&](SimTime t) { done_at = t; });
-  sim.run();
-  EXPECT_GE(done_at, 0);
-  EXPECT_EQ(comm.dropped(), 0u);
-}
-
-TEST_P(CollectivesNodes, AllReduceCompletes) {
-  Simulator sim;
-  NetworkConfig cfg;
-  cfg.nodes = GetParam();
-  Network net(sim, cfg);
-  Comm comm(sim, net);
-  double done_at = -1;
-  all_reduce(comm, 4096, [&](SimTime t) { done_at = t; });
-  sim.run();
-  EXPECT_GE(done_at, 0);
-  EXPECT_EQ(comm.dropped(), 0u);
-}
-
-TEST_P(CollectivesNodes, ReduceAndGatherAndAllToAll) {
-  Simulator sim;
-  NetworkConfig cfg;
-  cfg.nodes = GetParam();
-  Network net(sim, cfg);
-  Comm comm(sim, net);
-  int completions = 0;
-  reduce(comm, 0, 512, [&](SimTime) { ++completions; });
-  sim.run();
-  gather(comm, 0, 512, [&](SimTime) { ++completions; });
-  sim.run();
-  all_to_all(comm, 128, [&](SimTime) { ++completions; });
-  sim.run();
-  EXPECT_EQ(completions, 3);
-}
-
-INSTANTIATE_TEST_SUITE_P(NodeCounts, CollectivesNodes,
-                         ::testing::Values(1, 2, 3, 4, 5, 8, 13, 16, 32));
-
-TEST(Collectives, BroadcastScalesLogarithmically) {
-  // Completion time of a binomial broadcast grows ~log2(p), far slower than
-  // linear fan-out would.
-  auto bcast_time = [](std::size_t nodes) {
-    Simulator sim;
-    NetworkConfig cfg;
-    cfg.nodes = nodes;
-    Network net(sim, cfg);
-    Comm comm(sim, net);
-    double t = -1;
-    broadcast(comm, 0, 1 << 20, [&](SimTime d) { t = d; });
-    sim.run();
-    return t;
-  };
-  const double t4 = bcast_time(4);
-  const double t16 = bcast_time(16);
-  const double t64 = bcast_time(64);
-  EXPECT_GT(t16, t4);
-  EXPECT_GT(t64, t16);
-  // Tree growth: going 4 -> 64 nodes multiplies cost by ~(rounds + root
-  // sends) ratio (~5-6x here), far below the 16x of linear node scaling
-  // and the ~21x of a flat root fan-out.
-  EXPECT_LT(t64 / t4, 8.0);
-}
-
-TEST(Collectives, BarrierFastForSmallClusters) {
-  Simulator sim;
-  NetworkConfig cfg;
-  cfg.nodes = 8;
-  Network net(sim, cfg);
-  Comm comm(sim, net);
-  double t = -1;
-  barrier(comm, [&](SimTime d) { t = d; });
-  sim.run();
-  EXPECT_GT(t, 0);
-  EXPECT_LT(t, 1e-3);  // microseconds-scale for 1-byte exchanges
-}
-
-TEST(Collectives, ReduceComputeCostAddsTime) {
-  auto reduce_time = [](double bps) {
-    Simulator sim;
-    NetworkConfig cfg;
-    cfg.nodes = 8;
-    Network net(sim, cfg);
-    Comm comm(sim, net);
-    CollectiveConfig cc;
-    cc.reduce_compute_bps = bps;
-    double t = -1;
-    reduce(comm, 0, 1 << 20, [&](SimTime d) { t = d; }, cc);
-    sim.run();
-    return t;
-  };
-  EXPECT_GT(reduce_time(1e8), reduce_time(0.0));
-}
-
-TEST(Collectives, RootChoiceIrrelevantForSymmetricTopology) {
-  auto t_for_root = [](std::size_t root) {
-    Simulator sim;
-    NetworkConfig cfg;
-    cfg.nodes = 8;
-    cfg.topology = Topology::kStar;
-    Network net(sim, cfg);
-    Comm comm(sim, net);
-    double t = -1;
-    broadcast(comm, root, 65536, [&](SimTime d) { t = d; });
-    sim.run();
-    return t;
-  };
-  EXPECT_NEAR(t_for_root(0), t_for_root(5), 1e-9);
 }
 
 }  // namespace
