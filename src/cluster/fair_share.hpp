@@ -1,14 +1,18 @@
 #pragma once
-// Fair-share accounting for the multi-tenant job service (src/serve):
+// Fair-share accounting shared by the HPC batch scheduler (batch_scheduler,
+// experiment T3) and the multi-tenant job service (src/serve):
 //
-//   * UsageLedger — per-tenant accumulated usage of a single resource.
-//     refund() is clamped at zero: a task retry may refund a charge the
-//     cluster already reclaimed, and a negative balance would let the tenant
-//     jump every future queue.
+//   * UsageLedger — per-tenant accumulated usage of a single resource
+//     (node-seconds for the batch scheduler). refund() is clamped at zero:
+//     a task retry may refund a charge the cluster already reclaimed, and a
+//     negative balance would let the tenant jump every future queue.
 //   * DrfLedger — dominant-resource fairness (Ghodsi et al., NSDI'11) over a
 //     fixed capacity vector: a tenant's dominant share is the maximum, over
 //     resources, of its in-use fraction of capacity. Schedulers pick the
 //     tenant with the smallest dominant share next.
+//   * aged_priority — the shared starvation guard: a queued request earns a
+//     linear credit for every second it waits, so an arbitrarily long stream
+//     of fresh zero-usage tenants can only delay it for a bounded time.
 
 #include <cstdint>
 #include <unordered_map>
@@ -28,6 +32,13 @@ class UsageLedger {
  private:
   std::unordered_map<std::uint32_t, double> usage_;
 };
+
+/// Effective fair-share priority of a queued request (lower runs first):
+/// accumulated usage minus the aging credit earned while waiting.
+inline double aged_priority(double usage, double wait_seconds,
+                            double aging_rate) {
+  return usage - aging_rate * wait_seconds;
+}
 
 /// Multi-resource dominant-share ledger. Capacities are fixed at
 /// construction; acquire/release track per-tenant in-use vectors, with

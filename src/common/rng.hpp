@@ -104,6 +104,11 @@ class Rng {
     return -std::log(u) / rate;
   }
 
+  /// Log-normal variate parameterized by the underlying normal's mu/sigma.
+  double next_lognormal(double mu, double sigma) noexcept {
+    return std::exp(mu + sigma * next_gaussian());
+  }
+
   /// Bernoulli trial with probability p of returning true.
   bool next_bool(double p) noexcept { return next_double() < p; }
 

@@ -16,6 +16,8 @@
 #include "exec/parallel.hpp"
 #include "exec/thread_pool.hpp"
 #include "sim/dfs.hpp"
+#include "storage/compression.hpp"
+#include "storage/dedup.hpp"
 #include "storage/hash_ring.hpp"
 #include "storage/reed_solomon.hpp"
 
@@ -63,6 +65,30 @@ TEST_P(Seeded, SerdeTruncationAlwaysThrowsNeverUB) {
   }
 }
 
+// ---- compression fuzz -------------------------------------------------------------
+
+TEST_P(Seeded, LzssStructuredRandomRoundTrip) {
+  // Random data with planted repeats at random distances (the adversarial
+  // shape for match-finder bugs).
+  Rng rng(GetParam());
+  storage::ByteVec data;
+  while (data.size() < 300000) {
+    if (!data.empty() && rng.next_bool(0.3)) {
+      const auto len = 4 + rng.next_below(500);
+      const auto start = rng.next_below(data.size());
+      for (std::uint64_t i = 0; i < len; ++i) {
+        data.push_back(data[start + (i % (data.size() - start))]);
+      }
+    } else {
+      const auto len = 1 + rng.next_below(200);
+      for (std::uint64_t i = 0; i < len; ++i) {
+        data.push_back(static_cast<std::uint8_t>(rng()));
+      }
+    }
+  }
+  EXPECT_EQ(storage::Lzss::decompress(storage::Lzss::compress(data)), data);
+}
+
 // ---- Reed–Solomon random erasures ----------------------------------------------------
 
 TEST_P(Seeded, RsRandomErasurePatterns) {
@@ -85,6 +111,24 @@ TEST_P(Seeded, RsRandomErasurePatterns) {
       shards[rng.next_below(k + m)].reset();  // duplicates fine: <= m losses
     }
     EXPECT_EQ(rs.decode(shards), data) << "k=" << k << " m=" << m;
+  }
+}
+
+// ---- dedup random objects ------------------------------------------------------------
+
+TEST_P(Seeded, DedupAlwaysBitExact) {
+  Rng rng(GetParam());
+  storage::DedupStore store;
+  storage::CdcChunker chunker(4096, 1024, 16384);
+  std::vector<std::pair<storage::Recipe, std::vector<std::uint8_t>>> stored;
+  for (int obj = 0; obj < 5; ++obj) {
+    std::vector<std::uint8_t> data(1000 + rng.next_below(200000));
+    for (auto& b : data) b = static_cast<std::uint8_t>(rng());
+    auto recipe = store.put(data, chunker);
+    stored.emplace_back(std::move(recipe), std::move(data));
+  }
+  for (const auto& [recipe, data] : stored) {
+    EXPECT_EQ(store.get(recipe), data);
   }
 }
 

@@ -1,5 +1,5 @@
-// Unit tests for src/storage: GF(256) algebra, Reed–Solomon coding and the
-// consistent-hash ring.
+// Unit tests for src/storage: GF(256) algebra, Reed–Solomon coding,
+// chunkers, dedup store, consistent-hash ring, and the tiered store.
 
 #include <gtest/gtest.h>
 
@@ -10,9 +10,12 @@
 #include <span>
 
 #include "common/rng.hpp"
+#include "storage/chunker.hpp"
+#include "storage/dedup.hpp"
 #include "storage/gf256.hpp"
 #include "storage/hash_ring.hpp"
 #include "storage/reed_solomon.hpp"
+#include "storage/tiered_store.hpp"
 
 namespace hpbdc::storage {
 namespace {
@@ -511,6 +514,138 @@ TEST(GF256, DivisionAndInvolutionSweep) {
   }
 }
 
+// ---- Chunkers ----------------------------------------------------------------------
+
+TEST(FixedChunker, ExactSizes) {
+  FixedChunker ch(100);
+  std::vector<std::uint8_t> data(350);
+  auto chunks = ch.chunk(data);
+  ASSERT_EQ(chunks.size(), 4u);
+  EXPECT_EQ(chunks[0].length, 100u);
+  EXPECT_EQ(chunks[3].length, 50u);
+  std::size_t covered = 0;
+  for (const auto& c : chunks) {
+    EXPECT_EQ(c.offset, covered);
+    covered += c.length;
+  }
+  EXPECT_EQ(covered, data.size());
+}
+
+TEST(FixedChunker, EmptyInput) {
+  FixedChunker ch(100);
+  EXPECT_TRUE(ch.chunk({}).empty());
+}
+
+TEST(CdcChunker, CoversInputContiguously) {
+  Rng rng(4);
+  std::vector<std::uint8_t> data(200000);
+  for (auto& b : data) b = static_cast<std::uint8_t>(rng());
+  CdcChunker ch(4096, 1024, 16384);
+  auto chunks = ch.chunk(data);
+  std::size_t covered = 0;
+  for (const auto& c : chunks) {
+    EXPECT_EQ(c.offset, covered);
+    covered += c.length;
+    EXPECT_LE(c.length, 16384u);
+  }
+  EXPECT_EQ(covered, data.size());
+  // All but the final chunk respect the minimum size.
+  for (std::size_t i = 0; i + 1 < chunks.size(); ++i) {
+    EXPECT_GE(chunks[i].length, 1024u);
+  }
+}
+
+TEST(CdcChunker, AverageNearTarget) {
+  Rng rng(5);
+  std::vector<std::uint8_t> data(1 << 21);
+  for (auto& b : data) b = static_cast<std::uint8_t>(rng());
+  CdcChunker ch(4096, 512, 65536);
+  auto chunks = ch.chunk(data);
+  const double avg = static_cast<double>(data.size()) / static_cast<double>(chunks.size());
+  EXPECT_GT(avg, 4096 * 0.5);
+  EXPECT_LT(avg, 4096 * 2.0);
+}
+
+TEST(CdcChunker, BoundariesSurviveInsertion) {
+  // Insert bytes near the front; most chunk fingerprints must be unchanged
+  // (the property fixed-size chunking lacks).
+  Rng rng(6);
+  std::vector<std::uint8_t> original(1 << 20);
+  for (auto& b : original) b = static_cast<std::uint8_t>(rng());
+  auto shifted = original;
+  shifted.insert(shifted.begin() + 1000, {1, 2, 3, 4, 5, 6, 7});
+
+  CdcChunker ch(4096, 1024, 16384);
+  auto fingerprints = [&](const std::vector<std::uint8_t>& d) {
+    std::set<std::uint64_t> fps;
+    for (const auto& c : ch.chunk(d)) {
+      fps.insert(hash_bytes(reinterpret_cast<const char*>(d.data() + c.offset), c.length));
+    }
+    return fps;
+  };
+  auto a = fingerprints(original);
+  auto b = fingerprints(shifted);
+  std::size_t common = 0;
+  for (auto fp : a) common += b.contains(fp);
+  EXPECT_GT(static_cast<double>(common) / static_cast<double>(a.size()), 0.9);
+}
+
+TEST(CdcChunker, RejectsBadConfig) {
+  EXPECT_THROW(CdcChunker(1000, 100, 2000), std::invalid_argument);  // avg not pow2
+  EXPECT_THROW(CdcChunker(1024, 2048, 4096), std::invalid_argument); // min > avg
+  EXPECT_THROW(CdcChunker(1024, 0, 4096), std::invalid_argument);
+}
+
+// ---- Dedup ------------------------------------------------------------------------
+
+TEST(DedupStore, RoundTripAndRatio) {
+  Rng rng(7);
+  std::vector<std::uint8_t> base(100000);
+  for (auto& b : base) b = static_cast<std::uint8_t>(rng());
+
+  DedupStore store;
+  CdcChunker ch(4096, 1024, 16384);
+  auto r1 = store.put(base, ch);
+  auto r2 = store.put(base, ch);  // identical object: near-free
+  EXPECT_EQ(store.get(r1), base);
+  EXPECT_EQ(store.get(r2), base);
+  EXPECT_GT(store.stats().ratio(), 1.9);
+  EXPECT_EQ(store.stats().logical_bytes, 200000u);
+}
+
+TEST(DedupStore, RemoveFreesUnreferencedChunks) {
+  Rng rng(8);
+  std::vector<std::uint8_t> data(50000);
+  for (auto& b : data) b = static_cast<std::uint8_t>(rng());
+  DedupStore store;
+  FixedChunker ch(4096);
+  auto r1 = store.put(data, ch);
+  auto r2 = store.put(data, ch);
+  store.remove(r1);
+  EXPECT_EQ(store.get(r2), data);  // still referenced
+  store.remove(r2);
+  EXPECT_EQ(store.unique_chunks(), 0u);
+  EXPECT_EQ(store.stats().physical_bytes, 0u);
+}
+
+TEST(DedupStore, CdcBeatsFixedOnInsertShiftedVersions) {
+  Rng rng(9);
+  std::vector<std::uint8_t> v1(1 << 20);
+  for (auto& b : v1) b = static_cast<std::uint8_t>(rng());
+  auto v2 = v1;
+  v2.insert(v2.begin() + 5000, {9, 9, 9});  // tiny early insert shifts the rest
+
+  DedupStore fixed_store, cdc_store;
+  FixedChunker fixed(4096);
+  CdcChunker cdc(4096, 1024, 16384);
+  fixed_store.put(v1, fixed);
+  fixed_store.put(v2, fixed);
+  cdc_store.put(v1, cdc);
+  cdc_store.put(v2, cdc);
+  EXPECT_GT(cdc_store.stats().ratio(), 1.8);   // CDC dedups almost everything
+  EXPECT_LT(fixed_store.stats().ratio(), 1.2); // fixed dedups almost nothing
+}
+
 // ---- HashRing ---------------------------------------------------------------------
 
 TEST(HashRing, LookupStable) {
@@ -575,6 +710,60 @@ TEST(HashRing, DuplicateAndUnknownNodes) {
   ring.add_node(1);
   EXPECT_THROW(ring.add_node(1), std::invalid_argument);
   EXPECT_THROW(ring.remove_node(9), std::invalid_argument);
+}
+
+// ---- TieredStore --------------------------------------------------------------------
+
+TEST(TieredStore, PutGetRoundTrip) {
+  TieredStore store(1 << 20);
+  store.put("a", {1, 2, 3});
+  auto v = store.get("a");
+  ASSERT_TRUE(v.has_value());
+  EXPECT_EQ(*v, (std::vector<std::uint8_t>{1, 2, 3}));
+  EXPECT_FALSE(store.get("missing").has_value());
+}
+
+TEST(TieredStore, EvictsLruToCold) {
+  TieredStore store(250);  // fits two 100-byte blocks + slack
+  store.put("a", std::vector<std::uint8_t>(100, 1));
+  store.put("b", std::vector<std::uint8_t>(100, 2));
+  store.put("c", std::vector<std::uint8_t>(100, 3));  // evicts "a" (LRU)
+  EXPECT_EQ(store.cold_blocks(), 1u);
+  EXPECT_LE(store.hot_bytes(), 250u);
+  // "a" still readable (cold hit + promotion).
+  auto v = store.get("a");
+  ASSERT_TRUE(v.has_value());
+  EXPECT_EQ((*v)[0], 1);
+  EXPECT_EQ(store.stats().cold_hits, 1u);
+  EXPECT_EQ(store.stats().promotions, 1u);
+}
+
+TEST(TieredStore, RecentAccessAvoidsEviction) {
+  TieredStore store(250);
+  store.put("a", std::vector<std::uint8_t>(100, 1));
+  store.put("b", std::vector<std::uint8_t>(100, 2));
+  store.get("a");  // touch: "b" becomes LRU
+  store.put("c", std::vector<std::uint8_t>(100, 3));
+  store.get("a");
+  EXPECT_EQ(store.stats().hot_hits, 2u);  // both "a" reads were hot
+}
+
+TEST(TieredStore, OverwriteReplaces) {
+  TieredStore store(1000);
+  store.put("k", {1});
+  store.put("k", {2});
+  EXPECT_EQ((*store.get("k"))[0], 2);
+  EXPECT_EQ(store.hot_blocks(), 1u);
+}
+
+TEST(TieredStore, EraseBothTiers) {
+  TieredStore store(100);
+  store.put("a", std::vector<std::uint8_t>(80, 1));
+  store.put("b", std::vector<std::uint8_t>(80, 2));  // "a" demoted
+  EXPECT_TRUE(store.erase("a"));
+  EXPECT_TRUE(store.erase("b"));
+  EXPECT_FALSE(store.erase("a"));
+  EXPECT_FALSE(store.contains("a"));
 }
 
 }  // namespace
