@@ -1,8 +1,8 @@
 #pragma once
 // Hashing utilities shared across the framework: a fast 64-bit byte-string
 // hash (FNV-1a with an avalanche finalizer), integer mixing, and combinators.
-// These hashes drive shuffle partitioning, the consistent-hash ring, and the
-// dedup fingerprint index, so they must be stable across runs and platforms.
+// These hashes drive shuffle partitioning and the consistent-hash ring, so
+// they must be stable across runs and platforms.
 
 #include <cstddef>
 #include <cstdint>

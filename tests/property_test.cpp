@@ -17,7 +17,6 @@
 #include "exec/thread_pool.hpp"
 #include "sim/dfs.hpp"
 #include "storage/compression.hpp"
-#include "storage/dedup.hpp"
 #include "storage/hash_ring.hpp"
 #include "storage/reed_solomon.hpp"
 
@@ -111,24 +110,6 @@ TEST_P(Seeded, RsRandomErasurePatterns) {
       shards[rng.next_below(k + m)].reset();  // duplicates fine: <= m losses
     }
     EXPECT_EQ(rs.decode(shards), data) << "k=" << k << " m=" << m;
-  }
-}
-
-// ---- dedup random objects ------------------------------------------------------------
-
-TEST_P(Seeded, DedupAlwaysBitExact) {
-  Rng rng(GetParam());
-  storage::DedupStore store;
-  storage::CdcChunker chunker(4096, 1024, 16384);
-  std::vector<std::pair<storage::Recipe, std::vector<std::uint8_t>>> stored;
-  for (int obj = 0; obj < 5; ++obj) {
-    std::vector<std::uint8_t> data(1000 + rng.next_below(200000));
-    for (auto& b : data) b = static_cast<std::uint8_t>(rng());
-    auto recipe = store.put(data, chunker);
-    stored.emplace_back(std::move(recipe), std::move(data));
-  }
-  for (const auto& [recipe, data] : stored) {
-    EXPECT_EQ(store.get(recipe), data);
   }
 }
 
