@@ -1,8 +1,9 @@
 // T7 — Sketch accuracy vs memory (DESIGN.md extension): HyperLogLog
 // cardinality error across precisions, count-min heavy-hitter error across
 // widths, Bloom filter measured-vs-configured false-positive rate, and raw
-// update throughput. Expected shape: HLL error ~1.04/sqrt(m); CMS error
-// bounded by eps*N on heavy hitters; Bloom FP near its design point.
+// throughput (HLL updates, CMS updates plus estimates). Expected shape: HLL
+// error ~1.04/sqrt(m); CMS error bounded by eps*N on heavy hitters; Bloom FP
+// near its design point.
 // --json=FILE also writes the headline numbers (bench_json.hpp).
 
 #include <iostream>
@@ -46,7 +47,7 @@ int main(int argc, char** argv) {
 
   // --- CountMinSketch ---------------------------------------------------------
   std::cout << "\ncount-min on zipf(1.0) stream, 2M updates:\n\n";
-  Table cms_tbl({"eps", "memory KiB", "mean HH err %", "max HH err %"});
+  Table cms_tbl({"eps", "memory KiB", "mean HH err %", "max HH err %", "Mops/s"});
   Rng rng(5);
   ZipfGenerator zipf(100000, 1.0);
   constexpr int kUpdates = 2000000;
@@ -58,7 +59,16 @@ int main(int argc, char** argv) {
   }
   for (double eps : {0.01, 0.001, 0.0001}) {
     CountMinSketch cms(eps, 0.01);
+    // Throughput: every update added, then every update's key estimated.
+    Stopwatch sw;
     for (auto s : stream) cms.add(hash_u64(s));
+    std::uint64_t est_sum = 0;
+    for (auto s : stream) est_sum += cms.estimate(hash_u64(s));
+    const double mops = 2.0 * kUpdates / sw.elapsed_sec() / 1e6;
+    if (est_sum < static_cast<std::uint64_t>(kUpdates)) {
+      std::cerr << "BUG: count-min undercounted an added key\n";
+      return 1;
+    }
     // Error on the 100 heaviest keys (ranks 0..99 by construction).
     RunningStat err;
     for (std::uint64_t k = 0; k < 100; ++k) {
@@ -71,8 +81,10 @@ int main(int argc, char** argv) {
     }
     json.metric("cms_mean_hh_err_pct", err.mean(), {{"eps", Table::num(eps, 4)}});
     json.metric("cms_max_hh_err_pct", err.max(), {{"eps", Table::num(eps, 4)}});
+    json.metric("cms_mops_per_s", mops, {{"eps", Table::num(eps, 4)}});
     cms_tbl.row({Table::num(eps, 4), std::to_string(cms.memory_bytes() / 1024),
-                 Table::num(err.mean(), 3), Table::num(err.max(), 3)});
+                 Table::num(err.mean(), 3), Table::num(err.max(), 3),
+                 Table::num(mops, 1)});
   }
   cms_tbl.print(std::cout);
 

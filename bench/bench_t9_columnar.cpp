@@ -4,10 +4,13 @@
 // shape: columnar wins on narrow queries (touches 1-2 of 8 columns, so
 // ~4-8x less memory traffic); dictionary-encoded string predicates are
 // integer compares; the gap narrows as more columns are touched.
+// --json=FILE also writes the headline numbers (bench_json.hpp).
 
 #include <cstring>
 #include <iostream>
+#include <tuple>
 
+#include "bench_json.hpp"
 #include "common/rng.hpp"
 #include "common/stats.hpp"
 #include "common/stopwatch.hpp"
@@ -35,7 +38,8 @@ struct Row {
 
 }  // namespace
 
-int main() {
+int main(int argc, char** argv) {
+  bench::JsonWriter json("t9_columnar", argc, argv);
   ThreadPool pool;
   Rng rng(31);
 
@@ -136,6 +140,12 @@ int main() {
     return 1;
   }
 
+  for (const auto& [query, rms, cms] :
+       {std::tuple{"narrow", row_ms, col_ms}, std::tuple{"wide", row_wide_ms, col_wide_ms}}) {
+    json.metric("row_ms", rms, {{"query", query}});
+    json.metric("columnar_ms", cms, {{"query", query}});
+    json.metric("columnar_speedup", rms / cms, {{"query", query}});
+  }
   hpbdc::Table out({"query", "row store (ms)", "columnar (ms)", "columnar speedup"});
   out.row({"narrow (2 of 8 cols)", hpbdc::Table::num(row_ms), hpbdc::Table::num(col_ms),
            hpbdc::Table::num(row_ms / col_ms)});

@@ -10,6 +10,7 @@
 // the reservoir, which takes an explicit Rng).
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <cstdint>
 #include <stdexcept>
@@ -98,7 +99,7 @@ class HyperLogLog {
     double sum = 0;
     std::size_t zeros = 0;
     for (auto r : registers_) {
-      sum += std::pow(2.0, -static_cast<double>(r));
+      sum += kInvPow2[r];
       zeros += (r == 0);
     }
     const double alpha = m == 16 ? 0.673
@@ -129,6 +130,18 @@ class HyperLogLog {
   std::size_t memory_bytes() const noexcept { return registers_.size(); }
 
  private:
+  /// 2^-r for every rank a register can hold (at most 64 - 4 + 1): exact
+  /// powers of two, so the table equals std::pow(2.0, -r) bit for bit.
+  static constexpr std::array<double, 66> kInvPow2 = [] {
+    std::array<double, 66> t{};
+    double v = 1.0;
+    for (double& x : t) {
+      x = v;
+      v *= 0.5;
+    }
+    return t;
+  }();
+
   int p_;
   std::vector<std::uint8_t> registers_;
 };
@@ -144,6 +157,11 @@ class CountMinSketch {
     width_ = static_cast<std::size_t>(std::ceil(std::exp(1.0) / eps));
     depth_ = static_cast<std::size_t>(std::ceil(std::log(1.0 / delta)));
     table_.assign(width_ * depth_, 0);
+    // Lemire's fastmod magic: ceil(2^128 / width). For every 64-bit x,
+    // ((magic * x) mod 2^128) * width / 2^128 == x % width exactly.
+    magic_ = ~__uint128_t{0} / width_ + 1;
+    seeds_.resize(depth_);
+    for (std::size_t d = 0; d < depth_; ++d) seeds_[d] = hash_u64(d + 1);
   }
 
   void add(std::uint64_t item_hash, std::uint64_t count = 1) {
@@ -165,6 +183,14 @@ class CountMinSketch {
   }
   std::uint64_t estimate(std::string_view item) const { return estimate(hash_str(item)); }
 
+  /// estimate(item_hash) >= t, stopping at the first row below t.
+  bool estimate_at_least(std::uint64_t item_hash, std::uint64_t t) const {
+    for (std::size_t d = 0; d < depth_; ++d) {
+      if (table_[d * width_ + slot(item_hash, d)] < t) return false;
+    }
+    return true;
+  }
+
   void merge(const CountMinSketch& o) {
     if (o.width_ != width_ || o.depth_ != depth_) {
       throw std::invalid_argument("CountMinSketch: shape mismatch");
@@ -175,13 +201,23 @@ class CountMinSketch {
 
   std::uint64_t total() const noexcept { return total_; }
   std::size_t memory_bytes() const noexcept { return table_.size() * sizeof(std::uint64_t); }
+  std::size_t width() const noexcept { return width_; }
+  std::size_t depth() const noexcept { return depth_; }
 
- private:
+  /// Column of item_hash in row d: hash_combine(hash_u64(d + 1), h) % width,
+  /// computed without a division.
   std::size_t slot(std::uint64_t h, std::size_t d) const noexcept {
-    return static_cast<std::size_t>(hash_combine(hash_u64(d + 1), h) % width_);
+    const __uint128_t low = magic_ * hash_combine(seeds_[d], h);
+    const __uint128_t hi =
+        (low >> 64) * width_ +
+        ((static_cast<__uint128_t>(static_cast<std::uint64_t>(low)) * width_) >> 64);
+    return static_cast<std::size_t>(hi >> 64);
   }
 
+ private:
   std::size_t width_ = 0, depth_ = 0;
+  __uint128_t magic_ = 0;
+  std::vector<std::uint64_t> seeds_;  // hash_u64(d + 1) per row
   std::vector<std::uint64_t> table_;
   std::uint64_t total_ = 0;
 };

@@ -54,6 +54,17 @@ RowBlock apply_step_block(Executor& ex, RowBlock b, const NarrowStep& st) {
   }
 }
 
+/// A source's rows written straight from the generator into a block.
+RowBlock source_block(std::uint64_t salt, std::uint64_t rows,
+                      std::uint64_t key_domain, std::uint64_t skew,
+                      bool distinct_keys) {
+  RowBlock b;
+  b.reserve(rows);
+  for_each_source_row(salt, rows, key_domain, skew, distinct_keys,
+                      [&b](std::uint64_t k, std::uint64_t v) { b.push(k, v); });
+  return b;
+}
+
 RowBlock reduce_block(Executor& ex, const RowBlock& b, std::uint64_t bound) {
   auto combine = [](std::uint64_t a, std::uint64_t c) {
     return reduce_combine(a, c);
@@ -73,7 +84,8 @@ std::vector<Row> lower_columnar(const LogicalPlan& plan, Executor& ex) {
     const PlanNode& nd = plan.nodes[i];
     switch (nd.op) {
       case OpKind::kSource:
-        built[i] = dataflow::columnar::from_rows(node_source_rows(nd));
+        built[i] = source_block(nd.salt, nd.rows, nd.key_domain, nd.skew,
+                                nd.distinct_keys);
         break;
       case OpKind::kMap:
       case OpKind::kMapValues:
@@ -87,7 +99,8 @@ std::vector<Row> lower_columnar(const LogicalPlan& plan, Executor& ex) {
         RowBlock b;
         std::size_t first = 0;
         if (nd.steps.front().op == OpKind::kSource) {
-          b = dataflow::columnar::from_rows(step_source_rows(nd.steps.front()));
+          const NarrowStep& h = nd.steps.front();
+          b = source_block(h.salt, h.rows, h.key_domain, h.skew, h.distinct_keys);
           first = 1;
         } else {
           b = built[nd.left];

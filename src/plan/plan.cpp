@@ -4,7 +4,6 @@
 #include <map>
 
 #include "common/hash.hpp"
-#include "common/rng.hpp"
 
 namespace hpbdc::plan {
 
@@ -80,29 +79,12 @@ std::vector<Row> source_rows_ex(std::uint64_t salt, std::uint64_t n,
                                 std::uint64_t key_domain,
                                 std::uint64_t skew_permille,
                                 bool distinct_keys) {
-  const std::uint64_t domain = key_domain == 0 ? kKeyDomain : key_domain;
   std::vector<Row> out;
   out.reserve(n);
-  Rng rng(salt);
-  if (distinct_keys) {
-    // Dimension-table shape: every key exactly once (cycling past n >
-    // domain), values still drawn so two dims with one salt differ.
-    for (std::uint64_t i = 0; i < n; ++i) {
-      out.emplace_back(i % domain, rng());
-    }
-    return out;
-  }
-  // The deterministic hot key every skewed row lands on. CMS-based hot-key
-  // detection in plan/stats discovers it — nothing downstream is told.
-  const std::uint64_t hot = mix64(salt ^ 0x5ca1ab1eULL) % domain;
-  for (std::uint64_t i = 0; i < n; ++i) {
-    std::uint64_t k = rng.next_below(domain);
-    const std::uint64_t v = rng();
-    // The skew draw comes after the historical (key, value) draws, so
-    // skew == 0 consumes exactly the legacy RNG stream.
-    if (skew_permille != 0 && rng.next_below(1000) < skew_permille) k = hot;
-    out.emplace_back(k, v);
-  }
+  for_each_source_row(salt, n, key_domain, skew_permille, distinct_keys,
+                      [&out](std::uint64_t k, std::uint64_t v) {
+                        out.emplace_back(k, v);
+                      });
   return out;
 }
 

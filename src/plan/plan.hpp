@@ -20,6 +20,8 @@
 #include <utility>
 #include <vector>
 
+#include "common/hash.hpp"
+#include "common/rng.hpp"
 #include "common/serialize.hpp"
 
 namespace hpbdc::plan {
@@ -139,10 +141,43 @@ struct LogicalPlan {
 
 std::vector<Row> source_rows(std::uint64_t salt, std::uint64_t n);
 
-/// Shaped source: `key_domain` widens/narrows the key space (0 =
-/// kKeyDomain), `skew_permille` routes that fraction of rows to one
-/// deterministic hot key, and `distinct_keys` emits keys 0..n-1 (mod
-/// domain) in order — the dimension-table shape. With default shape
+/// The one source generator: calls fn(key, value) for each of the n rows of
+/// a shaped source, in order, without materializing them. `key_domain`
+/// widens/narrows the key space (0 = kKeyDomain), `skew_permille` routes
+/// that fraction of rows to one deterministic hot key, and `distinct_keys`
+/// emits keys 0..n-1 (mod domain) in order — the dimension-table shape.
+/// Each row consumes a fixed number of RNG draws, so the first m rows of an
+/// n-row source are the m-row source.
+template <typename Fn>
+void for_each_source_row(std::uint64_t salt, std::uint64_t n,
+                         std::uint64_t key_domain, std::uint64_t skew_permille,
+                         bool distinct_keys, Fn&& fn) {
+  const std::uint64_t domain = key_domain == 0 ? kKeyDomain : key_domain;
+  Rng rng(salt);
+  if (distinct_keys) {
+    // Dimension-table shape: every key exactly once (cycling past n >
+    // domain), values still drawn so two dims with one salt differ.
+    std::uint64_t k = 0;
+    for (std::uint64_t i = 0; i < n; ++i) {
+      fn(k, rng());
+      if (++k == domain) k = 0;
+    }
+    return;
+  }
+  // The deterministic hot key every skewed row lands on. CMS-based hot-key
+  // detection in plan/stats discovers it — nothing downstream is told.
+  const std::uint64_t hot = mix64(salt ^ 0x5ca1ab1eULL) % domain;
+  for (std::uint64_t i = 0; i < n; ++i) {
+    std::uint64_t k = rng.next_below(domain);
+    const std::uint64_t v = rng();
+    // The skew draw comes after the historical (key, value) draws, so
+    // skew == 0 consumes exactly the legacy RNG stream.
+    if (skew_permille != 0 && rng.next_below(1000) < skew_permille) k = hot;
+    fn(k, v);
+  }
+}
+
+/// for_each_source_row collected into a vector. With default shape
 /// parameters this is bit-identical to source_rows (same RNG draw
 /// sequence).
 std::vector<Row> source_rows_ex(std::uint64_t salt, std::uint64_t n,

@@ -27,15 +27,16 @@ void sort_hot(std::vector<HotKey>& hot) {
 }
 
 /// Sketch a source: HLL for NDV, CMS for heavy hitters, both over a prefix
-/// sample (prefixes of source_rows_ex are themselves exact: each row
-/// consumes a fixed number of RNG draws). The sample is first counted by
-/// key in a flat open-addressing table; the sketches are then fed once per
-/// distinct key — the HLL with the key, the CMS with the key's count — so
-/// the cost is O(sample + distinct keys) with no sort. Both sketches come
-/// out exactly as if fed row by row: HLL registers depend only on the key
-/// set, CMS cells only on per-key totals. The linear NDV scale-up
-/// overestimates for sparse domains, but the key_bound cap makes it exact
-/// in the saturated case — which every star-schema domain here is.
+/// sample (prefixes of for_each_source_row are themselves exact: each row
+/// consumes a fixed number of RNG draws). The generator's rows are counted
+/// by key straight into a flat open-addressing table — no row vector — and
+/// the sketches are then fed once per distinct key: the HLL with the key,
+/// the CMS with the key's count. The cost is O(sample + distinct keys) with
+/// no sort. Both sketches come out exactly as if fed row by row: HLL
+/// registers depend only on the key set, CMS cells only on per-key totals.
+/// The linear NDV scale-up overestimates for sparse domains, but the
+/// key_bound cap makes it exact in the saturated case — which every
+/// star-schema domain here is.
 NodeStats sketch_source(std::uint64_t salt, std::uint64_t rows,
                         std::uint64_t key_domain, std::uint64_t skew,
                         bool distinct_keys, std::uint64_t key_bound,
@@ -47,7 +48,9 @@ NodeStats sketch_source(std::uint64_t salt, std::uint64_t rows,
   if (sample_n == 0) return st;
   // Linear probing; count 0 marks an empty slot. The sample holds at most
   // min(sample_n, key_bound) distinct keys, so the table stays at most half
-  // full and probes stay short.
+  // full and probes stay short. Source keys are always < key_bound, so when
+  // the table has key_bound slots or more each key is its own slot and
+  // never probes (every star-schema domain); wider domains hash.
   struct KeyCount {
     std::uint64_t key = 0;
     std::uint64_t count = 0;
@@ -55,13 +58,16 @@ NodeStats sketch_source(std::uint64_t salt, std::uint64_t rows,
   std::vector<KeyCount> table(
       std::bit_ceil(2 * std::min(sample_n, key_bound)));
   const std::size_t mask = table.size() - 1;
-  for (const Row& r :
-       source_rows_ex(salt, sample_n, key_domain, skew, distinct_keys)) {
-    std::size_t i = static_cast<std::size_t>(hash_u64(r.first)) & mask;
-    while (table[i].count != 0 && table[i].key != r.first) i = (i + 1) & mask;
-    table[i].key = r.first;
-    ++table[i].count;
-  }
+  const bool direct = key_bound <= table.size();
+  for_each_source_row(
+      salt, sample_n, key_domain, skew, distinct_keys,
+      [&](std::uint64_t key, std::uint64_t) {
+        std::size_t i = direct ? static_cast<std::size_t>(key)
+                               : static_cast<std::size_t>(hash_u64(key)) & mask;
+        while (table[i].count != 0 && table[i].key != key) i = (i + 1) & mask;
+        table[i].key = key;
+        ++table[i].count;
+      });
   HyperLogLog hll(kHllPrecision);
   CountMinSketch cms(kCmsEpsilon, kCmsDelta);
   std::size_t distinct = 0;
@@ -76,16 +82,17 @@ NodeStats sketch_source(std::uint64_t salt, std::uint64_t rows,
   st.ndv = std::min(static_cast<double>(key_bound), hll.estimate() * scale);
   // Heavy hitters: every distinct sampled key whose CMS estimate clears the
   // hot threshold. CMS only overestimates, so a truly hot key is never
-  // missed; a false positive only costs a wasted salt.
+  // missed; a false positive only costs a wasted salt. Most keys fail the
+  // threshold on an early CMS row, so the scan stops there for them.
   const auto threshold = static_cast<std::uint64_t>(
       opts.hot_fraction * static_cast<double>(sample_n));
   if (threshold == 0) return st;
   for (std::size_t i = 0; i < distinct; ++i) {
-    const std::uint64_t est = cms.estimate(hash_u64(table[i].key));
-    if (est >= threshold) {
-      st.hot.push_back({table[i].key,
-                        static_cast<std::uint64_t>(static_cast<double>(est) * scale)});
-    }
+    const std::uint64_t h = hash_u64(table[i].key);
+    if (!cms.estimate_at_least(h, threshold)) continue;
+    st.hot.push_back(
+        {table[i].key,
+         static_cast<std::uint64_t>(static_cast<double>(cms.estimate(h)) * scale)});
   }
   sort_hot(st.hot);
   return st;

@@ -1,6 +1,8 @@
 #pragma once
 // Per-node table/key statistics for the cost model (plan/cost.hpp). Source
-// nodes are sketched at registration time — a HyperLogLog estimates the
+// nodes are sketched on every collect_stats call (a star query is planned
+// with two: order_star_dims, then cost_optimize), straight from the one
+// source generator, plan::for_each_source_row — a HyperLogLog estimates the
 // distinct-key count and a count-min sketch surfaces heavy-hitter keys —
 // and the estimates propagate through the plan with the standard textbook
 // formulas (filters halve, joins multiply and divide by the larger NDV,
@@ -56,9 +58,11 @@ inline constexpr double kCmsDelta = 0.01;
 inline constexpr std::size_t kMaxHotKeys = 8;
 
 /// Estimate rows/ndv/hot for every node. Sources are sketched over a prefix
-/// of up to sample_rows rows: the sample is counted by key, then the HLL
-/// and CMS are fed once per distinct key (the CMS with the key's count), so
-/// a source costs O(sample + distinct keys) with no sort. Interior nodes
+/// of up to sample_rows rows: the generated rows are counted by key (a key
+/// is its own count slot when the key bound fits the table, else it is
+/// hashed), then the HLL and CMS are fed once per distinct key (the CMS
+/// with the key's count), so a source costs O(sample + distinct keys) with
+/// no sort and no row vector. Interior nodes
 /// use propagation rules only — no interior node is ever materialized, so
 /// this is cheap enough to run on every submitted plan.
 std::vector<NodeStats> collect_stats(const LogicalPlan& plan,

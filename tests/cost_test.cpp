@@ -218,6 +218,44 @@ TEST(PlanStats, SketchEqualsPerRowReference) {
   EXPECT_GT(with_hot, cases / 4) << "the grid must exercise hot-key detection";
 }
 
+TEST(PlanStats, SketchEqualsPerRowReferenceAtDirectSlotBoundary) {
+  // A source's count table has bit_ceil(2 * min(sample, key_bound)) slots.
+  // Keys index it directly while key_bound fits (key_bound == size), and
+  // hash into it from one key past that (size + 1). Both sides of the
+  // boundary must equal the per-row reference, at several table sizes.
+  struct Case {
+    std::uint64_t rows, sample_rows, table_size;
+  };
+  std::size_t cases = 0, with_hot = 0;
+  for (const Case c : {Case{1, StatsOptions{}.sample_rows, 2},
+                       Case{17, StatsOptions{}.sample_rows, 64},
+                       Case{20000, 5000, 16384},
+                       Case{100000, StatsOptions{}.sample_rows, 131072}}) {
+    for (const std::uint64_t domain : {c.table_size, c.table_size + 1}) {
+      for (const std::uint64_t skew : {0ull, 300ull}) {
+        for (const bool distinct : {false, true}) {
+          const LogicalPlan p = source_only(c.rows, domain, skew, distinct);
+          StatsOptions o;
+          o.sample_rows = c.sample_rows;
+          const NodeStats got = collect_stats(p, o)[0];
+          const NodeStats want = per_row_reference(p.nodes[0], o);
+          SCOPED_TRACE(::testing::Message() << "domain " << domain << " rows " << c.rows
+                                            << " skew " << skew << " distinct "
+                                            << distinct);
+          EXPECT_EQ(got.rows, want.rows);
+          EXPECT_EQ(got.ndv, want.ndv);
+          EXPECT_EQ(got.key_bound, want.key_bound);
+          EXPECT_EQ(got.hot, want.hot);
+          ++cases;
+          with_hot += !want.hot.empty();
+        }
+      }
+    }
+  }
+  EXPECT_EQ(cases, 4u * 2u * 2u * 2u);
+  EXPECT_GT(with_hot, 0u);
+}
+
 // ---- cost_optimize annotations ---------------------------------------------------
 
 TEST(PlanCost, BuildSideFlipsToSmallerInput) {

@@ -9,6 +9,7 @@
 #include <string>
 
 #include "chaos/plan_gen.hpp"
+#include "common/hash.hpp"
 #include "dataflow/context.hpp"
 #include "exec/thread_pool.hpp"
 #include "obs/metrics.hpp"
@@ -245,6 +246,71 @@ TEST(PlanLower, DistJobHasOneStagePerNodePlusCollect) {
   EXPECT_EQ(lower_dist(raw, 4).stages.size(), raw.nodes.size() + 1);
   EXPECT_EQ(lower_dist(opt, 4).stages.size(), opt.nodes.size() + 1);
   EXPECT_LT(opt.nodes.size(), raw.nodes.size());
+}
+
+/// Domains, skews and flags of every source shape the plans use: the
+/// default domain, star dimension and fact domains, and a 2^40 domain.
+const std::vector<std::uint64_t> kShapeDomains = {
+    0, 64, 4096, 16384, std::uint64_t{1} << 40};
+
+TEST(PlanLower, ColumnarSourceBlocksMatchLocalPerShape) {
+  // lower_columnar writes source rows straight from the generator into its
+  // blocks; lower_local materializes them through source_rows_ex. One plan
+  // per shape with a plain source and a fused source head must agree.
+  for (const std::uint64_t domain : kShapeDomains) {
+    for (const std::uint64_t skew : {0ull, 300ull}) {
+      for (const bool distinct : {false, true}) {
+        LogicalPlan p = chain({node(OpKind::kSource), node(OpKind::kFused)}, {0, 1});
+        PlanNode& src = p.nodes[0];
+        src.rows = 3000;
+        src.key_domain = domain;
+        src.skew = skew;
+        src.distinct_keys = distinct;
+        p.nodes[1].steps = {
+            NarrowStep{OpKind::kSource, src.salt ^ 0xf00dULL, 2000, domain, skew,
+                       distinct},
+            NarrowStep{OpKind::kFilterKey, 0x77ULL}};
+        SCOPED_TRACE(::testing::Message() << "domain " << domain << " skew " << skew
+                                          << " distinct " << distinct);
+        EXPECT_EQ(canonical_bytes(lower_columnar(p, pool())), local_bytes(p));
+      }
+    }
+  }
+}
+
+// ---- source generator --------------------------------------------------------
+
+TEST(PlanSource, ShapedRowsPinnedToParent) {
+  // Digests of source_rows_ex captured before the rows came from the one
+  // for_each_source_row generator: every shape, at 0, 1, 17 and 60000 rows.
+  // A change to any key, value or RNG draw fails here.
+  const std::vector<std::uint64_t> want = {
+      0x53f08ed709944e2eULL, 0x87f08bbd9e183560ULL, 0xe702527e805c8ba1ULL,
+      0x87f08bbd9e183560ULL, 0x6d96643e88580b4eULL, 0x903907d572d3cca0ULL,
+      0x56c67d84ebd76b4cULL, 0x903907d572d3cca0ULL, 0x772f20c252557836ULL,
+      0x40fce64ffa81824fULL, 0x0df72cfd4f1713cfULL, 0x40fce64ffa81824fULL,
+      0x4a49430923f8b863ULL, 0xb1632ee180114533ULL, 0x3ef5201040dcce11ULL,
+      0xb1632ee180114533ULL, 0x3700a5828531d0ccULL, 0xb3747648c23a4d8eULL,
+      0x69864024fcb566f3ULL, 0xb3747648c23a4d8eULL};
+  std::size_t shape = 0;
+  for (const std::uint64_t domain : kShapeDomains) {
+    for (const std::uint64_t skew : {0ull, 300ull}) {
+      for (const bool distinct : {false, true}) {
+        std::uint64_t h = 0;
+        for (const std::uint64_t n : {0ull, 1ull, 17ull, 60000ull}) {
+          const auto rows = source_rows_ex(0xd15c0ULL + domain, n, domain, skew, distinct);
+          h = hash_combine(h, rows.size());
+          for (const Row& r : rows) h = hash_combine(hash_combine(h, r.first), r.second);
+        }
+        ASSERT_LT(shape, want.size());
+        EXPECT_EQ(h, want[shape]) << "domain " << domain << " skew " << skew
+                                  << " distinct " << distinct << " digest 0x"
+                                  << std::hex << h;
+        ++shape;
+      }
+    }
+  }
+  EXPECT_EQ(shape, want.size());
 }
 
 // ---- fingerprinting (the serve-layer cache key) ---------------------------

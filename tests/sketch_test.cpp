@@ -7,6 +7,7 @@
 #include <map>
 #include <set>
 #include <string>
+#include <vector>
 
 #include "common/rng.hpp"
 #include "common/sketch.hpp"
@@ -262,6 +263,104 @@ TEST(HyperLogLog, DuplicateAddsAreBitIdentical) {
     // multiset may have missed to it once more, in a different order.
     for (std::uint64_t k = ndv; k-- > 0;) multiset.add(hash_u64(k));
     EXPECT_EQ(multiset.estimate(), distinct.estimate()) << "ndv " << ndv;
+  }
+}
+
+// ---- division-free kernels against their reference formulas ----------------------
+// The CMS reduces with a precomputed reciprocal instead of `% width`, the
+// hot-key scan stops at the first row below its threshold, and the HLL reads
+// 2^-r from a table instead of std::pow. Each must equal the plain formula.
+
+TEST(CountMinSketch, SlotsMatchModuloReference) {
+  // Widths from plan/stats (kCmsEpsilon 0.005), dataflow/approx (0.0005),
+  // the T7 sweep (0.01, 0.001, 0.0001) and a few tiny ones.
+  Rng rng(19);
+  std::size_t checked = 0;
+  for (const double eps : {0.005, 0.0005, 0.01, 0.001, 0.0001, 0.3, 0.5, 0.9}) {
+    for (const double delta : {0.01, 0.5}) {
+      const CountMinSketch cms(eps, delta);
+      const std::uint64_t w = cms.width();
+      for (std::size_t d = 0; d < cms.depth(); ++d) {
+        const std::uint64_t seed = hash_u64(d + 1);
+        std::vector<std::uint64_t> hs = {0, ~std::uint64_t{0}, w - 1, w, w + 1};
+        // Also the h that make the combined value itself an edge of the
+        // reduction: 0, ~0, w - 1, w and the multiples of w around 2^64.
+        const std::uint64_t ones = ~std::uint64_t{0};
+        const std::uint64_t top = ones - ones % w;
+        for (const std::uint64_t x :
+             std::vector<std::uint64_t>{0, ones, w - 1, w, 2 * w - 1, top, top - 1}) {
+          hs.push_back((x ^ seed) - 0x9e3779b97f4a7c15ULL - (seed << 6) - (seed >> 2));
+        }
+        for (int i = 0; i < 20000; ++i) hs.push_back(rng());
+        for (const std::uint64_t h : hs) {
+          ASSERT_EQ(cms.slot(h, d), hash_combine(seed, h) % w)
+              << "eps " << eps << " row " << d << " h 0x" << std::hex << h;
+          ++checked;
+        }
+      }
+    }
+  }
+  EXPECT_GT(checked, 500000u);
+}
+
+TEST(CountMinSketch, EstimateAtLeastEqualsEstimateThreshold) {
+  CountMinSketch cms(0.005, 0.01);
+  for (std::uint64_t k = 0; k < 2000; ++k) cms.add(hash_u64(k), 50000 / (k + 1));
+  std::set<std::uint64_t> thresholds = {0};
+  for (std::uint64_t k = 0; k < 2500; ++k) {
+    const std::uint64_t est = cms.estimate(hash_u64(k));
+    thresholds.insert(est);
+    thresholds.insert(est + 1);
+  }
+  for (std::uint64_t k = 0; k < 2500; ++k) {  // the last 500 keys are absent
+    const std::uint64_t h = hash_u64(k);
+    const std::uint64_t est = cms.estimate(h);
+    for (const std::uint64_t t : thresholds) {
+      ASSERT_EQ(cms.estimate_at_least(h, t), est >= t) << "key " << k << " t " << t;
+    }
+  }
+}
+
+TEST(HyperLogLog, EstimateEqualsPowReference) {
+  Rng rng(23);
+  for (int p = 4; p <= 18; ++p) {
+    const std::size_t m = std::size_t{1} << p;
+    const int max_rank = 64 - p + 1;
+    // The hash that puts `rank` into register idx.
+    auto hash_for = [p, max_rank](std::uint64_t idx, int rank) {
+      const std::uint64_t hi = idx << (64 - p);
+      return rank == max_rank ? hi : hi | (std::uint64_t{1} << (max_rank - 1 - rank));
+    };
+    // Empty, one register, half the registers, all random, all saturated.
+    for (int state = 0; state < 5; ++state) {
+      HyperLogLog hll(p);
+      std::vector<std::uint8_t> regs(m, 0);
+      for (std::size_t i = 0; i < m; ++i) {
+        int rank = 0;
+        if (state == 1 && i == m / 3) rank = 7;
+        if (state == 2 && rng.next_below(2) == 0) rank = 1 + static_cast<int>(rng.next_below(max_rank));
+        if (state == 3) rank = 1 + static_cast<int>(rng.next_below(max_rank));
+        if (state == 4) rank = max_rank;
+        if (rank == 0) continue;
+        hll.add(hash_for(i, rank));
+        regs[i] = static_cast<std::uint8_t>(rank);
+      }
+      // The estimator as it read with std::pow.
+      const double md = static_cast<double>(m);
+      double sum = 0;
+      std::size_t zeros = 0;
+      for (const std::uint8_t r : regs) {
+        sum += std::pow(2.0, -static_cast<double>(r));
+        zeros += (r == 0);
+      }
+      const double alpha = md == 16 ? 0.673
+                           : md == 32 ? 0.697
+                           : md == 64 ? 0.709
+                                      : 0.7213 / (1.0 + 1.079 / md);
+      double want = alpha * md * md / sum;
+      if (want <= 2.5 * md && zeros != 0) want = md * std::log(md / static_cast<double>(zeros));
+      EXPECT_EQ(hll.estimate(), want) << "precision " << p << " state " << state;
+    }
   }
 }
 
