@@ -16,6 +16,7 @@
 #include "exec/parallel.hpp"
 #include "exec/thread_pool.hpp"
 #include "sim/dfs.hpp"
+#include "storage/compression.hpp"
 #include "storage/hash_ring.hpp"
 #include "storage/reed_solomon.hpp"
 
@@ -61,6 +62,30 @@ TEST_P(Seeded, SerdeTruncationAlwaysThrowsNeverUB) {
     EXPECT_THROW(from_bytes<std::vector<std::string>>(prefix), std::runtime_error)
         << "cut=" << cut;
   }
+}
+
+// ---- compression fuzz -------------------------------------------------------------
+
+TEST_P(Seeded, LzssStructuredRandomRoundTrip) {
+  // Random data with planted repeats at random distances (the adversarial
+  // shape for match-finder bugs).
+  Rng rng(GetParam());
+  storage::ByteVec data;
+  while (data.size() < 300000) {
+    if (!data.empty() && rng.next_bool(0.3)) {
+      const auto len = 4 + rng.next_below(500);
+      const auto start = rng.next_below(data.size());
+      for (std::uint64_t i = 0; i < len; ++i) {
+        data.push_back(data[start + (i % (data.size() - start))]);
+      }
+    } else {
+      const auto len = 1 + rng.next_below(200);
+      for (std::uint64_t i = 0; i < len; ++i) {
+        data.push_back(static_cast<std::uint8_t>(rng()));
+      }
+    }
+  }
+  EXPECT_EQ(storage::Lzss::decompress(storage::Lzss::compress(data)), data);
 }
 
 // ---- Reed–Solomon random erasures ----------------------------------------------------
