@@ -8,11 +8,15 @@
 //
 // `--trace=FILE` additionally records one failure-injected run as a Chrome
 // trace (simulated time) loadable in chrome://tracing or ui.perfetto.dev.
+// `--json=FILE` also writes the headline numbers (bench_json.hpp): makespan
+// and speedup per node count, makespan and recomputes per MTBF and
+// checkpoint setting.
 
 #include <cstring>
 #include <iostream>
 #include <string>
 
+#include "bench_json.hpp"
 #include "common/stats.hpp"
 #include "dist/jobs.hpp"
 #include "dist/runtime.hpp"
@@ -61,6 +65,7 @@ RunOut run_job(std::size_t nodes, double mtbf, std::size_t checkpoint_every,
 }  // namespace
 
 int main(int argc, char** argv) {
+  bench::JsonWriter json("f10_dist_runtime", argc, argv);
   std::string trace_path;
   for (int i = 1; i < argc; ++i) {
     if (std::strncmp(argv[i], "--trace=", 8) == 0) trace_path = argv[i] + 8;
@@ -78,9 +83,18 @@ int main(int argc, char** argv) {
     t1.row({std::to_string(nodes), Table::num(r.result.makespan, 2),
             Table::num(base / r.result.makespan, 2),
             Table::num(static_cast<double>(r.stats.shuffle_bytes) / 1e9, 2)});
+    json.metric("makespan_s", r.result.makespan, {{"nodes", std::to_string(nodes)}});
+    json.metric("speedup", base / r.result.makespan,
+                {{"nodes", std::to_string(nodes)}});
   }
   t1.print(std::cout);
 
+  auto record_failures = [&json](const std::string& mtbf, const std::string& ckpt,
+                                 const RunOut& r) {
+    const bench::JsonWriter::Labels labels = {{"mtbf_s", mtbf}, {"ckpt_every", ckpt}};
+    json.metric("makespan_s", r.result.makespan, labels);
+    json.metric("recomputes", static_cast<double>(r.stats.tasks_recomputed), labels);
+  };
   std::cout << "\nTable 2: failure rate sweep (16 nodes, 32 tasks/stage; "
                "ckpt = checkpoint every stage)\n";
   Table t2({"node MTBF (s)", "deaths", "makespan (s)", "recomputes", "retries",
@@ -88,13 +102,16 @@ int main(int argc, char** argv) {
   for (double mtbf : {0.0, 60.0, 30.0, 15.0}) {
     const auto plain = run_job(16, mtbf, 0, 32);
     const auto ckpt = run_job(16, mtbf, 1, 32);
-    t2.row({mtbf == 0.0 ? "inf" : Table::num(mtbf, 0),
+    const std::string mtbf_label = mtbf == 0.0 ? "inf" : Table::num(mtbf, 0);
+    t2.row({mtbf_label,
             std::to_string(plain.stats.executors_declared_dead),
             Table::num(plain.result.makespan, 2),
             std::to_string(plain.stats.tasks_recomputed),
             std::to_string(plain.stats.task_retries),
             Table::num(ckpt.result.makespan, 2),
             std::to_string(ckpt.stats.tasks_recomputed)});
+    record_failures(mtbf_label, "off", plain);
+    record_failures(mtbf_label, "1", ckpt);
   }
   t2.print(std::cout);
 
@@ -104,10 +121,12 @@ int main(int argc, char** argv) {
             "ckpts written", "ckpt restores"});
   for (std::size_t k : {0, 1, 2, 4}) {
     const auto r = run_job(16, 20.0, k, 32);
-    t3.row({k == 0 ? "off" : std::to_string(k), Table::num(r.result.makespan, 2),
+    const std::string ckpt_label = k == 0 ? "off" : std::to_string(k);
+    t3.row({ckpt_label, Table::num(r.result.makespan, 2),
             std::to_string(r.stats.tasks_recomputed),
             std::to_string(r.stats.checkpoints_written),
             std::to_string(r.stats.checkpoint_restores)});
+    record_failures("20", ckpt_label, r);
   }
   t3.print(std::cout);
 

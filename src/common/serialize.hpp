@@ -3,6 +3,14 @@
 // network payloads, and the storage substrate. Little-endian, varint-coded
 // lengths. The format is framework-internal (not a wire standard), but is
 // stable within a build, which is all the simulator and tests require.
+//
+// Byte-identity contract: a value has exactly one encoding. A vector is its
+// varint count followed by each element's Serde encoding, whichever code
+// path writes it — Serde<std::vector<T>> takes a block fast path for
+// fixed-width elements (arithmetic types and pairs of them, see FixedWidth)
+// that must emit the same bytes as the per-element path and reject the same
+// malformed inputs. Simulated sizes are byte counts of these encodings, so
+// any change to them changes simulated outcomes.
 
 #include <cstdint>
 #include <cstring>
@@ -11,6 +19,7 @@
 #include <string>
 #include <string_view>
 #include <type_traits>
+#include <utility>
 #include <vector>
 
 namespace hpbdc {
@@ -30,6 +39,14 @@ class BufWriter {
   void write_raw(const void* data, std::size_t len) {
     const auto* p = static_cast<const std::byte*>(data);
     buf_.insert(buf_.end(), p, p + len);
+  }
+
+  /// Grow the buffer by `len` bytes and return where they start; the caller
+  /// fills them before the next write.
+  std::byte* extend(std::size_t len) {
+    const std::size_t at = buf_.size();
+    buf_.resize(at + len);
+    return buf_.data() + at;
   }
 
   template <typename T>
@@ -74,6 +91,14 @@ class BufReader {
     require(len);
     std::memcpy(out, data_.data() + pos_, len);
     pos_ += len;
+  }
+
+  /// Borrow the next `len` bytes and advance past them.
+  const std::byte* take(std::size_t len) {
+    require(len);
+    const std::byte* p = data_.data() + pos_;
+    pos_ += len;
+    return p;
   }
 
   template <typename T>
@@ -159,17 +184,78 @@ struct Serde<std::pair<A, B>> {
   }
 };
 
+/// Element types whose Serde encoding has one width for every value:
+/// arithmetic types (their raw bytes) and pairs of fixed-width types (first's
+/// bytes, then second's, with no padding). store/load move one value with
+/// per-field copies, never a whole struct: in-memory pairs may be padded, and
+/// libstdc++'s std::pair is not trivially copyable.
+template <typename T>
+struct FixedWidth : std::false_type {};
+
+template <typename T>
+  requires std::is_arithmetic_v<T>
+struct FixedWidth<T> : std::true_type {
+  static constexpr std::size_t width = sizeof(T);
+  static void store(std::byte* p, const T& v) { std::memcpy(p, &v, sizeof(T)); }
+  static void load(const std::byte* p, T& v) { std::memcpy(&v, p, sizeof(T)); }
+};
+
+template <typename A, typename B>
+  requires(FixedWidth<A>::value && FixedWidth<B>::value)
+struct FixedWidth<std::pair<A, B>> : std::true_type {
+  static constexpr std::size_t width = FixedWidth<A>::width + FixedWidth<B>::width;
+  static void store(std::byte* p, const std::pair<A, B>& v) {
+    FixedWidth<A>::store(p, v.first);
+    FixedWidth<B>::store(p + FixedWidth<A>::width, v.second);
+  }
+  static void load(const std::byte* p, std::pair<A, B>& v) {
+    FixedWidth<A>::load(p, v.first);
+    FixedWidth<B>::load(p + FixedWidth<A>::width, v.second);
+  }
+};
+
 template <typename T>
 struct Serde<std::vector<T>> {
+  // std::vector<bool> packs bits and has no T&: it takes the per-element path.
+  static constexpr bool kBlock = FixedWidth<T>::value && !std::is_same_v<T, bool>;
+
   static void write(BufWriter& w, const std::vector<T>& v) {
     w.write_varint(v.size());
-    for (const auto& e : v) Serde<T>::write(w, e);
+    if constexpr (kBlock) {
+      // One buffer extension for the block, then per-field stores.
+      constexpr std::size_t kW = FixedWidth<T>::width;
+      std::byte* p = w.extend(v.size() * kW);
+      for (const T& e : v) {
+        FixedWidth<T>::store(p, e);
+        p += kW;
+      }
+    } else {
+      for (const auto& e : v) Serde<T>::write(w, e);
+    }
   }
   static std::vector<T> read(BufReader& r) {
     const auto n = r.read_varint();
+    // A count past what the bytes left can hold is corrupt: reject it before
+    // it sizes an allocation.
     std::vector<T> v;
-    v.reserve(n);
-    for (std::uint64_t i = 0; i < n; ++i) v.push_back(Serde<T>::read(r));
+    if constexpr (kBlock) {
+      // One bounds check for the block, then per-field loads.
+      constexpr std::size_t kW = FixedWidth<T>::width;
+      if (n > r.remaining() / kW) {
+        throw std::runtime_error("BufReader: truncated input");
+      }
+      const std::byte* p = r.take(n * kW);
+      v.resize(n);
+      for (T& e : v) {
+        FixedWidth<T>::load(p, e);
+        p += kW;
+      }
+    } else {
+      // Every element encodes to at least one byte.
+      if (n > r.remaining()) throw std::runtime_error("BufReader: truncated input");
+      v.reserve(n);
+      for (std::uint64_t i = 0; i < n; ++i) v.push_back(Serde<T>::read(r));
+    }
     return v;
   }
 };

@@ -1,7 +1,7 @@
 #include "plan/lower.hpp"
 
 #include <algorithm>
-#include <map>
+#include <limits>
 
 #include "common/hash.hpp"
 #include "dataflow/pair_ops.hpp"
@@ -163,29 +163,95 @@ std::vector<bool> pick_broadcast_nodes(const LogicalPlan& plan,
 }
 
 /// Concatenate parent `pi`'s blocks for this task, in parent-task order
-/// (deterministic regardless of fetch completion order).
+/// (deterministic regardless of fetch completion order). The first non-empty
+/// block is moved, not copied, so a single-block input costs one decode.
 std::vector<Row> gather_rows(const std::vector<std::vector<Bytes>>& inputs,
                              std::size_t pi) {
   std::vector<Row> rows;
   for (const Bytes& b : inputs.at(pi)) {
     auto part = from_bytes<std::vector<Row>>(b);
-    rows.insert(rows.end(), part.begin(), part.end());
+    if (rows.empty()) {
+      rows = std::move(part);
+    } else {
+      rows.insert(rows.end(), part.begin(), part.end());
+    }
   }
   return rows;
 }
 
-std::vector<Row> local_join(const std::vector<Row>& lhs,
-                            const std::vector<Row>& rhs) {
-  std::multimap<std::uint64_t, std::uint64_t> left_by_key;
-  for (const Row& r : lhs) left_by_key.emplace(r.first, r.second);
+/// Task `task`'s slice of a source (a kSource node or a fused source head):
+/// the rows whose index is task + m·ntasks, streamed from the generator
+/// without materializing the whole source.
+template <typename Shape>
+std::vector<Row> source_slice(const Shape& src, std::size_t task,
+                              std::size_t ntasks) {
+  std::vector<Row> mine;
+  mine.reserve(src.rows / ntasks + 1);
+  std::uint64_t j = 0, want = task;
+  for_each_source_row(src.salt, src.rows, src.key_domain, src.skew,
+                      src.distinct_keys, [&](std::uint64_t k, std::uint64_t v) {
+                        if (j++ == want) {
+                          mine.emplace_back(k, v);
+                          want += ntasks;
+                        }
+                      });
+  return mine;
+}
+
+/// One key of hash_join's index: the key's first and last lhs row.
+template <typename Idx>
+struct JoinSlot {
+  static constexpr Idx kEnd = std::numeric_limits<Idx>::max();
+  std::uint64_t key = 0;
+  Idx head = kEnd;  // kEnd marks an empty slot
+  Idx tail = kEnd;
+};
+
+/// Inner join on key, building from lhs and probing with rhs. An
+/// open-addressing index maps each key to its first and last lhs row, and
+/// `next` chains the lhs rows of one key in lhs order, so every probe row's
+/// matches come out in lhs order: the output order is rhs-major, then lhs.
+template <typename Idx>
+std::vector<Row> hash_join(const std::vector<Row>& lhs,
+                           const std::vector<Row>& rhs) {
+  using Slot = JoinSlot<Idx>;
+  constexpr Idx kEnd = Slot::kEnd;
+  std::size_t cap = 16;  // a power of two at most half full
+  while (cap < 2 * lhs.size()) cap <<= 1;
+  const std::size_t mask = cap - 1;
+  std::vector<Slot> table(cap);
+  auto find = [&table, mask](std::uint64_t k) -> Slot& {
+    std::size_t s = hash_u64(k) & mask;
+    while (table[s].head != kEnd && table[s].key != k) s = (s + 1) & mask;
+    return table[s];
+  };
+  std::vector<Idx> next(lhs.size(), kEnd);
+  for (std::size_t i = 0; i < lhs.size(); ++i) {
+    Slot& slot = find(lhs[i].first);
+    if (slot.head == kEnd) {
+      slot.key = lhs[i].first;
+      slot.head = static_cast<Idx>(i);
+    } else {
+      next[slot.tail] = static_cast<Idx>(i);
+    }
+    slot.tail = static_cast<Idx>(i);
+  }
   std::vector<Row> out;
   for (const Row& r : rhs) {
-    auto [lo, hi] = left_by_key.equal_range(r.first);
-    for (auto it = lo; it != hi; ++it) {
-      out.push_back(join_rows(r.first, it->second, r.second));
+    for (Idx i = find(r.first).head; i != kEnd; i = next[i]) {
+      out.push_back(join_rows(r.first, lhs[i].second, r.second));
     }
   }
   return out;
+}
+
+std::vector<Row> local_join(const std::vector<Row>& lhs,
+                            const std::vector<Row>& rhs) {
+  // 32-bit row indices halve the index, as long as kEnd stays out of range.
+  if (lhs.size() < std::numeric_limits<std::uint32_t>::max()) {
+    return hash_join<std::uint32_t>(lhs, rhs);
+  }
+  return hash_join<std::uint64_t>(lhs, rhs);
 }
 
 }  // namespace
@@ -314,12 +380,7 @@ dist::JobSpec lower_dist(const LogicalPlan& plan, std::size_t ntasks,
         // whose union is exactly the reference source.
         st.run = [src = nd, ntasks, finalize](
                      std::size_t task, const std::vector<std::vector<Bytes>>&) {
-          const auto all = node_source_rows(src);
-          std::vector<Row> mine;
-          for (std::size_t j = task; j < all.size(); j += ntasks) {
-            mine.push_back(all[j]);
-          }
-          return finalize(std::move(mine));
+          return finalize(source_slice(src, task, ntasks));
         };
         st.input_bytes_per_task =
             std::max<std::uint64_t>(1, nd.rows * 16 / ntasks);
@@ -379,12 +440,8 @@ dist::JobSpec lower_dist(const LogicalPlan& plan, std::size_t ntasks,
         if (steps.front().op == OpKind::kSource) {
           st.run = [ntasks, steps, finalize](
                        std::size_t task, const std::vector<std::vector<Bytes>>&) {
-            const auto all = step_source_rows(steps.front());
-            std::vector<Row> mine;
-            for (std::size_t j = task; j < all.size(); j += ntasks) {
-              mine.push_back(all[j]);
-            }
-            return finalize(apply_steps(steps, 1, std::move(mine)));
+            return finalize(
+                apply_steps(steps, 1, source_slice(steps.front(), task, ntasks)));
           };
           st.input_bytes_per_task =
               std::max<std::uint64_t>(1, steps.front().rows * 16 / ntasks);

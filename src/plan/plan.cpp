@@ -1,7 +1,6 @@
 #include "plan/plan.hpp"
 
 #include <algorithm>
-#include <map>
 
 #include "common/hash.hpp"
 
@@ -182,12 +181,20 @@ std::vector<Row> apply_steps(const std::vector<NarrowStep>& steps,
 }
 
 std::vector<Row> combine_rows(std::vector<Row> rows) {
-  std::map<std::uint64_t, std::uint64_t> acc;
+  // Sort by key, then fold each run of one key into its first row. The
+  // order inside a run is free: reduce_combine is a commutative sum.
+  std::sort(rows.begin(), rows.end(),
+            [](const Row& a, const Row& b) { return a.first < b.first; });
+  std::size_t out = 0;
   for (const Row& r : rows) {
-    auto [it, fresh] = acc.emplace(r.first, r.second);
-    if (!fresh) it->second = reduce_combine(it->second, r.second);
+    if (out != 0 && rows[out - 1].first == r.first) {
+      rows[out - 1].second = reduce_combine(rows[out - 1].second, r.second);
+    } else {
+      rows[out++] = r;
+    }
   }
-  return {acc.begin(), acc.end()};
+  rows.resize(out);
+  return rows;
 }
 
 Bytes canonical_bytes(std::vector<Row> rows) {

@@ -210,6 +210,91 @@ TEST(Serialize, TrailingGarbageThrows) {
   EXPECT_THROW(from_bytes<std::uint32_t>(w.bytes()), std::runtime_error);
 }
 
+TEST(Serialize, HugeVectorCountThrowsTruncated) {
+  // A corrupt element count must fail as truncated input before it sizes an
+  // allocation: every element encodes to at least one byte.
+  using Row = std::pair<std::uint64_t, std::uint64_t>;
+  auto expect_truncated = [](auto decode, std::uint64_t n) {
+    try {
+      decode();
+      ADD_FAILURE() << "count " << n << " decoded";
+    } catch (const std::runtime_error& e) {
+      EXPECT_NE(std::string(e.what()).find("truncated"), std::string::npos) << e.what();
+    } catch (const std::exception& e) {
+      ADD_FAILURE() << "count " << n << " threw " << e.what();
+    }
+  };
+  for (const std::uint64_t n : {1ULL << 28, 1ULL << 40, 1ULL << 62}) {
+    BufWriter w;
+    w.write_varint(n);
+    const Bytes b = w.take();
+    expect_truncated([&b] { return from_bytes<std::vector<Row>>(b); }, n);
+    expect_truncated([&b] { return from_bytes<std::vector<std::string>>(b); }, n);
+  }
+  // Fewer bytes left than the count's fixed-width rows need.
+  BufWriter w;
+  w.write_varint(2);
+  w.write_pod<std::uint64_t>(1);
+  w.write_pod<std::uint64_t>(2);
+  const Bytes b = w.take();
+  expect_truncated([&b] { return from_bytes<std::vector<Row>>(b); }, 2);
+}
+
+// Per-element reference encoder for the fixed-width block path.
+template <typename T>
+  requires std::is_arithmetic_v<T>
+void put_each(BufWriter& w, const T& v) {
+  w.write_pod(v);
+}
+template <typename A, typename B>
+void put_each(BufWriter& w, const std::pair<A, B>& v) {
+  put_each(w, v.first);
+  put_each(w, v.second);
+}
+
+template <typename T>
+T random_value(Rng& rng) {
+  if constexpr (std::is_same_v<T, double>) {
+    return rng.next_double() * 1e6 - 5e5;
+  } else if constexpr (std::is_arithmetic_v<T>) {
+    return static_cast<T>(rng());
+  } else {
+    return {random_value<typename T::first_type>(rng),
+            random_value<typename T::second_type>(rng)};
+  }
+}
+
+template <typename T>
+void check_fixed_width_vector(std::size_t width) {
+  EXPECT_EQ(FixedWidth<T>::width, width);
+  Rng rng(width * 131 + sizeof(T));
+  for (const std::size_t n : {0, 1, 127, 128, 16384}) {
+    std::vector<T> v(n);
+    for (T& e : v) e = random_value<T>(rng);
+    BufWriter ref;
+    ref.write_varint(n);
+    for (const T& e : v) put_each(ref, e);
+    Bytes bytes = to_bytes(v);
+    ASSERT_EQ(bytes, ref.bytes()) << "n=" << n;
+    EXPECT_EQ(bytes.size(), ref.size());
+    EXPECT_EQ(from_bytes<std::vector<T>>(bytes), v) << "n=" << n;
+    Bytes cut(bytes.begin(), bytes.end() - 1);
+    EXPECT_THROW(from_bytes<std::vector<T>>(cut), std::runtime_error) << "n=" << n;
+    bytes.push_back(std::byte{0});
+    EXPECT_THROW(from_bytes<std::vector<T>>(bytes), std::runtime_error) << "n=" << n;
+  }
+}
+
+TEST(Serialize, FixedWidthVectorBytesMatchPerElement) {
+  check_fixed_width_vector<std::uint8_t>(1);
+  check_fixed_width_vector<std::uint32_t>(4);
+  check_fixed_width_vector<double>(8);
+  check_fixed_width_vector<std::pair<std::uint64_t, std::uint64_t>>(16);
+  // 12 encoded bytes, 16 in memory: the padding never reaches the encoding.
+  static_assert(sizeof(std::pair<std::uint32_t, std::uint64_t>) == 16);
+  check_fixed_width_vector<std::pair<std::uint32_t, std::uint64_t>>(12);
+}
+
 // ---- stats -------------------------------------------------------------------
 
 TEST(RunningStat, Basics) {

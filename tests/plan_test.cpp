@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
 #include <set>
 #include <string>
 
@@ -275,6 +276,178 @@ TEST(PlanLower, ColumnarSourceBlocksMatchLocalPerShape) {
         EXPECT_EQ(canonical_bytes(lower_columnar(p, pool())), local_bytes(p));
       }
     }
+  }
+}
+
+// ---- dist stage kernels --------------------------------------------------------
+
+/// Runs every stage of a lowered job in-process, task by task, feeding each
+/// task the blocks its parents' tasks addressed to it (in parent-task order,
+/// as the runtime delivers them), and folds every output block's bytes into
+/// one digest.
+std::uint64_t stage_bytes_digest(const dist::JobSpec& job) {
+  std::vector<std::vector<std::vector<Bytes>>> out(job.stages.size());
+  std::uint64_t h = 0;
+  for (std::size_t s = 0; s < job.stages.size(); ++s) {
+    const dist::StageSpec& st = job.stages[s];
+    out[s].resize(st.ntasks);
+    for (std::size_t t = 0; t < st.ntasks; ++t) {
+      std::vector<std::vector<Bytes>> in;
+      for (const std::size_t p : st.parents) {
+        std::vector<Bytes> blocks;
+        for (const std::vector<Bytes>& task_out : out[p]) blocks.push_back(task_out.at(t));
+        in.push_back(std::move(blocks));
+      }
+      out[s][t] = st.run(t, in);
+      h = hash_combine(h, out[s][t].size());
+      for (const Bytes& b : out[s][t]) {
+        h = hash_combine(h, hash_bytes(reinterpret_cast<const char*>(b.data()), b.size()));
+      }
+    }
+  }
+  return h;
+}
+
+PlanNode shaped_source(std::uint64_t salt, std::uint64_t rows, std::uint64_t domain,
+                       std::uint64_t skew, bool distinct) {
+  PlanNode nd = node(OpKind::kSource);
+  nd.salt = salt;
+  nd.rows = rows;
+  nd.key_domain = domain;
+  nd.skew = skew;
+  nd.distinct_keys = distinct;
+  return nd;
+}
+
+/// The key every skewed row of a source lands on (for_each_source_row).
+std::uint64_t hot_key_of(const PlanNode& src) {
+  return mix64(src.salt ^ 0x5ca1ab1eULL) % (src.key_domain == 0 ? kKeyDomain : src.key_domain);
+}
+
+LogicalPlan plan_of(std::vector<PlanNode> nodes, std::vector<std::size_t> sinks) {
+  LogicalPlan p;
+  p.seed = 1;
+  p.nodes = std::move(nodes);
+  p.sinks = std::move(sinks);
+  return p;
+}
+
+TEST(PlanLower, DistStageBytesPinnedToParent) {
+  // Every stage's output blocks, for every task, hashed and pinned to digests
+  // captured from the std::multimap join, materialize-then-stride sources and
+  // std::map combine these kernels replaced. Simulated sizes are byte counts
+  // of these blocks, so a kernel that reorders, drops or re-encodes a row
+  // changes simulated outcomes and fails here.
+  struct Case {
+    std::string name;
+    LogicalPlan plan;
+    LowerDistOptions opts;
+  };
+  std::vector<Case> cases;
+  for (const std::uint64_t n : {0ull, 1ull, 17ull, 30000ull}) {
+    PlanNode fused = node(OpKind::kFused);
+    fused.steps = {NarrowStep{OpKind::kSource, 0xf05eULL, n, 4096, 250, false},
+                   NarrowStep{OpKind::kFilterKey, 0x71ULL},
+                   NarrowStep{OpKind::kMapValues, 0x72ULL},
+                   NarrowStep{OpKind::kFlatMap, 0x73ULL}};
+    cases.push_back({"sources n=" + std::to_string(n),
+                     plan_of({shaped_source(0x501ULL, n, 0, 0, false),
+                              shaped_source(0x502ULL, n, 4096, 300, false),
+                              shaped_source(0x503ULL, n, 4096, 0, true),
+                              std::move(fused)},
+                             {0, 1, 2, 3}),
+                     {}});
+  }
+  {
+    // Every narrow and wide op, a non-head fused pipeline and a map-side
+    // combine feeding a reduce.
+    std::vector<PlanNode> nd = {shaped_source(0x601ULL, 3000, 0, 0, false),
+                                node(OpKind::kMap, 0),       node(OpKind::kMapValues, 1),
+                                node(OpKind::kFilter, 2),    node(OpKind::kFilterKey, 3),
+                                node(OpKind::kFlatMap, 4),   node(OpKind::kSortBy, 5),
+                                node(OpKind::kDistinct, 6),  node(OpKind::kMapValues, 0),
+                                node(OpKind::kReduceByKey, 8), node(OpKind::kFused, 0)};
+    nd[8].combine_output = true;
+    nd[10].steps = {NarrowStep{OpKind::kMap, 0x81ULL}, NarrowStep{OpKind::kFilter, 0x82ULL}};
+    cases.push_back({"ops", plan_of(std::move(nd), {7, 9, 10}), {}});
+  }
+  // Duplicate keys on both sides; probe keys 64..95 miss the build side.
+  cases.push_back({"join",
+                   plan_of({shaped_source(0x701ULL, 2000, 64, 0, false),
+                            shaped_source(0x702ULL, 3000, 96, 0, false),
+                            node(OpKind::kJoin, 0, 1)},
+                           {2}),
+                   {}});
+  {
+    // Skew-salted build/probe pairs, building from either side.
+    std::vector<PlanNode> nd = {shaped_source(0x801ULL, 2000, 64, 0, false),
+                                shaped_source(0x802ULL, 3000, 64, 400, false),
+                                node(OpKind::kJoin, 0, 1),
+                                shaped_source(0x803ULL, 3000, 64, 400, false),
+                                shaped_source(0x804ULL, 2000, 64, 0, false),
+                                node(OpKind::kJoin, 3, 4)};
+    nd[2].salt_fanout = 4;
+    nd[2].hot_keys = {hot_key_of(nd[1]), 5};
+    nd[5].build_left = false;
+    nd[5].salt_fanout = 4;
+    nd[5].hot_keys = {hot_key_of(nd[3])};
+    cases.push_back({"skew join", plan_of(std::move(nd), {2, 5}), {}});
+  }
+  {
+    // A broadcast dimension build probed by a skewed fact side.
+    LowerDistOptions bc;
+    bc.broadcast_join_rows = 8192;
+    cases.push_back({"broadcast join",
+                     plan_of({shaped_source(0x901ULL, 4096, 4096, 0, true),
+                              shaped_source(0x902ULL, 20000, 4096, 100, false),
+                              node(OpKind::kJoin, 0, 1)},
+                             {2}),
+                     bc});
+  }
+  const std::vector<std::uint64_t> want = {
+      0x41042e2a5f8f62f4ULL, 0xfbaae15f34d2ce40ULL, 0xf2e2059e69b7d4b0ULL,
+      0x5d9d28b00ebad4c5ULL, 0xa12a0e8cfa40d1f6ULL, 0x897b5c6db30a89e9ULL,
+      0xa5871049714a078dULL, 0xefb0e256a03f1267ULL, 0x211c165e79c7bc3cULL,
+      0x082f4a473605bee1ULL, 0xe63879142561bf5fULL, 0xe09f78fcadded20aULL,
+      0xcca69bbf2fed8cfbULL, 0xd75cb11c7d114f4bULL, 0x9d481151ca25e785ULL,
+      0x6303d6519dd96412ULL};
+  std::size_t i = 0;
+  for (const Case& c : cases) {
+    for (const std::size_t ntasks : {3u, 4u}) {
+      const dist::JobSpec job = lower_dist(c.plan, ntasks, c.opts);
+      if (c.name == "broadcast join") {
+        EXPECT_TRUE(job.stages[0].broadcast);
+      }
+      const std::uint64_t h = stage_bytes_digest(job);
+      ASSERT_LT(i, want.size());
+      EXPECT_EQ(h, want[i]) << c.name << " ntasks " << ntasks << " digest 0x" << std::hex << h;
+      ++i;
+    }
+  }
+  EXPECT_EQ(i, want.size());
+}
+
+// ---- map-side combine -------------------------------------------------------
+
+TEST(PlanRows, CombineRowsEqualsMapReference) {
+  auto reference = [](const std::vector<Row>& rows) {
+    std::map<std::uint64_t, std::uint64_t> acc;
+    for (const Row& r : rows) {
+      auto [it, fresh] = acc.emplace(r.first, r.second);
+      if (!fresh) it->second = reduce_combine(it->second, r.second);
+    }
+    return std::vector<Row>(acc.begin(), acc.end());
+  };
+  Rng rng(0xc0b1ULL);
+  std::vector<std::vector<Row>> inputs = {{}, {{7, 9}}};
+  for (const std::uint64_t keys : {1ull, 8ull, 64ull, 1ull << 40}) {
+    std::vector<Row> rows(5000);
+    // Values near 2^64 make every multi-row sum wrap.
+    for (Row& r : rows) r = {rng.next_below(keys) * 977, ~0ULL - rng.next_below(1000)};
+    inputs.push_back(std::move(rows));
+  }
+  for (const std::vector<Row>& rows : inputs) {
+    EXPECT_EQ(combine_rows(rows), reference(rows)) << rows.size() << " rows";
   }
 }
 
