@@ -21,9 +21,12 @@
 // simulated time, not one per job), so a ~1M-job day costs thousands of
 // generator events, not a million closures.
 // All simulated times are seed-deterministic; --json=FILE emits the
-// headline numbers (bench_json.hpp). --tenants=N / --jobs=N rescale.
+// headline numbers (bench_json.hpp), plus the overload run's event count and
+// host nanoseconds per simulated event (the event core's ledger point).
+// --tenants=N / --jobs=N rescale.
 
 #include <algorithm>
+#include <chrono>
 #include <cmath>
 #include <cstring>
 #include <functional>
@@ -151,6 +154,8 @@ struct RunOut {
   std::uint64_t decisions = 0;
   double decision_ns = 0;  // real ns per dispatch decision
   double window = 0;
+  std::uint64_t sim_events = 0;
+  double host_ns_per_event = 0;  // real ns per event of the simulation loop
 };
 
 /// One serving day. `rate` is the offered submission rate (jobs/s of sim
@@ -270,7 +275,15 @@ RunOut run_day(Mode mode, std::size_t tenants,
   // tail would flatter elasticity for free.
   const double stop = window + 20.0;
   sim.schedule_at(stop, [&ctrl] { ctrl.stop(); });
+  const auto t0 = std::chrono::steady_clock::now();
   sim.run_until(stop + 10.0);
+  const double loop_ns = std::chrono::duration<double, std::nano>(
+                             std::chrono::steady_clock::now() - t0)
+                             .count();
+  out.sim_events = sim.events_processed();
+  if (out.sim_events > 0) {
+    out.host_ns_per_event = loop_ns / static_cast<double>(out.sim_events);
+  }
 
   const serve::ServeStats& st = svc.stats();
   out.submitted = st.submitted;
@@ -378,6 +391,8 @@ int main(int argc, char** argv) {
     t1b.print(std::cout);
     json.metric("jain_fairness", o.jain, {{"tenants", std::to_string(tenants)}});
     json.metric("p99_latency_tier_s", o.p99_by_class[0], {{"table", "overload"}});
+    json.metric("sim_events", static_cast<double>(o.sim_events), {{"table", "overload"}});
+    json.metric("host_ns_per_event", o.host_ns_per_event, {{"table", "overload"}});
     std::cout << "  Jain over per-tenant completions: " << Table::num(o.jain, 4)
               << (o.jain >= 0.99 ? " (>= 0.99: PASS)" : " (< 0.99)") << "\n\n";
   }

@@ -71,22 +71,20 @@ FlowFabric::FlowFabric(sim::Comm& comm, Hooks hooks)
       on_message(r, from, payload);
     });
   }
-  for (auto& ch : chans_) ch.credits = opts_.credits_per_channel;
 }
 
 void FlowFabric::reset(const FlowOptions& opts, std::uint64_t epoch) {
   opts_ = opts;
   epoch_ = epoch;
-  for (auto& ch : chans_) {
-    ch.credits = opts_.credits_per_channel;
-    ch.queue.clear();
-  }
+  ++reset_gen_;  // every channel re-arms on its next touch
   for (auto& m : bufs_) m.clear();  // waiters die silently: their jobs are gone
 }
 
 std::size_t FlowFabric::segments_in_flight() const {
   std::size_t n = 0;
-  for (const auto& ch : chans_) n += opts_.credits_per_channel - ch.credits;
+  for (const auto& ch : chans_) {
+    if (ch.gen == reset_gen_) n += opts_.credits_per_channel - ch.credits;
+  }
   return n;
 }
 

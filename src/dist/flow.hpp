@@ -182,6 +182,7 @@ class FlowFabric {
   struct Channel {
     std::size_t credits = 0;
     std::deque<PendingSeg> queue;
+    std::uint64_t gen = 0;  // reset generation this channel was last armed in
   };
 
   static std::uint64_t key(std::size_t stage, std::size_t task, std::uint32_t child) {
@@ -189,7 +190,18 @@ class FlowFabric {
            (static_cast<std::uint64_t>(task) << 32) | child;
   }
 
-  Channel& chan(std::size_t src, std::size_t dst) { return chans_[src * nranks_ + dst]; }
+  /// The (src, dst) channel, re-armed on its first touch since reset():
+  /// full credits, empty queue. Resetting every channel eagerly would cost
+  /// O(nodes^2) per job.
+  Channel& chan(std::size_t src, std::size_t dst) {
+    Channel& ch = chans_[src * nranks_ + dst];
+    if (ch.gen != reset_gen_) {
+      ch.gen = reset_gen_;
+      ch.credits = opts_.credits_per_channel;
+      ch.queue.clear();
+    }
+    return ch;
+  }
 
   void send_segment(const PendingSeg& s);
   void on_message(std::size_t me, std::size_t from, const Bytes& payload);
@@ -206,6 +218,9 @@ class FlowFabric {
   std::size_t nranks_ = 0;
   int tag_ = 0;
   std::uint64_t next_waiter_ = 1;
+  // Bumped by every reset(), independently of the job epoch (which callers
+  // may repeat): a channel whose gen differs is stale and re-armed by chan().
+  std::uint64_t reset_gen_ = 1;
   std::vector<Channel> chans_;                          // [src * nranks + dst]
   std::vector<std::map<std::uint64_t, Stream>> bufs_;   // [node][key]
   FlowStats stats_;

@@ -17,7 +17,7 @@
 #include <vector>
 
 #include "common/serialize.hpp"
-#include "sim/simulator.hpp"
+#include "sim/time.hpp"
 
 namespace hpbdc::dist {
 

@@ -6,6 +6,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <memory>
 #include <unordered_map>
 
 #include "common/hash.hpp"
@@ -32,7 +33,7 @@ class Comm {
 
   /// Register the handler for (rank, tag). Overwrites any previous handler.
   void set_handler(std::size_t rank, int tag, Handler h) {
-    handlers_[key(rank, tag)] = std::move(h);
+    handlers_[key(rank, tag)] = std::make_shared<const Handler>(std::move(h));
   }
 
   /// Send payload from src to dst; delivery invokes the (dst, tag) handler.
@@ -49,19 +50,21 @@ class Comm {
   void send_sized(std::size_t src, std::size_t dst, int tag, std::uint64_t body_bytes,
                   Bytes payload = {}) {
     const auto wire = body_bytes + kHeaderBytes;
-    net_.send(src, dst, wire,
-              [this, src, dst, tag, p = std::move(payload)]() mutable {
-                auto it = handlers_.find(key(dst, tag));
-                if (it == handlers_.end()) {
-                  ++dropped_;
-                  return;
-                }
-                // Copy out before invoking: a handler may replace itself
-                // through set_handler, which would otherwise destroy the
-                // std::function mid-call.
-                Handler h = it->second;
-                h(src, p);
-              });
+    auto deliver = [this, src, dst, tag, p = std::move(payload)] {
+      auto it = handlers_.find(key(dst, tag));
+      if (it == handlers_.end()) {
+        ++dropped_;
+        return;
+      }
+      // Hold a reference while invoking: a handler may replace itself
+      // through set_handler, which would otherwise destroy the
+      // std::function mid-call.
+      const std::shared_ptr<const Handler> h = it->second;
+      (*h)(src, p);
+    };
+    static_assert(Action::stores_inline<decltype(deliver)>,
+                  "every message delivery would allocate");
+    net_.send(src, dst, wire, std::move(deliver));
   }
 
   /// Multicast with an explicit simulated body size: one fabric frame from
@@ -78,8 +81,8 @@ class Comm {
                        ++dropped_;
                        return;
                      }
-                     Handler h = it->second;
-                     h(src, p);
+                     const std::shared_ptr<const Handler> h = it->second;
+                     (*h)(src, p);
                    });
   }
 
@@ -96,7 +99,8 @@ class Comm {
 
   Simulator& sim_;
   Network& net_;
-  std::unordered_map<std::uint64_t, Handler> handlers_;
+  // Shared so that a delivery copies a pointer, not the std::function.
+  std::unordered_map<std::uint64_t, std::shared_ptr<const Handler>> handlers_;
   int tag_counter_ = 1;
   std::uint64_t dropped_ = 0;
 };

@@ -126,7 +126,7 @@ class Network {
   /// Transfer `bytes` from src to dst; `on_delivered` fires at delivery time.
   /// Local (src == dst) transfers cost only a loopback latency.
   void send(std::size_t src, std::size_t dst, std::uint64_t bytes,
-            std::function<void()> on_delivered) {
+            Action on_delivered) {
     check(src);
     check(dst);
     stats_.messages++;

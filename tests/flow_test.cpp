@@ -13,6 +13,7 @@
 
 #include "chaos/harness.hpp"
 #include "chaos/plan_gen.hpp"
+#include "dist/flow.hpp"
 #include "dist/jobs.hpp"
 #include "dist/runtime.hpp"
 #include "dist/slots.hpp"
@@ -96,6 +97,57 @@ TEST(Flow, CreditExhaustionStallsThenResumes) {
   EXPECT_EQ(fs.streams_broken, 0u);  // fault-free run
   // Lineage fingerprints are content-checkable: same answer both transports.
   EXPECT_EQ(result_bytes(res), result_bytes(base));
+}
+
+TEST(Flow, ResetRearmsEveryChannel) {
+  // reset() re-arms channels lazily, on first touch: every channel must
+  // come back with a full window and an empty queue, whether the new job
+  // changes credits_per_channel or repeats the previous epoch value.
+  sim::Simulator sim;
+  sim::Network net(sim, star(4));
+  sim::Comm comm(sim, net);
+  const Bytes block(8);
+  flow::FlowFabric fab(
+      comm, {[](std::size_t) { return true; },
+             [&block](std::size_t, std::size_t, std::size_t, std::uint32_t) {
+               return &block;
+             }});
+  const std::vector<std::pair<std::size_t, std::size_t>> chans = {
+      {0, 1}, {1, 2}, {2, 3}, {3, 0}, {1, 1}};
+  FlowOptions opts;
+  opts.segment_bytes = 1024;
+  opts.credits_per_channel = 2;
+  fab.reset(opts, 1);
+  std::size_t task = 0;
+  for (const auto& [src, dst] : chans) fab.push_block(src, dst, 0, task++, 0, 5 * 1024);
+  EXPECT_EQ(fab.segments_in_flight(), 2 * chans.size());
+  EXPECT_EQ(fab.stats().credit_stalls, 3 * chans.size());  // queued, never sent
+
+  // A wider window: the fresh push sends all three segments at once.
+  opts.credits_per_channel = 3;
+  fab.reset(opts, 2);
+  EXPECT_EQ(fab.segments_in_flight(), 0u);
+  std::uint64_t stalls = fab.stats().credit_stalls;
+  fab.push_block(0, 1, 0, task++, 0, 3 * 1024);
+  EXPECT_EQ(fab.stats().credit_stalls, stalls);
+  EXPECT_EQ(fab.segments_in_flight(), 3u);
+  fab.push_block(0, 1, 0, task++, 0, 1024);  // past the window: queues
+  EXPECT_EQ(fab.stats().credit_stalls, stalls + 1);
+
+  // The same epoch again still re-arms every channel.
+  fab.reset(opts, 2);
+  EXPECT_EQ(fab.segments_in_flight(), 0u);
+  stalls = fab.stats().credit_stalls;
+  for (const auto& [src, dst] : chans) {
+    fab.push_block(src, dst, 0, task++, 0, 3 * 1024);
+    EXPECT_EQ(fab.stats().credit_stalls, stalls) << src << "->" << dst;
+  }
+  EXPECT_EQ(fab.segments_in_flight(), 3 * chans.size());
+
+  // Queued segments died with their reset: 10 + 3 + 15 were ever sent.
+  sim.run();
+  EXPECT_EQ(fab.stats().segments_pushed, 2 * chans.size() + 3 + 3 * chans.size());
+  EXPECT_EQ(fab.segments_in_flight(), 0u);  // every ack came home
 }
 
 TEST(Flow, ReaderAheadOfWriterBlocksUntilStreamCompletes) {
