@@ -12,8 +12,10 @@ This script reads the traced results that
 
 leaves in DIR (default .bench_build/results, or $CARGO_TARGET_DIR/results when
 that is set, as in perfbench/run.py) for every workload named in the
-baseline, and compares each baselined metric exactly. It prints one line per
-workload and exits 1 on any difference or missing result.
+baseline, and compares each baselined metric exactly. A sim-side metric
+that a result carries but the baseline lacks fails too, so a new count is
+gated from the change that adds it. It prints one line per workload and
+exits 1 on any difference, missing result or unbaselined metric.
 
 --capture rewrites the baseline from the results in DIR instead. The metrics
 it keeps are the sim-side ones: every per-layer metric that is not host time
@@ -93,19 +95,23 @@ def check(args):
             print(f"FAIL {w}: {rep}")
             bad += 1
             continue
-        got = {}
-        for section in ("layer", "info"):
-            for name, m in rep[section].items():
-                got[name] = m["value"]
+        got = sim_side(rep)
         diffs = [(name, v, got.get(name)) for name, v in sorted(want.items())
                  if got.get(name) != v]
+        extra = sorted(set(got) - set(want))
+        if not diffs and not extra:
+            print(f"ok   {w}: {len(want)} sim-side metrics identical")
+            continue
+        bad += 1
         if diffs:
-            bad += 1
             print(f"FAIL {w}: {len(diffs)} of {len(want)} sim-side metrics differ")
             for name, v, g in diffs:
                 print(f"  {name}: baseline {v}, got {g}")
-        else:
-            print(f"ok   {w}: {len(want)} sim-side metrics identical")
+        if extra:
+            print(f"FAIL {w}: {len(extra)} sim-side metrics have no baseline "
+                  "(recapture with --capture if they are intended)")
+            for name in extra:
+                print(f"  {name}: got {got[name]}")
     return 1 if bad else 0
 
 

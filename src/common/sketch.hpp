@@ -41,7 +41,6 @@ class BloomFilter {
     for (std::size_t i = 0; i < hashes_; ++i) {
       set_bit(nth_hash(item_hash, i));
     }
-    ++count_;
   }
   void add(std::string_view item) { add(hash_str(item)); }
 
@@ -56,7 +55,6 @@ class BloomFilter {
 
   std::size_t bit_count() const noexcept { return bits_.size() * 64; }
   std::size_t hash_count() const noexcept { return hashes_; }
-  std::uint64_t items_added() const noexcept { return count_; }
 
  private:
   // Kirsch–Mitzenmacher double hashing: h_i = h1 + i*h2.
@@ -70,7 +68,6 @@ class BloomFilter {
 
   std::vector<std::uint64_t> bits_;
   std::size_t hashes_ = 0;
-  std::uint64_t count_ = 0;
 };
 
 /// HyperLogLog with 2^precision registers (precision in [4, 18]).

@@ -15,7 +15,6 @@ class Stopwatch {
     return std::chrono::duration<double>(Clock::now() - start_).count();
   }
   double elapsed_ms() const noexcept { return elapsed_sec() * 1e3; }
-  double elapsed_us() const noexcept { return elapsed_sec() * 1e6; }
 
  private:
   using Clock = std::chrono::steady_clock;

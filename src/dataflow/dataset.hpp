@@ -93,12 +93,6 @@ class Dataset {
     });
   }
 
-  /// Wrap pre-partitioned data without copying.
-  static Dataset from_partitions(Context& ctx, Partitions<T> parts) {
-    auto shared = std::make_shared<Partitions<T>>(std::move(parts));
-    return from_thunk(ctx, [shared]() { return std::move(*shared); });
-  }
-
   /// Generate n partitions on demand: gen(partition_index) -> partition.
   /// The generator runs in parallel at materialization time.
   static Dataset generate(Context& ctx, std::size_t n,

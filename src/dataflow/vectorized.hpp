@@ -1,15 +1,13 @@
 #pragma once
 // Vectorized (batch-at-a-time) execution kernels over column-major row
-// blocks. The T9 columnar Table (dataflow/column.hpp) covers typed
-// scan/aggregate over user tables; this header is the execution-engine
-// counterpart the plan lowering uses: a struct-of-arrays RowBlock for the
-// plan IR's (u64 key, u64 value) rows, plus the operator kernels —
-// transform/filter loops with in-place compaction (the selection-vector
-// effect without materializing one), a radix-partitioned hash join with
-// optional skew sub-splitting, and dense/sort-based grouped reduction. All
-// kernels are deterministic and generic over the row functions so the plan
-// layer can instantiate them with its operator semantics without this
-// header depending on plan/.
+// blocks, the execution engine the plan lowering uses: a struct-of-arrays
+// RowBlock for the plan IR's (u64 key, u64 value) rows, plus the operator
+// kernels — transform/filter loops with in-place compaction (the
+// selection-vector effect without materializing one), a radix-partitioned
+// hash join with optional skew sub-splitting, and dense/sort-based grouped
+// reduction. All kernels are deterministic and generic over the row
+// functions so the plan layer can instantiate them with its operator
+// semantics without this header depending on plan/.
 
 #include <algorithm>
 #include <cstdint>

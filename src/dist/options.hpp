@@ -20,10 +20,6 @@ enum class TransportKind : std::uint8_t {
   kPush = 1,  // DFI-style: producers stream segments to flow targets
 };
 
-inline const char* transport_name(TransportKind k) {
-  return k == TransportKind::kPush ? "push" : "pull";
-}
-
 /// Knobs of the push-flow transport (ignored under kPull). Defaults are
 /// sized for the simulated 10 Gbit fabric: 256 KiB segments amortize the
 /// per-message header, 4 credits keep a channel's in-flight volume around

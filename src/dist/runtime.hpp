@@ -126,7 +126,6 @@ class DistRuntime {
   /// shuffle outputs stay fetchable. Lineage recomputation covers whatever
   /// a later power-off takes with it. Takes effect immediately; idempotent.
   void set_node_draining(std::size_t node, bool draining);
-  bool node_draining(std::size_t node) const { return execs_.at(node).draining; }
   /// Test hook (chaos harness): disable lineage rollback of lost map
   /// outputs, the intentionally seeded bug the harness must catch. Affected
   /// jobs spin on fetch failures until the hard attempt cap aborts them.
@@ -147,8 +146,6 @@ class DistRuntime {
     return push_->fabric().segments_in_flight();
   }
   std::size_t live_executors() const;
-  /// Node speed factors after straggler assignment (for tests).
-  double node_speed(std::size_t node) const { return execs_[node].speed; }
 
  private:
   static constexpr std::size_t kNone = ~std::size_t{0};

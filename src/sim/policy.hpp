@@ -21,8 +21,4 @@ enum class StoragePolicy : std::uint8_t {
   kErasureCoded = 1,
 };
 
-inline const char* storage_policy_name(StoragePolicy p) {
-  return p == StoragePolicy::kErasureCoded ? "erasure_coded" : "replicated";
-}
-
 }  // namespace hpbdc::sim

@@ -22,9 +22,6 @@ class ReedSolomon {
   /// Requires 1 <= k, 0 <= m, k + m <= 256.
   ReedSolomon(std::size_t k, std::size_t m);
 
-  std::size_t data_shards() const noexcept { return k_; }
-  std::size_t parity_shards() const noexcept { return m_; }
-
   /// Compute m parity shards from k equal-length data shards.
   std::vector<Shard> encode(const std::vector<Shard>& data) const;
 

@@ -1,31 +1,17 @@
-// Tests for the remaining small utilities: logger level gating, the table
-// printer, the stopwatch, and serde edge cases not covered elsewhere.
+// Tests for the remaining small utilities: the table printer, the stopwatch,
+// and serde edge cases not covered elsewhere.
 
 #include <gtest/gtest.h>
 
 #include <sstream>
 #include <thread>
 
-#include "common/log.hpp"
 #include "common/serialize.hpp"
 #include "common/stats.hpp"
 #include "common/stopwatch.hpp"
 
 namespace hpbdc {
 namespace {
-
-TEST(Logger, LevelGating) {
-  auto& lg = Logger::instance();
-  const auto saved = lg.level();
-  lg.set_level(LogLevel::kWarn);
-  EXPECT_TRUE(lg.enabled(LogLevel::kError));
-  EXPECT_TRUE(lg.enabled(LogLevel::kWarn));
-  EXPECT_FALSE(lg.enabled(LogLevel::kInfo));
-  EXPECT_FALSE(lg.enabled(LogLevel::kDebug));
-  lg.set_level(LogLevel::kOff);
-  EXPECT_FALSE(lg.enabled(LogLevel::kError));
-  lg.set_level(saved);
-}
 
 TEST(Table, AlignsColumns) {
   Table t({"name", "value"});
