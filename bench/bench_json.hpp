@@ -21,9 +21,15 @@
 //   }  // written at scope exit; no-op when --json was not passed
 //
 // Header-only and dependency-free: values are doubles, labels are strings,
-// and the writer escapes strings itself.
+// and the writer escapes strings itself. It fails loudly rather than leave a
+// missing or unparseable document behind: an unwritable --json path throws
+// std::runtime_error at construction (before the bench runs), and a NaN or
+// infinite value throws std::invalid_argument naming the metric. Benches do
+// not catch either, so both end the bench with a non-zero exit.
 
+#include <cmath>
 #include <cstdio>
+#include <stdexcept>
 #include <string>
 #include <utility>
 #include <vector>
@@ -36,30 +42,33 @@ class JsonWriter {
 
   JsonWriter(std::string bench_name, int argc, char** argv)
       : bench_(std::move(bench_name)) {
+    std::string path;
     for (int i = 1; i < argc; ++i) {
       const std::string arg = argv[i];
-      if (arg.rfind("--json=", 0) == 0) path_ = arg.substr(7);
+      if (arg.rfind("--json=", 0) == 0) path = arg.substr(7);
+    }
+    if (path.empty()) return;
+    file_ = std::fopen(path.c_str(), "w");
+    if (file_ == nullptr) {
+      throw std::runtime_error("bench_json: cannot open " + path + " for writing");
     }
   }
 
   JsonWriter(const JsonWriter&) = delete;
   JsonWriter& operator=(const JsonWriter&) = delete;
 
-  bool enabled() const noexcept { return !path_.empty(); }
-
   void metric(const std::string& name, double value, Labels labels = {}) {
+    if (!std::isfinite(value)) {
+      throw std::invalid_argument("bench_json: metric " + quoted(name) +
+                                  " is not finite: " + std::to_string(value));
+    }
     metrics_.push_back({name, value, std::move(labels)});
   }
 
   /// Write the document now (idempotent; also runs at destruction).
   void flush() {
-    if (path_.empty() || flushed_) return;
-    flushed_ = true;
-    std::FILE* f = std::fopen(path_.c_str(), "w");
-    if (f == nullptr) {
-      std::fprintf(stderr, "bench_json: cannot open %s\n", path_.c_str());
-      return;
-    }
+    if (file_ == nullptr) return;
+    std::FILE* f = std::exchange(file_, nullptr);
     std::fprintf(f, "{\n  \"bench\": %s,\n  \"metrics\": [",
                  quoted(bench_).c_str());
     for (std::size_t i = 0; i < metrics_.size(); ++i) {
@@ -113,9 +122,8 @@ class JsonWriter {
   }
 
   std::string bench_;
-  std::string path_;
+  std::FILE* file_ = nullptr;  // open from construction until flush()
   std::vector<Metric> metrics_;
-  bool flushed_ = false;
 };
 
 }  // namespace hpbdc::bench

@@ -20,7 +20,6 @@ dstream::StreamingOptions stream_opts(const StreamChaosConfig& cfg) {
   o.ntasks = cfg.ntasks;
   o.rate = 48.0;
   o.window = 0.5;
-  if (cfg.ec_checkpoints) o.checkpoint_policy = sim::StoragePolicy::kErasureCoded;
   return o;
 }
 
@@ -45,6 +44,7 @@ RunResult run_distributed(const StreamChaosConfig& cfg,
   }
   dist::RuntimeOptions ro;
   ro.transport = cfg.transport;
+  if (cfg.ec_checkpoints) ro.checkpoint_policy = sim::StoragePolicy::kErasureCoded;
   RunResult rr;
   rt.submit(spec, ro, [&](const dstream::StreamResult& r) {
     rr.result = r;

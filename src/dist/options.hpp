@@ -39,9 +39,10 @@ inline constexpr std::uint64_t kCreditAckBytes = 64;
 struct RuntimeOptions {
   TransportKind transport = TransportKind::kPull;
   FlowOptions flow;
-  /// Durability policy for stage checkpoints written to the DFS. Shuffle
-  /// spill stays replicated regardless (hot, short-lived); checkpoints are
-  /// the cold, large artifacts erasure coding is built for.
+  /// Durability policy for checkpoints written to the DFS: batch stage
+  /// checkpoints and streaming epoch checkpoints alike. Shuffle spill stays
+  /// replicated regardless (hot, short-lived); checkpoints are the cold,
+  /// large artifacts erasure coding is built for.
   sim::StoragePolicy checkpoint_policy = sim::StoragePolicy::kReplicated;
   /// Durability policy for the job's sink output (JobSpec::sink_file, when
   /// set). Sink files are final artifacts — written once, read long after

@@ -731,7 +731,7 @@ void StreamRuntime::on_task_ack(std::uint64_t epoch, std::size_t gid, double wm,
     complete_epoch(epoch);
   };
   if (dfs_ != nullptr) {
-    dfs_->write(cfg_.coordinator, file, bytes, spec_.opts.checkpoint_policy, finish);
+    dfs_->write(cfg_.coordinator, file, bytes, opts_.checkpoint_policy, finish);
   } else {
     finish(true);
   }

@@ -36,7 +36,6 @@
 
 #include "common/serialize.hpp"
 #include "plan/plan.hpp"
-#include "sim/policy.hpp"
 
 namespace hpbdc::dstream {
 
@@ -58,10 +57,6 @@ struct StreamingOptions {
   double disorder = 0.2;       // max backward event-time jitter (< lateness)
   std::uint64_t late_permille = 31;  // odds/1000 of a very-late (dropped) event
   double very_late = 2.0;      // backward jump of a very-late event
-  /// Durability policy for epoch checkpoints written to the DFS (window
-  /// semantics are unaffected — only the storage cost/failure model of the
-  /// checkpoint files changes).
-  sim::StoragePolicy checkpoint_policy = sim::StoragePolicy::kReplicated;
   friend bool operator==(const StreamingOptions&, const StreamingOptions&) = default;
 };
 

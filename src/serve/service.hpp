@@ -111,14 +111,14 @@ struct SubmitRequest {
   /// through queueing/retries down to DistRuntime::submit. Defaults = pull.
   /// Streaming jobs normally select the push transport here — the credit-
   /// paced flow channels are what give the runtime real backpressure.
-  dist::RuntimeOptions runtime;
+  dist::RuntimeOptions runtime{};
   /// Present = this is a STREAMING job: the plan lowers through
   /// dstream::lower_streaming onto the service's StreamRuntime instead of a
   /// batch slot. The job holds one pool slot for its whole run (admission
   /// and backpressure see it like any tenant), skips the result cache
   /// (continuous output is not a memoizable function of the plan), and is
   /// DRF-charged per completed epoch rather than once at job end.
-  std::optional<dstream::StreamingOptions> streaming;
+  std::optional<dstream::StreamingOptions> streaming{};
   /// Optimize with the stats-driven cost pass (plan::cost_optimize) instead
   /// of the rule passes alone. The cost annotations fold into the plan
   /// fingerprint (non-zero stats_salt), so cost-based and rule-only

@@ -1,8 +1,7 @@
 #pragma once
 // Per-file durability policy of the simulated DFS. Kept in its own tiny
-// header so lightweight option structs (dist::RuntimeOptions,
-// dstream::StreamingOptions) can name the policy without pulling in the full
-// Dfs machinery.
+// header so the lightweight dist::RuntimeOptions can name the policy without
+// pulling in the full Dfs machinery.
 
 #include <cstdint>
 

@@ -1,0 +1,53 @@
+// Unit tests for bench/bench_json.hpp: the --json writer of the bench_*
+// binaries must fail loudly, never leave a missing or unparseable document.
+
+#include <gtest/gtest.h>
+
+#include <fstream>
+#include <iterator>
+#include <limits>
+#include <stdexcept>
+#include <string>
+
+#include "bench_json.hpp"
+
+namespace hpbdc::bench {
+namespace {
+
+/// A JsonWriter constructed as a bench's main() would be with `--json=path`.
+JsonWriter writer_for(const std::string& path) {
+  std::string prog = "bench_test";
+  std::string arg = "--json=" + path;
+  char* argv[] = {prog.data(), arg.data()};
+  return JsonWriter("test", 2, argv);
+}
+
+TEST(JsonWriter, UnwritablePathThrowsBeforeTheBenchRuns) {
+  const std::string path = ::testing::TempDir() + "hpbdc-no-such-dir/out.json";
+  EXPECT_THROW(writer_for(path), std::runtime_error);
+}
+
+TEST(JsonWriter, NonFiniteMetricIsRejectedByName) {
+  const std::string path = ::testing::TempDir() + "hpbdc_bench_json_test.json";
+  {
+    JsonWriter json = writer_for(path);
+    json.metric("p50_s", 1.5);
+    try {
+      json.metric("p99_s", std::numeric_limits<double>::quiet_NaN());
+      FAIL() << "a NaN metric must throw";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find("\"p99_s\""), std::string::npos) << e.what();
+    }
+    EXPECT_THROW(json.metric("rate", std::numeric_limits<double>::infinity()),
+                 std::invalid_argument);
+  }
+  std::ifstream in(path);
+  const std::string doc{std::istreambuf_iterator<char>(in), {}};
+  EXPECT_NE(doc.find("\"p50_s\""), std::string::npos) << doc;
+  EXPECT_EQ(doc.find("p99_s"), std::string::npos) << doc;
+  EXPECT_EQ(doc.find("nan"), std::string::npos) << doc;
+  EXPECT_EQ(doc.find("inf"), std::string::npos) << doc;
+}
+
+}  // namespace
+}  // namespace hpbdc::bench

@@ -1,14 +1,12 @@
-// Unit tests for src/common: RNG, zipf, hashing, serialization, statistics
-// and queues.
+// Unit tests for src/common: RNG, zipf, hashing, serialization and
+// statistics.
 
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <set>
-#include <thread>
 
 #include "common/hash.hpp"
-#include "common/queue.hpp"
 #include "common/rng.hpp"
 #include "common/serialize.hpp"
 #include "common/stats.hpp"
@@ -343,91 +341,6 @@ TEST(Histogram, EmptyIsZero) {
   Histogram h;
   EXPECT_EQ(h.p50(), 0.0);
   EXPECT_EQ(h.count(), 0u);
-}
-
-// ---- queues -----------------------------------------------------------------
-
-TEST(MpmcQueue, FifoSingleThread) {
-  MpmcQueue<int> q;
-  for (int i = 0; i < 10; ++i) EXPECT_TRUE(q.push(i));
-  for (int i = 0; i < 10; ++i) EXPECT_EQ(q.pop(), i);
-}
-
-TEST(MpmcQueue, CloseDrains) {
-  MpmcQueue<int> q;
-  q.push(1);
-  q.close();
-  EXPECT_FALSE(q.push(2));
-  EXPECT_EQ(q.pop(), 1);
-  EXPECT_EQ(q.pop(), std::nullopt);
-}
-
-TEST(MpmcQueue, BoundedTryPush) {
-  MpmcQueue<int> q(2);
-  EXPECT_TRUE(q.try_push(1));
-  EXPECT_TRUE(q.try_push(2));
-  EXPECT_FALSE(q.try_push(3));
-  q.try_pop();
-  EXPECT_TRUE(q.try_push(3));
-}
-
-TEST(MpmcQueue, MultiThreadedSum) {
-  MpmcQueue<int> q(128);
-  constexpr int kPerProducer = 2000;
-  constexpr int kProducers = 4;
-  std::atomic<long long> sum{0};
-  std::vector<std::thread> threads;
-  for (int p = 0; p < kProducers; ++p) {
-    threads.emplace_back([&q] {
-      for (int i = 1; i <= kPerProducer; ++i) q.push(i);
-    });
-  }
-  std::vector<std::thread> consumers;
-  for (int c = 0; c < 2; ++c) {
-    consumers.emplace_back([&q, &sum] {
-      while (auto v = q.pop()) sum += *v;
-    });
-  }
-  for (auto& t : threads) t.join();
-  q.close();
-  for (auto& t : consumers) t.join();
-  EXPECT_EQ(sum.load(),
-            static_cast<long long>(kProducers) * kPerProducer * (kPerProducer + 1) / 2);
-}
-
-TEST(SpscRing, FifoAndCapacity) {
-  SpscRing<int> r(4);
-  EXPECT_GE(r.capacity(), 4u);
-  for (int i = 0; i < 4; ++i) EXPECT_TRUE(r.try_push(i));
-  for (int i = 0; i < 4; ++i) EXPECT_EQ(r.try_pop(), i);
-  EXPECT_EQ(r.try_pop(), std::nullopt);
-}
-
-TEST(SpscRing, FullRejects) {
-  SpscRing<int> r(2);
-  std::size_t pushed = 0;
-  while (r.try_push(1)) ++pushed;
-  EXPECT_EQ(pushed, r.capacity());
-}
-
-TEST(SpscRing, TwoThreadStream) {
-  SpscRing<int> r(64);
-  constexpr int kN = 100000;
-  long long sum = 0;
-  std::thread consumer([&] {
-    int got = 0;
-    while (got < kN) {
-      if (auto v = r.try_pop()) {
-        sum += *v;
-        ++got;
-      }
-    }
-  });
-  for (int i = 1; i <= kN;) {
-    if (r.try_push(i)) ++i;
-  }
-  consumer.join();
-  EXPECT_EQ(sum, static_cast<long long>(kN) * (kN + 1) / 2);
 }
 
 }  // namespace

@@ -260,7 +260,6 @@ TEST(DstreamRuntime, EcCheckpointsRecoverBitIdenticalThroughOutage) {
   StreamingOptions opts;
   opts.rate = 48.0;
   opts.window = 0.5;
-  opts.checkpoint_policy = sim::StoragePolicy::kErasureCoded;
   const StreamJobSpec spec = lower_streaming(aggregate_plan(9, 256), opts);
   const Bytes want = canonical_stream_bytes(reference_streaming(spec));
 
@@ -272,11 +271,20 @@ TEST(DstreamRuntime, EcCheckpointsRecoverBitIdenticalThroughOutage) {
   Cluster c(6, {}, dfc);
   c.rt.kill_node_at(1, 1.3);
   c.rt.recover_node_at(1, 3.5);
-  const StreamResult r = run_to_completion(c, spec);
+  dist::RuntimeOptions ro = push_opts();
+  ro.checkpoint_policy = sim::StoragePolicy::kErasureCoded;
+  const StreamResult r = run_to_completion(c, spec, ro);
   ASSERT_TRUE(r.ok);
   EXPECT_GE(c.rt.stats().recoveries, 1u);
   EXPECT_EQ(canonical_stream_bytes(r.rows()), want)
       << "EC checkpoint recovery must stay exactly-once";
+  const std::vector<std::string> files = c.dfs.file_names();
+  const auto ckpt = std::find_if(files.begin(), files.end(), [](const std::string& n) {
+    return n.starts_with("stream-ckpt-");
+  });
+  ASSERT_NE(ckpt, files.end()) << "no epoch checkpoint reached the DFS";
+  EXPECT_EQ(c.dfs.file_policy(*ckpt), sim::StoragePolicy::kErasureCoded)
+      << "the job's RuntimeOptions::checkpoint_policy must reach the checkpoint";
   const auto& ds = c.dfs.stats();
   EXPECT_GT(ds.ec_blocks_written, 0u) << "checkpoints should stripe, not copy";
   EXPECT_EQ(ds.blocks_written, ds.ec_blocks_written)

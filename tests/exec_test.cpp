@@ -1,5 +1,5 @@
-// Unit tests for src/exec: the work-stealing deque, both pools, structured
-// parallel primitives, and the task-DAG scheduler.
+// Unit tests for src/exec: the work-stealing deque, both pools and the
+// structured parallel primitives.
 
 #include <gtest/gtest.h>
 
@@ -11,8 +11,6 @@
 #include "common/rng.hpp"
 #include "exec/central_pool.hpp"
 #include "exec/parallel.hpp"
-#include "exec/pipeline.hpp"
-#include "exec/task_graph.hpp"
 #include "exec/thread_pool.hpp"
 #include "exec/tuning.hpp"
 #include "exec/ws_deque.hpp"
@@ -285,132 +283,6 @@ TEST(Parallel, InclusiveScanSmallAndEmpty) {
   parallel_inclusive_scan(pool, std::vector<int>{3}, out,
                           [](int a, int b) { return a + b; }, 0);
   EXPECT_EQ(out, std::vector<int>{3});
-}
-
-// ---- task graph -----------------------------------------------------------------
-
-TEST(TaskGraph, RespectsDependencies) {
-  ThreadPool pool(4);
-  TaskGraph g;
-  std::atomic<int> step{0};
-  std::atomic<int> a_at{-1}, b_at{-1}, c_at{-1};
-  auto a = g.add([&] { a_at = step.fetch_add(1); });
-  auto b = g.add([&] { b_at = step.fetch_add(1); }, {a});
-  g.add([&] { c_at = step.fetch_add(1); }, {a, b});
-  g.run(pool);
-  EXPECT_LT(a_at.load(), b_at.load());
-  EXPECT_LT(b_at.load(), c_at.load());
-}
-
-TEST(TaskGraph, DiamondRunsAllOnce) {
-  ThreadPool pool(4);
-  TaskGraph g;
-  std::atomic<int> count{0};
-  auto a = g.add([&] { ++count; });
-  auto b = g.add([&] { ++count; }, {a});
-  auto c = g.add([&] { ++count; }, {a});
-  g.add([&] { ++count; }, {b, c});
-  g.run(pool);
-  EXPECT_EQ(count.load(), 4);
-}
-
-TEST(TaskGraph, RejectsForwardDependency) {
-  TaskGraph g;
-  auto a = g.add([] {});
-  EXPECT_THROW(g.add([] {}, {a + 5}), std::invalid_argument);
-}
-
-TEST(TaskGraph, CriticalPath) {
-  TaskGraph g;
-  auto a = g.add([] {});
-  auto b = g.add([] {}, {a});
-  auto c = g.add([] {}, {b});
-  g.add([] {});  // independent node
-  g.add([] {}, {c});
-  EXPECT_EQ(g.critical_path_length(), 4u);
-}
-
-TEST(TaskGraph, Reusable) {
-  ThreadPool pool(2);
-  TaskGraph g;
-  std::atomic<int> count{0};
-  auto a = g.add([&] { ++count; });
-  g.add([&] { ++count; }, {a});
-  g.run(pool);
-  g.run(pool);
-  EXPECT_EQ(count.load(), 4);
-}
-
-TEST(TaskGraph, WideFanOut) {
-  ThreadPool pool(4);
-  TaskGraph g;
-  std::atomic<int> count{0};
-  auto root = g.add([&] { ++count; });
-  std::vector<TaskGraph::NodeId> mids;
-  for (int i = 0; i < 100; ++i) {
-    mids.push_back(g.add([&] { ++count; }, {root}));
-  }
-  g.add([&] { ++count; }, mids);
-  g.run(pool);
-  EXPECT_EQ(count.load(), 102);
-}
-
-// ---- staged pipeline -------------------------------------------------------------
-
-TEST(Pipeline, AllItemsFlowThrough) {
-  std::atomic<int> next{0};
-  std::atomic<long long> sum{0};
-  auto res = run_pipeline<int, long long>(
-      [&next]() -> std::optional<int> {
-        const int v = next.fetch_add(1);
-        return v < 10000 ? std::optional<int>(v) : std::nullopt;
-      },
-      [](int v) { return static_cast<long long>(v) * 2; },
-      [&sum](long long v) { sum += v; }, {.workers = 4, .queue_capacity = 64});
-  EXPECT_EQ(res.items_in, 10000u);
-  EXPECT_EQ(res.items_out, 10000u);
-  EXPECT_EQ(sum.load(), 2LL * 9999 * 10000 / 2);
-}
-
-TEST(Pipeline, EmptySource) {
-  int sink_calls = 0;
-  auto res = run_pipeline<int, int>([]() -> std::optional<int> { return std::nullopt; },
-                                    [](int v) { return v; },
-                                    [&sink_calls](int) { ++sink_calls; });
-  EXPECT_EQ(res.items_in, 0u);
-  EXPECT_EQ(res.items_out, 0u);
-  EXPECT_EQ(sink_calls, 0);
-}
-
-TEST(Pipeline, BackpressureWithTinyQueue) {
-  // Queue capacity 1 forces lock-step handoff but must not deadlock.
-  std::atomic<int> next{0};
-  auto res = run_pipeline<int, int>(
-      [&next]() -> std::optional<int> {
-        const int v = next.fetch_add(1);
-        return v < 500 ? std::optional<int>(v) : std::nullopt;
-      },
-      [](int v) { return v + 1; }, [](int) {}, {.workers = 3, .queue_capacity = 1});
-  EXPECT_EQ(res.items_out, 500u);
-}
-
-TEST(Pipeline, TypeChangingTransform) {
-  std::atomic<int> next{0};
-  std::vector<std::string> out;
-  const auto res = run_pipeline<int, std::string>(
-      [&next]() -> std::optional<int> {
-        const int v = next.fetch_add(1);
-        return v < 50 ? std::optional<int>(v) : std::nullopt;
-      },
-      [](int v) { return std::to_string(v); },
-      [&out](std::string s) { out.push_back(std::move(s)); },
-      {.workers = 2, .queue_capacity = 8});
-  EXPECT_EQ(res.items_out, 50u);
-  EXPECT_EQ(out.size(), 50u);
-  std::sort(out.begin(), out.end(),
-            [](const auto& a, const auto& b) { return std::stoi(a) < std::stoi(b); });
-  EXPECT_EQ(out.front(), "0");
-  EXPECT_EQ(out.back(), "49");
 }
 
 // ---- stealing statistics ---------------------------------------------------------

@@ -156,7 +156,7 @@ TEST(FleetController, ScalesUpOnQueuePressureAndBackDownWhenIdle) {
   std::size_t completed = 0;
   for (std::uint64_t i = 0; i < 12; ++i) {
     cl.sim.schedule_at(0.01 * static_cast<double>(i + 1), [&svc, &completed, i] {
-      svc.submit({0, chaos::make_plan(100 + i, 4, 96), 0, 0},
+      svc.submit({.tenant = 0, .plan = chaos::make_plan(100 + i, 4, 96)},
                  [&completed](const serve::Completion& c) {
                    if (c.status == serve::Status::kCompleted) completed++;
                  });
@@ -210,8 +210,8 @@ TEST(FleetController, SpotPreemptionsFireAndJobsStillCompleteExactlyOnce) {
   std::vector<std::size_t> fired(10, 0);
   for (std::uint64_t i = 0; i < 10; ++i) {
     cl.sim.schedule_at(0.2 * static_cast<double>(i) + 0.01, [&svc, &fired, i] {
-      svc.submit({static_cast<serve::TenantId>(i % 3),
-                  chaos::make_plan(200 + i, 4, 96), 0, 0},
+      svc.submit({.tenant = static_cast<serve::TenantId>(i % 3),
+                  .plan = chaos::make_plan(200 + i, 4, 96)},
                  [&fired, i](const serve::Completion&) { fired[i]++; });
     });
   }

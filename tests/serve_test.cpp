@@ -146,7 +146,7 @@ TEST(JobService, CompletesAJobWithReferenceRows) {
   const auto p = chaos::make_plan(21, 4, 64);
   Completion last;
   int fired = 0;
-  svc.submit({0, p, 0, 0}, [&](const Completion& c) {
+  svc.submit({.tenant = 0, .plan = p}, [&](const Completion& c) {
     last = c;
     fired++;
   });
@@ -164,11 +164,11 @@ TEST(JobService, CacheHitSkipsExecutorsAndIsTenfoldFaster) {
   JobService svc(cl.pool, ServeConfig{});
   const auto p = chaos::make_plan(22, 4, 64);
   Completion first, second;
-  svc.submit({0, p, 0, 0}, [&](const Completion& c) { first = c; });
+  svc.submit({.tenant = 0, .plan = p}, [&](const Completion& c) { first = c; });
   cl.sim.run();
   ASSERT_EQ(first.status, Status::kCompleted);
   // Different tenant, same plan: the cache is keyed by plan fingerprint.
-  svc.submit({1, p, 0, 0}, [&](const Completion& c) { second = c; });
+  svc.submit({.tenant = 1, .plan = p}, [&](const Completion& c) { second = c; });
   cl.sim.run();
   ASSERT_EQ(second.status, Status::kCompleted);
   EXPECT_TRUE(second.cache_hit);
@@ -188,7 +188,7 @@ TEST(JobService, CostBasedAndRuleOnlySubmissionsNeverAliasInTheCache) {
   JobService svc(cl.pool, ServeConfig{});
   const auto p = chaos::make_plan(23, 5, 64);
   Completion rule_only, cost_based;
-  svc.submit({0, p, 0, 0}, [&](const Completion& c) { rule_only = c; });
+  svc.submit({.tenant = 0, .plan = p}, [&](const Completion& c) { rule_only = c; });
   cl.sim.run();
   ASSERT_EQ(rule_only.status, Status::kCompleted);
   SubmitRequest req;
@@ -216,7 +216,7 @@ TEST(JobService, TokenBucketShedsBurstsSynchronously) {
   const auto p = chaos::make_plan(23, 3, 32);
   std::vector<Completion> rejected;
   for (int i = 0; i < 4; ++i) {
-    svc.submit({0, p, 0, 0}, [&](const Completion& c) {
+    svc.submit({.tenant = 0, .plan = p}, [&](const Completion& c) {
       if (c.status == Status::kRejected) rejected.push_back(c);
     });
   }
@@ -245,11 +245,11 @@ TEST(JobService, BoundedQueuesShedWithTypedReasons) {
   };
   // Distinct plans, one tenant: 1 runs, 2 queue, the 4th trips the tenant cap.
   for (std::uint64_t i = 0; i < 4; ++i) {
-    svc.submit({0, chaos::make_plan(30 + i, 3, 32), 0, 0}, done);
+    svc.submit({.tenant = 0, .plan = chaos::make_plan(30 + i, 3, 32)}, done);
   }
   // Another tenant can still queue one (global cap 3), then trips the global.
-  svc.submit({1, chaos::make_plan(40, 3, 32), 0, 0}, done);
-  svc.submit({1, chaos::make_plan(41, 3, 32), 0, 0}, done);
+  svc.submit({.tenant = 1, .plan = chaos::make_plan(40, 3, 32)}, done);
+  svc.submit({.tenant = 1, .plan = chaos::make_plan(41, 3, 32)}, done);
   ASSERT_EQ(rejects.size(), 2u);
   EXPECT_EQ(rejects[0], Reject::kTenantQueueFull);
   EXPECT_EQ(rejects[1], Reject::kGlobalQueueFull);
@@ -275,7 +275,7 @@ TEST(JobService, BackpressureShedsAndSignalsUpstream) {
   };
   EXPECT_FALSE(svc.backpressured());
   for (std::uint64_t i = 0; i < 5; ++i) {
-    svc.submit({0, chaos::make_plan(50 + i, 3, 32), 0, 0}, done);
+    svc.submit({.tenant = 0, .plan = chaos::make_plan(50 + i, 3, 32)}, done);
   }
   // 1 running + 2 queued = watermark: the service is now backpressured and
   // submissions 4 and 5 were shed immediately.
@@ -354,16 +354,16 @@ TEST(JobService, BackpressureWatermarkTracksShrinkingPool) {
       bp_sheds++;
     }
   };
-  svc.submit({0, chaos::make_plan(800, 3, 32), 0, 0}, done);
+  svc.submit({.tenant = 0, .plan = chaos::make_plan(800, 3, 32)}, done);
   // One of two slots busy: no saturation, no backpressure.
   EXPECT_FALSE(svc.backpressured());
   // The fleet shrinks the pool underneath the service mid-run: the idle
   // slot retires and saturation/backpressure must track the LIVE size.
   ASSERT_TRUE(cl.pool.retire_idle_slot());
   ASSERT_TRUE(cl.pool.saturated());
-  svc.submit({0, chaos::make_plan(801, 3, 32), 0, 0}, done);  // queues
+  svc.submit({.tenant = 0, .plan = chaos::make_plan(801, 3, 32)}, done);  // queues
   EXPECT_TRUE(svc.backpressured());
-  svc.submit({0, chaos::make_plan(802, 3, 32), 0, 0}, done);  // shed
+  svc.submit({.tenant = 0, .plan = chaos::make_plan(802, 3, 32)}, done);  // shed
   EXPECT_EQ(bp_sheds, 1u);
   // Growth lifts the pressure: a new slot plus the capacity poke dispatches
   // the queued job immediately.
@@ -381,10 +381,10 @@ TEST(JobService, ExpiredDeadlineIsShedAtDispatch) {
   cfg.cache_capacity = 0;
   JobService svc(cl.pool, cfg);
   Completion doomed;
-  svc.submit({0, chaos::make_plan(60, 4, 128), 0, 0},
+  svc.submit({.tenant = 0, .plan = chaos::make_plan(60, 4, 128)},
              [](const Completion&) {});
   // Queued behind the running job with a deadline it cannot make.
-  svc.submit({0, chaos::make_plan(61, 3, 32), 1e-6, 0},
+  svc.submit({.tenant = 0, .plan = chaos::make_plan(61, 3, 32), .deadline = 1e-6},
              [&](const Completion& c) { doomed = c; });
   cl.sim.run();
   ASSERT_EQ(doomed.status, Status::kRejected);
@@ -412,9 +412,9 @@ TEST(JobService, DrfFavorsTheIdleTenantOverTheFlooder) {
   // job runs its DRF dominant share is positive, so tenant 1's queued job
   // wins the next free slot ahead of tenant 0's backlog.
   for (std::uint64_t i = 0; i < 3; ++i) {
-    svc.submit({0, chaos::make_plan(70 + i, 3, 32), 0, 0}, done);
+    svc.submit({.tenant = 0, .plan = chaos::make_plan(70 + i, 3, 32)}, done);
   }
-  svc.submit({1, chaos::make_plan(80, 3, 32), 0, 0}, done);
+  svc.submit({.tenant = 1, .plan = chaos::make_plan(80, 3, 32)}, done);
   cl.sim.run();
   ASSERT_EQ(completion_order.size(), 4u);
   EXPECT_EQ(completion_order[0], 0u);  // tenant 0's head started first
@@ -427,8 +427,8 @@ TEST(JobService, RecordsLatencyHistograms) {
   obs::MetricsRegistry reg;
   svc.bind_metrics(reg);
   const auto p = chaos::make_plan(90, 4, 64);
-  svc.submit({3, p, 0, 0}, [](const Completion&) {});
-  svc.submit({3, p, 0, 0}, [](const Completion&) {});
+  svc.submit({.tenant = 3, .plan = p}, [](const Completion&) {});
+  svc.submit({.tenant = 3, .plan = p}, [](const Completion&) {});
   cl.sim.run();
   const ServeStats& st = svc.stats();
   EXPECT_EQ(st.submitted, 2u);
@@ -511,7 +511,7 @@ TEST(JobService, SecondStreamWaitsForTheBackendWhileBatchProceeds) {
   svc.submit(s2, [&](const Completion& c) { c2 = c; });
   // A batch tenant takes the second slot right away: the queued stream waits
   // on the single-job backend without starving anyone else.
-  svc.submit({2, chaos::make_plan(98, 3, 32), 0, 0},
+  svc.submit({.tenant = 2, .plan = chaos::make_plan(98, 3, 32)},
              [&](const Completion& c) { cb = c; });
   cl.sim.run();
   ASSERT_EQ(c1.status, Status::kCompleted);
