@@ -180,14 +180,6 @@ class CountMinSketch {
   }
   std::uint64_t estimate(std::string_view item) const { return estimate(hash_str(item)); }
 
-  /// estimate(item_hash) >= t, stopping at the first row below t.
-  bool estimate_at_least(std::uint64_t item_hash, std::uint64_t t) const {
-    for (std::size_t d = 0; d < depth_; ++d) {
-      if (table_[d * width_ + slot(item_hash, d)] < t) return false;
-    }
-    return true;
-  }
-
   void merge(const CountMinSketch& o) {
     if (o.width_ != width_ || o.depth_ != depth_) {
       throw std::invalid_argument("CountMinSketch: shape mismatch");

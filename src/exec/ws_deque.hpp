@@ -52,9 +52,15 @@ class WsDeque {
   bool pop(T& out) {
     const std::int64_t b = bottom_.load(std::memory_order_relaxed) - 1;
     Buffer* buf = buffer_.load(std::memory_order_relaxed);
-    bottom_.store(b, std::memory_order_relaxed);
-    std::atomic_thread_fence(std::memory_order_seq_cst);
-    std::int64_t t = top_.load(std::memory_order_relaxed);
+    // Lê et al. order this store before the top load with a seq_cst fence
+    // (a thief's steal mirrors it). Both accesses are seq_cst operations
+    // instead, which ThreadSanitizer models and standalone fences it does
+    // not: in the single total order of seq_cst operations, either the
+    // thief's bottom load sees this decrement, or its top load precedes
+    // ours, so we see any top it has claimed and the CAS on top below
+    // settles the last element.
+    bottom_.store(b, std::memory_order_seq_cst);
+    std::int64_t t = top_.load(std::memory_order_seq_cst);
     if (t <= b) {
       out = buf->get(b);
       if (t == b) {
@@ -75,9 +81,10 @@ class WsDeque {
   /// Thief: steal the oldest item (FIFO). Returns false on empty or when it
   /// lost a race (caller should treat both as "try elsewhere").
   bool steal(T& out) {
-    std::int64_t t = top_.load(std::memory_order_acquire);
-    std::atomic_thread_fence(std::memory_order_seq_cst);
-    const std::int64_t b = bottom_.load(std::memory_order_acquire);
+    // seq_cst loads, top before bottom: the thief's half of pop's ordering
+    // argument. The bottom load also acquires a push's release store.
+    std::int64_t t = top_.load(std::memory_order_seq_cst);
+    const std::int64_t b = bottom_.load(std::memory_order_seq_cst);
     if (t < b) {
       Buffer* buf = buffer_.load(std::memory_order_acquire);
       T item = buf->get(t);

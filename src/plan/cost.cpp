@@ -21,6 +21,17 @@ bool is_filter_step(OpKind k) {
   return k == OpKind::kFilter || k == OpKind::kFilterKey;
 }
 
+/// True when a run of two or more consecutive filter steps follows the
+/// chain's head: the only shape a filter reorder can change.
+bool has_filter_run(const std::vector<NarrowStep>& steps) {
+  std::size_t run = 0;
+  for (std::size_t s = 1; s < steps.size(); ++s) {
+    run = is_filter_step(steps[s].op) ? run + 1 : 0;
+    if (run >= 2) return true;
+  }
+  return false;
+}
+
 /// Reorder every maximal run of consecutive filter steps inside
 /// source-rooted fused chains by measured pass rate, cheapest (most
 /// selective) first. Row predicates commute as multiset operators, so any
@@ -32,12 +43,13 @@ std::size_t reorder_fused_filters(LogicalPlan& plan) {
   for (PlanNode& nd : plan.nodes) {
     if (nd.op != OpKind::kFused) continue;
     if (nd.steps.front().op != OpKind::kSource) continue;
+    if (!has_filter_run(nd.steps)) continue;  // nothing to reorder, no sample
     const NarrowStep& head = nd.steps.front();
     const std::uint64_t sample_n =
         std::min<std::uint64_t>(head.rows, kReorderSampleRows);
     if (sample_n == 0) continue;
-    // Prefixes of source_rows_ex are exact: each row consumes a fixed
-    // number of RNG draws.
+    // Prefixes of source_rows_ex are exact: rows are generated
+    // sequentially from one RNG stream.
     std::vector<Row> rows = source_rows_ex(head.salt, sample_n, head.key_domain,
                                            head.skew, head.distinct_keys);
     std::size_t s = 1;

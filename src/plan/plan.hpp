@@ -146,8 +146,9 @@ std::vector<Row> source_rows(std::uint64_t salt, std::uint64_t n);
 /// widens/narrows the key space (0 = kKeyDomain), `skew_permille` routes
 /// that fraction of rows to one deterministic hot key, and `distinct_keys`
 /// emits keys 0..n-1 (mod domain) in order — the dimension-table shape.
-/// Each row consumes a fixed number of RNG draws, so the first m rows of an
-/// n-row source are the m-row source.
+/// Rows are generated sequentially from one RNG stream (a row's draw count
+/// varies with next_below's rejections), so the first m rows of an n-row
+/// source are the m-row source.
 template <typename Fn>
 void for_each_source_row(std::uint64_t salt, std::uint64_t n,
                          std::uint64_t key_domain, std::uint64_t skew_permille,

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <bit>
 #include <cmath>
+#include <limits>
 
 #include "common/hash.hpp"
 #include "common/sketch.hpp"
@@ -27,72 +28,131 @@ void sort_hot(std::vector<HotKey>& hot) {
 }
 
 /// Sketch a source: HLL for NDV, CMS for heavy hitters, both over a prefix
-/// sample (prefixes of for_each_source_row are themselves exact: each row
-/// consumes a fixed number of RNG draws). The generator's rows are counted
-/// by key straight into a flat open-addressing table — no row vector — and
-/// the sketches are then fed once per distinct key: the HLL with the key,
-/// the CMS with the key's count. The cost is O(sample + distinct keys) with
-/// no sort. Both sketches come out exactly as if fed row by row: HLL
-/// registers depend only on the key set, CMS cells only on per-key totals.
-/// The linear NDV scale-up overestimates for sparse domains, but the
-/// key_bound cap makes it exact in the saturated case — which every
-/// star-schema domain here is.
+/// sample. Prefixes of for_each_source_row are themselves exact because the
+/// rows are generated sequentially from one RNG stream: the first m rows of
+/// an n-row source are the m-row source.
+///
+/// The sample is first reduced to one (key, count) pair per distinct key by
+/// one of three front ends:
+///   - distinct-key sources (dimensions) need no generator: keys cycle
+///     0..domain-1, so key k occurs sample/domain times, once more when
+///     k < sample % domain;
+///   - sources whose key bound fits the direct condition count into a dense
+///     array indexed by key;
+///   - wider domains count into a flat open-addressing table of
+///     (key, count) slots.
+/// The shared back end hashes each distinct key once and feeds the HLL with
+/// it; HLL registers depend only on the key set, so this equals feeding it
+/// row by row. Heavy hitters are the keys whose CMS estimate clears the hot
+/// threshold. A CMS cell depends only on per-key totals, and a key clears
+/// the threshold only if its cell clears it in every row, so the CMS is
+/// built one row at a time over the distinct keys and the next row is built
+/// only while some key is still a candidate. A candidate that survives all
+/// rows has the minimum of its cells, exactly CountMinSketch::estimate; most
+/// sources have none after row 0. The linear NDV scale-up overestimates for
+/// sparse domains, but the key bound cap makes it exact in the saturated
+/// case, which every star-schema domain here is.
 NodeStats sketch_source(std::uint64_t salt, std::uint64_t rows,
                         std::uint64_t key_domain, std::uint64_t skew,
-                        bool distinct_keys, std::uint64_t key_bound,
-                        const StatsOptions& opts) {
+                        bool distinct_keys, const StatsOptions& opts) {
   NodeStats st;
   st.rows = static_cast<double>(rows);
+  const std::uint64_t key_bound = key_domain == 0 ? kKeyDomain : key_domain;
   st.key_bound = key_bound;
   const std::uint64_t sample_n = std::min<std::uint64_t>(rows, opts.sample_rows);
   if (sample_n == 0) return st;
-  // Linear probing; count 0 marks an empty slot. The sample holds at most
-  // min(sample_n, key_bound) distinct keys, so the table stays at most half
-  // full and probes stay short. Source keys are always < key_bound, so when
-  // the table has key_bound slots or more each key is its own slot and
-  // never probes (every star-schema domain); wider domains hash.
   struct KeyCount {
     std::uint64_t key = 0;
     std::uint64_t count = 0;
   };
-  std::vector<KeyCount> table(
-      std::bit_ceil(2 * std::min(sample_n, key_bound)));
-  const std::size_t mask = table.size() - 1;
-  const bool direct = key_bound <= table.size();
-  for_each_source_row(
-      salt, sample_n, key_domain, skew, distinct_keys,
-      [&](std::uint64_t key, std::uint64_t) {
-        std::size_t i = direct ? static_cast<std::size_t>(key)
-                               : static_cast<std::size_t>(hash_u64(key)) & mask;
-        while (table[i].count != 0 && table[i].key != key) i = (i + 1) & mask;
-        table[i].key = key;
-        ++table[i].count;
-      });
+  std::vector<KeyCount> keys;
+  // A flat table of bit_ceil(2 * distinct-bound) slots: key_bound fitting in
+  // it is the direct condition, and the hashed table stays at most half full.
+  const std::size_t table_size = std::bit_ceil(2 * std::min(sample_n, key_bound));
+  if (distinct_keys) {
+    const std::uint64_t full = sample_n / key_bound, rest = sample_n % key_bound;
+    keys.resize(std::min(sample_n, key_bound));
+    for (std::uint64_t k = 0; k < keys.size(); ++k) {
+      keys[k] = {k, full + (k < rest)};
+    }
+  } else if (key_bound <= table_size &&
+             sample_n <= std::numeric_limits<std::uint32_t>::max()) {
+    // Every source key is < key_bound, so a key is its own count slot.
+    std::vector<std::uint32_t> counts(key_bound);
+    for_each_source_row(salt, sample_n, key_domain, skew, false,
+                        [&](std::uint64_t key, std::uint64_t) { ++counts[key]; });
+    keys.reserve(std::min(sample_n, key_bound));
+    for (std::uint64_t k = 0; k < key_bound; ++k) {
+      if (counts[k] != 0) keys.push_back({k, counts[k]});
+    }
+  } else {
+    // Linear probing; count 0 marks an empty slot.
+    keys.resize(table_size);
+    const std::size_t mask = table_size - 1;
+    for_each_source_row(
+        salt, sample_n, key_domain, skew, false,
+        [&](std::uint64_t key, std::uint64_t) {
+          std::size_t i = static_cast<std::size_t>(hash_u64(key)) & mask;
+          while (keys[i].count != 0 && keys[i].key != key) i = (i + 1) & mask;
+          keys[i].key = key;
+          ++keys[i].count;
+        });
+    std::size_t distinct = 0;
+    for (const KeyCount& kc : keys) {
+      if (kc.count != 0) keys[distinct++] = kc;  // compact to the front
+    }
+    keys.resize(distinct);
+  }
+
   HyperLogLog hll(kHllPrecision);
-  CountMinSketch cms(kCmsEpsilon, kCmsDelta);
-  std::size_t distinct = 0;
-  for (const KeyCount& kc : table) {
-    if (kc.count == 0) continue;
-    const std::uint64_t h = hash_u64(kc.key);
-    hll.add(h);
-    cms.add(h, kc.count);
-    table[distinct++] = kc;  // compact the distinct keys to the front
+  std::vector<std::uint64_t> hashes(keys.size());
+  for (std::size_t i = 0; i < keys.size(); ++i) {
+    hashes[i] = hash_u64(keys[i].key);
+    hll.add(hashes[i]);
   }
   const double scale = static_cast<double>(rows) / static_cast<double>(sample_n);
   st.ndv = std::min(static_cast<double>(key_bound), hll.estimate() * scale);
-  // Heavy hitters: every distinct sampled key whose CMS estimate clears the
-  // hot threshold. CMS only overestimates, so a truly hot key is never
-  // missed; a false positive only costs a wasted salt. Most keys fail the
-  // threshold on an early CMS row, so the scan stops there for them.
   const auto threshold = static_cast<std::uint64_t>(
       opts.hot_fraction * static_cast<double>(sample_n));
   if (threshold == 0) return st;
-  for (std::size_t i = 0; i < distinct; ++i) {
-    const std::uint64_t h = hash_u64(table[i].key);
-    if (!cms.estimate_at_least(h, threshold)) continue;
+  // The CMS row by row. cand[j] indexes keys; est[j] is its smallest cell
+  // so far. CMS only overestimates, so a truly hot key is never dropped; a
+  // false positive only costs a wasted salt.
+  const CountMinSketch cms(kCmsEpsilon, kCmsDelta);  // geometry and slot()
+  std::vector<std::uint64_t> row(cms.width());
+  std::vector<std::uint32_t> slots(keys.size());
+  std::vector<std::size_t> cand;
+  std::vector<std::uint64_t> est;
+  for (std::size_t d = 0; d < cms.depth(); ++d) {
+    std::fill(row.begin(), row.end(), 0);
+    for (std::size_t i = 0; i < keys.size(); ++i) {
+      slots[i] = static_cast<std::uint32_t>(cms.slot(hashes[i], d));
+      row[slots[i]] += keys[i].count;
+    }
+    if (d == 0) {
+      for (std::size_t i = 0; i < keys.size(); ++i) {
+        if (row[slots[i]] < threshold) continue;
+        cand.push_back(i);
+        est.push_back(row[slots[i]]);
+      }
+    } else {
+      std::size_t kept = 0;
+      for (std::size_t j = 0; j < cand.size(); ++j) {
+        const std::uint64_t cell = row[slots[cand[j]]];
+        if (cell < threshold) continue;
+        cand[kept] = cand[j];
+        est[kept] = std::min(est[j], cell);
+        ++kept;
+      }
+      cand.resize(kept);
+      est.resize(kept);
+    }
+    if (cand.empty()) return st;
+  }
+  for (std::size_t j = 0; j < cand.size(); ++j) {
     st.hot.push_back(
-        {table[i].key,
-         static_cast<std::uint64_t>(static_cast<double>(cms.estimate(h)) * scale)});
+        {keys[cand[j]].key,
+         static_cast<std::uint64_t>(static_cast<double>(est[j]) * scale)});
   }
   sort_hot(st.hot);
   return st;
@@ -196,9 +256,7 @@ std::vector<NodeStats> collect_stats(const LogicalPlan& plan,
     switch (nd.op) {
       case OpKind::kSource:
         stats[i] = sketch_source(nd.salt, nd.rows, nd.key_domain, nd.skew,
-                                 nd.distinct_keys,
-                                 nd.key_domain == 0 ? kKeyDomain : nd.key_domain,
-                                 opts);
+                                 nd.distinct_keys, opts);
         break;
       case OpKind::kJoin:
         stats[i] = join_stats(stats[nd.left], stats[nd.right]);
@@ -209,9 +267,7 @@ std::vector<NodeStats> collect_stats(const LogicalPlan& plan,
         if (nd.steps.front().op == OpKind::kSource) {
           const NarrowStep& s = nd.steps.front();
           cur = sketch_source(s.salt, s.rows, s.key_domain, s.skew,
-                              s.distinct_keys,
-                              s.key_domain == 0 ? kKeyDomain : s.key_domain,
-                              opts);
+                              s.distinct_keys, opts);
           first = 1;
         } else {
           cur = stats[nd.left];

@@ -1,15 +1,16 @@
 #pragma once
 // Per-node table/key statistics for the cost model (plan/cost.hpp). Source
 // nodes are sketched on every collect_stats call (a star query is planned
-// with two: order_star_dims, then cost_optimize), straight from the one
-// source generator, plan::for_each_source_row — a HyperLogLog estimates the
-// distinct-key count and a count-min sketch surfaces heavy-hitter keys —
-// and the estimates propagate through the plan with the standard textbook
-// formulas (filters halve, joins multiply and divide by the larger NDV,
-// reduces collapse to one row per key). Everything here is ADVISORY: the
-// stats feed physical hints (join build side, skew-salt fanout, filter
-// order inside fused chains) that never change result multisets, so a bad
-// estimate costs performance, never correctness.
+// with two: order_star_dims, then cost_optimize): a HyperLogLog estimates the
+// distinct-key count and a count-min sketch surfaces heavy-hitter keys, both
+// over a prefix sample of the one source generator, plan::for_each_source_row
+// (dimensions, whose keys cycle through their domain, are counted in closed
+// form without it). The estimates propagate through the plan with the
+// standard textbook formulas (filters halve, joins multiply and divide by the
+// larger NDV, reduces collapse to one row per key). Everything here is
+// ADVISORY: the stats feed physical hints (join build side, skew-salt fanout,
+// filter order inside fused chains) that never change result multisets, so a
+// bad estimate costs performance, never correctness.
 
 #include <cstdint>
 #include <vector>
@@ -58,13 +59,15 @@ inline constexpr double kCmsDelta = 0.01;
 inline constexpr std::size_t kMaxHotKeys = 8;
 
 /// Estimate rows/ndv/hot for every node. Sources are sketched over a prefix
-/// of up to sample_rows rows: the generated rows are counted by key (a key
-/// is its own count slot when the key bound fits the table, else it is
-/// hashed), then the HLL and CMS are fed once per distinct key (the CMS
-/// with the key's count), so a source costs O(sample + distinct keys) with
-/// no sort and no row vector. Interior nodes
-/// use propagation rules only — no interior node is ever materialized, so
-/// this is cheap enough to run on every submitted plan.
+/// of up to sample_rows rows, reduced to one (key, count) pair per distinct
+/// key: in closed form for distinct-key sources, in a dense per-key array
+/// when the key bound allows, else in a hashed table. The HLL is fed once
+/// per distinct key, and the CMS is built one row at a time, only while a
+/// key can still clear the hot threshold. A source costs O(sample + distinct
+/// keys) (O(distinct keys) for a dimension) with no sort and no row vector,
+/// and yields exactly the per-row sketches' estimates. Interior nodes use
+/// propagation rules only — no interior node is ever materialized, so this
+/// is cheap enough to run on every submitted plan.
 std::vector<NodeStats> collect_stats(const LogicalPlan& plan,
                                      const StatsOptions& opts = {});
 

@@ -256,6 +256,98 @@ TEST(PlanStats, SketchEqualsPerRowReferenceAtDirectSlotBoundary) {
   EXPECT_GT(with_hot, 0u);
 }
 
+void expect_sketch_equals_reference(const LogicalPlan& p, const StatsOptions& o) {
+  const NodeStats got = collect_stats(p, o)[0];
+  const NodeStats want = per_row_reference(p.nodes[0], o);
+  EXPECT_EQ(got.rows, want.rows);
+  EXPECT_EQ(got.ndv, want.ndv);
+  EXPECT_EQ(got.key_bound, want.key_bound);
+  EXPECT_EQ(got.hot, want.hot);
+}
+
+TEST(PlanStats, SketchPrunesHotKeysRowZeroNeighbourAtALaterRow) {
+  // A skewed source's hot key fills its row-0 CMS cell, so every key that
+  // shares that cell clears the threshold in row 0. Only later rows show
+  // that such a neighbour is not hot; the sketch must build them.
+  LogicalPlan p = source_only(20000, 4096, 300);
+  const PlanNode& src = p.nodes[0];
+  const std::uint64_t hot = hot_key_of(src);
+  const CountMinSketch cms(kCmsEpsilon, kCmsDelta);
+  const std::size_t hot_cell = cms.slot(hash_u64(hot), 0);
+  std::set<std::uint64_t> sampled;
+  for (const Row& r : source_rows_ex(src.salt, src.rows, src.key_domain, src.skew,
+                                     src.distinct_keys)) {
+    sampled.insert(r.first);
+  }
+  std::size_t neighbours = 0;
+  for (const std::uint64_t k : sampled) {
+    neighbours += k != hot && cms.slot(hash_u64(k), 0) == hot_cell;
+  }
+  ASSERT_GT(neighbours, 0u) << "no sampled key shares the hot key's row-0 cell";
+  const StatsOptions o;
+  const NodeStats want = per_row_reference(src, o);
+  ASSERT_EQ(want.hot.size(), 1u);
+  EXPECT_EQ(want.hot[0].key, hot);
+  expect_sketch_equals_reference(p, o);
+}
+
+TEST(PlanStats, SketchKeepsFalsePositivesThatClearEveryCmsRow) {
+  // At a low hot fraction every cell of an unskewed source clears the
+  // threshold, so keys whose true count is far below it survive every CMS
+  // row. They are hot by the sketch's definition and must be listed, with
+  // the minimum of their cells as the estimate.
+  const LogicalPlan p = source_only(65536, 4096);
+  const PlanNode& src = p.nodes[0];
+  StatsOptions o;
+  o.hot_fraction = 0.001;
+  const auto threshold = static_cast<std::uint64_t>(
+      o.hot_fraction * static_cast<double>(std::min(src.rows, o.sample_rows)));
+  std::vector<std::uint64_t> freq(src.key_domain);
+  for (const Row& r : source_rows_ex(src.salt, src.rows, src.key_domain, src.skew,
+                                     src.distinct_keys)) {
+    ++freq[r.first];
+  }
+  const NodeStats want = per_row_reference(src, o);
+  ASSERT_EQ(want.hot.size(), kMaxHotKeys);
+  for (const HotKey& h : want.hot) {
+    EXPECT_LT(freq[h.key], threshold) << "key " << h.key << " is truly hot";
+  }
+  expect_sketch_equals_reference(p, o);
+}
+
+TEST(PlanStats, DistinctKeySketchCountsPartialCycles) {
+  // A distinct-key source cycles its keys, so a sample of m*domain + r rows
+  // holds the first r keys once more than the rest. Whole, partial and
+  // nearly whole last cycles, and a sample cap that cuts a cycle, must all
+  // equal the per-row reference, hot-key counts included.
+  std::size_t cases = 0, with_hot = 0;
+  for (const std::uint64_t domain : {std::uint64_t{7}, std::uint64_t{100},
+                                     std::uint64_t{4096}}) {
+    for (const std::uint64_t m : {std::uint64_t{1}, std::uint64_t{3}}) {
+      for (const std::uint64_t r : {std::uint64_t{0}, std::uint64_t{1}, domain - 1}) {
+        for (const std::uint64_t sample_rows :
+             {StatsOptions{}.sample_rows, 2 * domain + domain / 2}) {
+          for (const double hot_fraction : {0.05, 0.001}) {
+            const LogicalPlan p = source_only(m * domain + r, domain, 0, true);
+            StatsOptions o;
+            o.sample_rows = sample_rows;
+            o.hot_fraction = hot_fraction;
+            SCOPED_TRACE(::testing::Message()
+                         << "domain " << domain << " m " << m << " r " << r
+                         << " sample_rows " << sample_rows << " hot_fraction "
+                         << hot_fraction);
+            expect_sketch_equals_reference(p, o);
+            ++cases;
+            with_hot += !per_row_reference(p.nodes[0], o).hot.empty();
+          }
+        }
+      }
+    }
+  }
+  EXPECT_EQ(cases, 3u * 2u * 3u * 2u * 2u);
+  EXPECT_GT(with_hot, cases / 8) << "counts must reach the hot list";
+}
+
 // ---- cost_optimize annotations ---------------------------------------------------
 
 TEST(PlanCost, BuildSideFlipsToSmallerInput) {

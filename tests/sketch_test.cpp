@@ -5,7 +5,6 @@
 
 #include <cmath>
 #include <map>
-#include <set>
 #include <string>
 #include <vector>
 
@@ -301,24 +300,6 @@ TEST(CountMinSketch, SlotsMatchModuloReference) {
     }
   }
   EXPECT_GT(checked, 500000u);
-}
-
-TEST(CountMinSketch, EstimateAtLeastEqualsEstimateThreshold) {
-  CountMinSketch cms(0.005, 0.01);
-  for (std::uint64_t k = 0; k < 2000; ++k) cms.add(hash_u64(k), 50000 / (k + 1));
-  std::set<std::uint64_t> thresholds = {0};
-  for (std::uint64_t k = 0; k < 2500; ++k) {
-    const std::uint64_t est = cms.estimate(hash_u64(k));
-    thresholds.insert(est);
-    thresholds.insert(est + 1);
-  }
-  for (std::uint64_t k = 0; k < 2500; ++k) {  // the last 500 keys are absent
-    const std::uint64_t h = hash_u64(k);
-    const std::uint64_t est = cms.estimate(h);
-    for (const std::uint64_t t : thresholds) {
-      ASSERT_EQ(cms.estimate_at_least(h, t), est >= t) << "key " << k << " t " << t;
-    }
-  }
 }
 
 TEST(HyperLogLog, EstimateEqualsPowReference) {
