@@ -7,8 +7,8 @@
 //   raw row       — the plan as written (naive dim order), row-at-a-time
 //   rules row     — plan::optimize (fusion, combine, pushdown), row engine
 //   columnar+cost — cost-based dim order + plan::cost_optimize hints,
-//                   batch-at-a-time columnar kernels (radix hash join,
-//                   dense/sort grouped reduce, compaction filters)
+//                   batch-at-a-time columnar kernels (key-indexed hash
+//                   join, dense/sort grouped reduce, compaction filters)
 //
 // The plan (ms) column is the per-query planning time: order_star_dims +
 // cost_optimize, best of the reps, on the calling thread.
@@ -17,8 +17,9 @@
 // the row engine on the SAME plan before timing — the speedup column is
 // only meaningful because the answers are provably equal. Expected shape:
 // columnar+cost ≥ 5x over raw row on the wide sales star (the multimap
-// row join dominates), with the skewed clickstream star also showing the
-// salted-join fanout win.
+// row join dominates). The skewed clickstream star gets salted joins from
+// the cost pass; the columnar join ignores the fanout (its probe row chunks
+// are never skewed), so only lower_dist acts on it.
 
 #include <chrono>
 #include <cstdint>

@@ -3,13 +3,14 @@
 // blocks, the execution engine the plan lowering uses: a struct-of-arrays
 // RowBlock for the plan IR's (u64 key, u64 value) rows, plus the operator
 // kernels — transform/filter loops with in-place compaction (the
-// selection-vector effect without materializing one), a radix-partitioned
-// hash join with optional skew sub-splitting, and dense/sort-based grouped
+// selection-vector effect without materializing one), a hash join that is
+// key-indexed over small key domains, and dense/sort-based grouped
 // reduction. All kernels are deterministic and generic over the row
 // functions so the plan layer can instantiate them with its operator
 // semantics without this header depending on plan/.
 
 #include <algorithm>
+#include <bit>
 #include <cstdint>
 #include <utility>
 #include <vector>
@@ -104,7 +105,8 @@ void filter_block(Executor& ex, RowBlock& b, Pred pred) {
 }
 
 /// Parallel expand: fn(k, v, out) appends 0..m rows per input row to a
-/// per-chunk block; chunks concatenate in order (deterministic).
+/// per-chunk block; chunks concatenate in order (deterministic). Each chunk
+/// calls its own copy of fn, so fn may keep mutable scratch state.
 /// Fn: void(std::uint64_t k, std::uint64_t v, RowBlock& out).
 template <typename Fn>
 RowBlock expand_block(Executor& ex, const RowBlock& b, Fn fn) {
@@ -121,7 +123,7 @@ RowBlock expand_block(Executor& ex, const RowBlock& b, Fn fn) {
     for (std::size_t c = 0; c < nchunks; ++c) {
       const std::size_t lo = c * grain;
       const std::size_t hi = std::min(lo + grain, n);
-      tg.run([kp, vp, fn, lo, hi, &part = parts[c]] {
+      tg.run([kp, vp, fn, lo, hi, &part = parts[c]]() mutable {
         part.reserve(hi - lo);
         for (std::size_t i = lo; i < hi; ++i) fn(kp[i], vp[i], part);
       });
@@ -207,100 +209,77 @@ RowBlock sorted_reduce_by_key(Executor& ex, const RowBlock& b, Combine combine) 
   return out;
 }
 
-/// Radix-partitioned hash join. Both sides scatter into kJoinRadix
-/// partitions by a key hash; each partition builds a chained hash table
-/// over the build side and probes with its probe rows. Partitions whose
-/// probe share is oversized are split into up to `skew_fanout` probe
-/// sub-ranges that share one build table — the skew-salting analogue for a
-/// shared-memory backend. Emit: void(k, build_v, probe_v, RowBlock& out),
-/// called once per matching pair; per-(sub)task outputs concatenate in
-/// deterministic task order.
-inline constexpr std::size_t kJoinRadix = 64;
-
-template <typename Emit>
-RowBlock radix_hash_join(Executor& ex, const RowBlock& build,
-                         const RowBlock& probe, std::uint32_t skew_fanout,
-                         Emit emit) {
-  constexpr std::size_t P = kJoinRadix;
-  auto part_of = [](std::uint64_t k) {
-    return static_cast<std::size_t>(mix64(k) & (P - 1));
-  };
-  // Scatter both sides (sequential: two cache-friendly passes; the joins
-  // themselves dominate).
-  std::vector<RowBlock> bp(P), pp(P);
-  {
-    std::vector<std::size_t> bh(P, 0), ph(P, 0);
-    for (std::uint64_t k : build.key) ++bh[part_of(k)];
-    for (std::uint64_t k : probe.key) ++ph[part_of(k)];
-    for (std::size_t p = 0; p < P; ++p) {
-      bp[p].reserve(bh[p]);
-      pp[p].reserve(ph[p]);
-    }
-    for (std::size_t i = 0; i < build.size(); ++i) {
-      bp[part_of(build.key[i])].push(build.key[i], build.val[i]);
-    }
-    for (std::size_t i = 0; i < probe.size(); ++i) {
-      pp[part_of(probe.key[i])].push(probe.key[i], probe.val[i]);
-    }
+/// Hash join that reads both blocks in place. The build side chains off one
+/// head array plus a `next` array of row indices + 1 (0 ends a chain),
+/// threaded back to front so every chain runs in build order.
+/// - dense_bound > 0 promises that every key that can match is below it:
+///   the head array is indexed by the key itself, with no hash and no key
+///   compare, and a build or probe row whose key is >= dense_bound is
+///   skipped with one compare.
+/// - dense_bound == 0 indexes bit_ceil(2 * build rows) head slots by
+///   mix64(key), and each chain step compares keys.
+/// The probe block is read in place in pick_grain row chunks, each probed
+/// into a block of its own; the chunk blocks are then copied in parallel
+/// to their offsets in the output. So the output holds probe order, and
+/// build order within one probe row, whatever the executor's thread count.
+/// JoinRow: std::pair<std::uint64_t, std::uint64_t>(k, build_v, probe_v),
+/// called once per matching pair.
+template <typename JoinRow>
+RowBlock hash_join(Executor& ex, const RowBlock& build, const RowBlock& probe,
+                   std::uint64_t dense_bound, JoinRow join_row) {
+  RowBlock out;
+  const std::size_t nb = build.size();
+  const std::size_t np = probe.size();
+  if (nb == 0 || np == 0) return out;
+  const bool dense = dense_bound != 0;
+  const std::size_t slots =
+      dense ? static_cast<std::size_t>(dense_bound) : std::bit_ceil(2 * nb);
+  const std::uint64_t mask = slots - 1;
+  std::vector<std::uint32_t> head(slots, 0);
+  std::vector<std::uint32_t> next(nb, 0);
+  for (std::size_t i = nb; i-- > 0;) {
+    const std::uint64_t k = build.key[i];
+    if (dense && k >= dense_bound) continue;
+    const std::size_t s = dense ? k : mix64(k) & mask;
+    next[i] = head[s];
+    head[s] = static_cast<std::uint32_t>(i + 1);
   }
-  // Chained hash tables per partition, built in parallel.
-  struct Table {
-    std::vector<std::uint32_t> head;  // slot -> first row index + 1 (0 = none)
-    std::vector<std::uint32_t> next;  // row -> next row with same slot + 1
-    std::size_t mask = 0;
-  };
-  std::vector<Table> tables(P);
-  parallel_for(ex, 0, P, [&](std::size_t p) {
-    const RowBlock& bb = bp[p];
-    Table& t = tables[p];
-    std::size_t cap = 8;
-    while (cap < bb.size() * 2) cap <<= 1;
-    t.mask = cap - 1;
-    t.head.assign(cap, 0);
-    t.next.assign(bb.size(), 0);
-    for (std::size_t i = 0; i < bb.size(); ++i) {
-      const std::size_t slot = mix64(bb.key[i]) >> 6 & t.mask;
-      t.next[i] = t.head[slot];
-      t.head[slot] = static_cast<std::uint32_t>(i + 1);
-    }
-  });
-  // Probe task list: oversized partitions split into skew_fanout sub-ranges.
-  struct ProbeTask {
-    std::size_t part, lo, hi;
-  };
-  std::vector<ProbeTask> ptasks;
-  const std::size_t avg = std::max<std::size_t>(1, probe.size() / P);
-  for (std::size_t p = 0; p < P; ++p) {
-    const std::size_t np = pp[p].size();
-    const std::size_t fan =
-        (skew_fanout > 1 && np > avg * 2) ? skew_fanout : 1;
-    const std::size_t step = (np + fan - 1) / std::max<std::size_t>(fan, 1);
-    for (std::size_t lo = 0; lo < np; lo += std::max<std::size_t>(step, 1)) {
-      ptasks.push_back({p, lo, std::min(lo + std::max<std::size_t>(step, 1), np)});
-    }
-    if (np == 0) ptasks.push_back({p, 0, 0});
-  }
-  std::vector<RowBlock> outs(ptasks.size());
-  parallel_for(ex, 0, ptasks.size(), [&](std::size_t ti) {
-    const ProbeTask& pt = ptasks[ti];
-    const RowBlock& bb = bp[pt.part];
-    const RowBlock& qq = pp[pt.part];
-    const Table& t = tables[pt.part];
-    RowBlock& out = outs[ti];
-    if (bb.empty()) return;
-    for (std::size_t i = pt.lo; i < pt.hi; ++i) {
-      const std::uint64_t k = qq.key[i];
-      for (std::uint32_t j = t.head[mix64(k) >> 6 & t.mask]; j != 0;
-           j = t.next[j - 1]) {
-        if (bb.key[j - 1] == k) emit(k, bb.val[j - 1], qq.val[i], out);
+  // fn(j) for every build row j matching probe key k, in build order.
+  const auto for_each_match = [&, bk = build.key.data()](std::uint64_t k, auto fn) {
+    if (dense) {
+      if (k >= dense_bound) return;
+      for (std::uint32_t j = head[k]; j != 0; j = next[j - 1]) fn(j - 1);
+    } else {
+      for (std::uint32_t j = head[mix64(k) & mask]; j != 0; j = next[j - 1]) {
+        if (bk[j - 1] == k) fn(j - 1);
       }
     }
+  };
+  const std::size_t grain = hpbdc::detail::pick_grain(np, ex.num_threads(), 0);
+  const std::size_t nchunks = (np + grain - 1) / grain;
+  std::vector<RowBlock> parts(nchunks);
+  const auto* pk = probe.key.data();
+  const auto* pv = probe.val.data();
+  parallel_for(ex, 0, nchunks, [&, bv = build.val.data()](std::size_t c) {
+    RowBlock& part = parts[c];
+    const std::size_t hi = std::min(np, (c + 1) * grain);
+    part.reserve(hi - c * grain);
+    for (std::size_t i = c * grain; i < hi; ++i) {
+      const std::uint64_t k = pk[i];
+      for_each_match(k, [&](std::size_t j) {
+        const auto [ok, ov] = join_row(k, bv[j], pv[i]);
+        part.push(ok, ov);
+      });
+    }
   });
-  RowBlock out;
-  std::size_t total = 0;
-  for (const RowBlock& o : outs) total += o.size();
-  out.reserve(total);
-  for (const RowBlock& o : outs) append(out, o);
+  std::vector<std::size_t> offset(nchunks + 1, 0);
+  for (std::size_t c = 0; c < nchunks; ++c) offset[c + 1] = offset[c] + parts[c].size();
+  out.key.resize(offset[nchunks]);
+  out.val.resize(offset[nchunks]);
+  parallel_for(ex, 0, nchunks, [&](std::size_t c) {
+    std::copy(parts[c].key.begin(), parts[c].key.end(), out.key.begin() + offset[c]);
+    std::copy(parts[c].val.begin(), parts[c].val.end(), out.val.begin() + offset[c]);
+  });
   return out;
 }
 

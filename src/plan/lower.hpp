@@ -25,15 +25,16 @@ std::vector<Row> lower_local(const LogicalPlan& plan, dataflow::Context& ctx);
 
 /// Execute on the vectorized columnar backend: every node materializes as a
 /// column-major RowBlock, narrow ops run as tight in-place loops with
-/// chunked compaction, joins as a radix-partitioned hash join honoring the
-/// cost model's build_left/salt_fanout hints, and reduces as dense
-/// direct-index aggregation when key_upper_bounds() proves the domain
-/// small. Returns the sink union — the same row multiset as lower_local for
-/// every plan.
+/// chunked compaction, joins as one hash join over the cost model's
+/// build_left side, and joins and reduces index by key directly when
+/// key_upper_bounds() proves the domain small (kDenseReduceMaxDomain).
+/// Returns the sink union — the same row multiset as lower_local for every
+/// plan.
 std::vector<Row> lower_columnar(const LogicalPlan& plan, Executor& ex);
 
-/// Key-domain ceiling for the dense reduce accumulator; wider domains fall
-/// back to the sort-based grouped reduction.
+/// Key-domain ceiling for the dense reduce accumulator and the key-indexed
+/// join table; wider domains fall back to the sort-based grouped reduction
+/// and the hashed join table.
 inline constexpr std::uint64_t kDenseReduceMaxDomain = 1u << 16;
 
 /// Physical choices for lower_dist beyond the plan itself.

@@ -44,8 +44,10 @@ RowBlock apply_step_block(Executor& ex, RowBlock b, const NarrowStep& st) {
       return b;
     case OpKind::kFlatMap:
       return dataflow::columnar::expand_block(
-          ex, b, [salt](std::uint64_t k, std::uint64_t v, RowBlock& out) {
-            std::vector<Row> rows;
+          ex, b,
+          [salt, rows = std::vector<Row>{}](std::uint64_t k, std::uint64_t v,
+                                            RowBlock& out) mutable {
+            rows.clear();
             flat_map_row({k, v}, salt, rows);
             for (const Row& r : rows) out.push(r.first, r.second);
           });
@@ -117,24 +119,24 @@ std::vector<Row> lower_columnar(const LogicalPlan& plan, Executor& ex) {
       case OpKind::kJoin: {
         // build_left is the cost model's hint; output values are oriented
         // (left, right) regardless, so both build sides emit the same
-        // multiset. salt_fanout sub-splits oversized probe partitions.
+        // multiset. The join's key bound keys the table by key itself when
+        // it is small enough for the dense reduce. salt_fanout is a dist
+        // hint: probe row chunks are never skewed by hot keys.
         const RowBlock& l = built[nd.left];
         const RowBlock& r = built[nd.right];
+        const std::uint64_t dense_bound =
+            bounds[i] <= kDenseReduceMaxDomain ? bounds[i] : 0;
         if (nd.build_left) {
-          built[i] = dataflow::columnar::radix_hash_join(
-              ex, l, r, nd.salt_fanout,
-              [](std::uint64_t k, std::uint64_t bv, std::uint64_t pv,
-                 RowBlock& out) {
-                const Row j = join_rows(k, bv, pv);
-                out.push(j.first, j.second);
+          built[i] = dataflow::columnar::hash_join(
+              ex, l, r, dense_bound,
+              [](std::uint64_t k, std::uint64_t bv, std::uint64_t pv) {
+                return join_rows(k, bv, pv);
               });
         } else {
-          built[i] = dataflow::columnar::radix_hash_join(
-              ex, r, l, nd.salt_fanout,
-              [](std::uint64_t k, std::uint64_t bv, std::uint64_t pv,
-                 RowBlock& out) {
-                const Row j = join_rows(k, pv, bv);
-                out.push(j.first, j.second);
+          built[i] = dataflow::columnar::hash_join(
+              ex, r, l, dense_bound,
+              [](std::uint64_t k, std::uint64_t bv, std::uint64_t pv) {
+                return join_rows(k, pv, bv);
               });
         }
         break;

@@ -109,8 +109,9 @@ struct PlanNode {
   bool build_left = true;
   /// kJoin: skew-salting fanout. 0 = off. When > 0 with a non-empty
   /// hot_keys list, the dist lowering replicates hot build rows to every
-  /// task and spreads hot probe rows across tasks, and the columnar radix
-  /// join splits oversized partitions into this many probe sub-tasks.
+  /// task and spreads hot probe rows across tasks. The columnar join
+  /// ignores it: it splits the probe into row chunks, which hot keys
+  /// cannot skew.
   std::uint32_t salt_fanout = 0;
   /// kJoin: CMS-detected heavy-hitter keys on the probe side.
   std::vector<std::uint64_t> hot_keys;
@@ -226,8 +227,9 @@ Bytes canonical_bytes(std::vector<Row> rows);
 /// Strict static upper bound on the key values each node can emit (keys are
 /// always < the bound). Sources are bounded by their domain, key remixes by
 /// kKeyDomain, key-preserving ops by their parent, joins by the tighter
-/// parent. The columnar backend keys its dense aggregation and join layouts
-/// off this, and the stats layer seeds its propagation with it.
+/// parent. The columnar backend indexes its dense reduce and its join's
+/// head array by key when this bound is small, and the stats layer seeds
+/// its propagation with it.
 std::vector<std::uint64_t> key_upper_bounds(const LogicalPlan& plan);
 
 /// Stable 64-bit structural fingerprint of a plan, the cache/admission key

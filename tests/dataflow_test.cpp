@@ -10,7 +10,6 @@
 #include <stdexcept>
 
 #include "common/rng.hpp"
-#include "dataflow/approx.hpp"
 #include "dataflow/dataset.hpp"
 #include "dataflow/pair_ops.hpp"
 #include "dataflow/shuffle.hpp"
@@ -482,61 +481,6 @@ TEST_F(DataflowTest, SortMergeJoinDuplicateKeysCrossProduct) {
   auto left = Dataset<std::pair<int, char>>::parallelize(ctx, {{1, 'a'}, {1, 'b'}}, 1);
   auto right = Dataset<std::pair<int, char>>::parallelize(ctx, {{1, 'x'}, {1, 'y'}}, 1);
   EXPECT_EQ(sort_merge_join(left, right).count(), 4u);
-}
-
-TEST_F(DataflowTest, ApproxDistinctNearExact) {
-  Rng rng(11);
-  std::vector<std::uint64_t> data;
-  for (int i = 0; i < 50000; ++i) data.push_back(rng.next_below(7000));
-  auto ds = Dataset<std::uint64_t>::parallelize(ctx, data, 6);
-  const auto exact = ds.distinct().count();
-  const double approx = approx_distinct(ds, 12);
-  EXPECT_NEAR(approx, static_cast<double>(exact), static_cast<double>(exact) * 0.1);
-}
-
-TEST_F(DataflowTest, ApproxDistinctEmpty) {
-  auto ds = Dataset<int>::parallelize(ctx, {}, 2);
-  EXPECT_NEAR(approx_distinct(ds), 0.0, 1.0);
-}
-
-TEST_F(DataflowTest, ApproxHeavyHittersFindsHotKeys) {
-  Rng rng(12);
-  std::vector<std::uint64_t> data;
-  // Two hot keys (10k each) in a sea of 30k rare keys.
-  for (int i = 0; i < 10000; ++i) data.push_back(1);
-  for (int i = 0; i < 10000; ++i) data.push_back(2);
-  for (int i = 0; i < 30000; ++i) data.push_back(100 + rng.next_below(100000));
-  rng.shuffle(data);
-  auto ds = Dataset<std::uint64_t>::parallelize(ctx, data, 4);
-  auto hitters = approx_heavy_hitters(ds, 5000);
-  std::set<std::uint64_t> hashes;
-  for (const auto& h : hitters) hashes.insert(h.key_hash);
-  EXPECT_TRUE(hashes.contains(Hasher<std::uint64_t>{}(1)));
-  EXPECT_TRUE(hashes.contains(Hasher<std::uint64_t>{}(2)));
-  for (const auto& h : hitters) EXPECT_GE(h.estimate, 5000u);  // one-sided bound
-  EXPECT_LE(hitters.size(), 10u);  // no flood of false positives
-}
-
-TEST_F(DataflowTest, SpillRestoreRoundTrip) {
-  Rng rng(13);
-  std::vector<std::pair<std::string, std::uint64_t>> data;
-  for (int i = 0; i < 3000; ++i) {
-    data.emplace_back("key" + std::to_string(rng.next_below(100)), rng());
-  }
-  auto ds = Dataset<std::pair<std::string, std::uint64_t>>::parallelize(ctx, data, 5);
-  auto blobs = spill(ds);
-  EXPECT_EQ(blobs.size(), 5u);
-  auto back = restore<std::pair<std::string, std::uint64_t>>(ctx, blobs);
-  EXPECT_EQ(back.num_partitions(), 5u);
-  EXPECT_EQ(back.collect(), ds.collect());
-}
-
-TEST_F(DataflowTest, RestoredDatasetComposes) {
-  auto ds = Dataset<std::uint64_t>::parallelize(ctx, {1, 2, 3, 4, 5}, 2);
-  auto back = restore<std::uint64_t>(ctx, spill(ds));
-  const auto sum = back.reduce(std::uint64_t{0},
-                               [](std::uint64_t a, std::uint64_t b) { return a + b; });
-  EXPECT_EQ(sum, 15u);
 }
 
 TEST_F(DataflowTest, MapValuesKeysValues) {

@@ -9,6 +9,8 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <deque>
+#include <functional>
 #include <map>
 #include <set>
 #include <utility>
@@ -36,6 +38,24 @@ Executor& pool() {
   static ThreadPool p(4);
   return p;
 }
+
+/// Single-thread Executor: tasks queue on submit and run on the thread
+/// that waits for them.
+class InlineExecutor final : public Executor {
+ public:
+  void submit(std::function<void()> fn) override { queue_.push_back(std::move(fn)); }
+  bool try_run_one() override {
+    if (queue_.empty()) return false;
+    std::function<void()> fn = std::move(queue_.front());
+    queue_.pop_front();
+    fn();
+    return true;
+  }
+  std::size_t num_threads() const noexcept override { return 1; }
+
+ private:
+  std::deque<std::function<void()>> queue_;
+};
 
 Bytes local_bytes(const LogicalPlan& p) {
   dataflow::Context ctx(pool());
@@ -157,20 +177,18 @@ TEST(VectorizedKernels, RadixJoinMatchesNestedLoopReference) {
   // Duplicate keys on both sides so chains longer than one are probed.
   const col::RowBlock build = random_block(7, 1500, 400);
   const col::RowBlock probe = random_block(8, 2500, 400);
-  auto emit = [](std::uint64_t k, std::uint64_t bv, std::uint64_t pv,
-                 col::RowBlock& out) {
-    const Row r = join_rows(k, bv, pv);
-    out.push(r.first, r.second);
-  };
-  const auto got = col::radix_hash_join(pool(), build, probe, /*skew_fanout=*/0, emit);
-  EXPECT_GT(got.size(), 0u);
-  EXPECT_EQ(canonical_bytes(col::to_rows(got)),
-            canonical_bytes(nested_loop_join(build, probe)));
+  const Bytes want = canonical_bytes(nested_loop_join(build, probe));
+  // Key-indexed (the domain bound) and hashed (no bound) tables.
+  for (const std::uint64_t dense_bound : {std::uint64_t{400}, std::uint64_t{0}}) {
+    const auto got = col::hash_join(pool(), build, probe, dense_bound, join_rows);
+    EXPECT_GT(got.size(), 0u);
+    EXPECT_EQ(canonical_bytes(col::to_rows(got)), want) << "dense_bound " << dense_bound;
+  }
 }
 
 TEST(VectorizedKernels, RadixJoinSkewFanoutSplitsWithoutChangingResult) {
-  // ~60% of probe rows share one hot key: its partition exceeds 2x the
-  // average probe share, so fanout > 1 takes the sub-split path.
+  // ~60% of probe rows share one hot key: row chunks of the probe block
+  // stay even however skewed its keys are.
   col::RowBlock build = random_block(9, 300, 64);
   build.push(7, 0xb0b);
   col::RowBlock probe;
@@ -178,17 +196,70 @@ TEST(VectorizedKernels, RadixJoinSkewFanoutSplitsWithoutChangingResult) {
   for (std::size_t i = 0; i < 5000; ++i) {
     probe.push(rng.next_below(10) < 6 ? 7 : rng.next_below(64), rng());
   }
-  auto emit = [](std::uint64_t k, std::uint64_t bv, std::uint64_t pv,
-                 col::RowBlock& out) {
-    const Row r = join_rows(k, bv, pv);
-    out.push(r.first, r.second);
-  };
-  const auto flat = col::radix_hash_join(pool(), build, probe, 0, emit);
-  const auto split = col::radix_hash_join(pool(), build, probe, 8, emit);
-  EXPECT_EQ(canonical_bytes(col::to_rows(split)),
-            canonical_bytes(col::to_rows(flat)));
-  EXPECT_EQ(canonical_bytes(col::to_rows(split)),
-            canonical_bytes(nested_loop_join(build, probe)));
+  for (const std::uint64_t dense_bound : {std::uint64_t{64}, std::uint64_t{0}}) {
+    const auto got = col::hash_join(pool(), build, probe, dense_bound, join_rows);
+    EXPECT_EQ(canonical_bytes(col::to_rows(got)),
+              canonical_bytes(nested_loop_join(build, probe)))
+        << "dense_bound " << dense_bound;
+  }
+}
+
+TEST(VectorizedKernels, KeyIndexedJoinSkipsKeysAtOrAboveTheBound) {
+  // A join's bound is the tighter parent's: the narrow side's keys are all
+  // below it, the wide side's mostly not. Each orientation puts the
+  // out-of-bound keys on one side of the table, build or probe.
+  const std::uint64_t bound = 256;
+  const col::RowBlock narrow = random_block(11, 3000, bound);
+  const col::RowBlock wide = random_block(12, 3000, std::uint64_t{1} << 20);
+  col::RowBlock wide_hits = wide;  // plus rows that do match
+  for (std::size_t i = 0; i < 500; ++i) wide_hits.push(i % bound, i);
+  for (const bool build_narrow : {true, false}) {
+    const col::RowBlock& build = build_narrow ? narrow : wide_hits;
+    const col::RowBlock& probe = build_narrow ? wide_hits : narrow;
+    const auto got = col::hash_join(pool(), build, probe, bound, join_rows);
+    EXPECT_EQ(col::to_rows(got), nested_loop_join(build, probe))
+        << "build_narrow " << build_narrow;
+  }
+}
+
+TEST(VectorizedKernels, HashedJoinComparesKeysOverAWideDomain) {
+  // 200 keys drawn from 2^40, repeated on both sides: distinct keys share
+  // head slots, so only the key compare keeps them apart.
+  Rng rng(13);
+  std::vector<std::uint64_t> keys(200);
+  for (std::uint64_t& k : keys) k = rng.next_below(std::uint64_t{1} << 40);
+  col::RowBlock build, probe;
+  for (std::size_t i = 0; i < 1000; ++i) build.push(keys[rng.next_below(150)], rng());
+  for (std::size_t i = 0; i < 3000; ++i) probe.push(keys[50 + rng.next_below(150)], rng());
+  const auto got = col::hash_join(pool(), build, probe, 0, join_rows);
+  EXPECT_GT(got.size(), 0u);
+  EXPECT_EQ(col::to_rows(got), nested_loop_join(build, probe));
+}
+
+TEST(VectorizedKernels, HashJoinOfAnEmptySideIsEmpty) {
+  const col::RowBlock rows = random_block(14, 100, 16);
+  const col::RowBlock empty;
+  for (const std::uint64_t dense_bound : {std::uint64_t{16}, std::uint64_t{0}}) {
+    EXPECT_TRUE(col::hash_join(pool(), empty, rows, dense_bound, join_rows).empty());
+    EXPECT_TRUE(col::hash_join(pool(), rows, empty, dense_bound, join_rows).empty());
+    EXPECT_TRUE(col::hash_join(pool(), empty, empty, dense_bound, join_rows).empty());
+  }
+}
+
+TEST(VectorizedKernels, HashJoinRowSequenceIndependentOfThreadCount) {
+  // Probe order, then build order within one probe row: the nested loop's
+  // exact sequence, on one inline thread and on four pool threads alike.
+  const col::RowBlock build = random_block(15, 2000, 512);
+  const col::RowBlock probe = random_block(16, 20000, 512);
+  const std::vector<Row> want = nested_loop_join(build, probe);
+  InlineExecutor inline_ex;
+  for (const std::uint64_t dense_bound : {std::uint64_t{512}, std::uint64_t{0}}) {
+    for (Executor* ex : {static_cast<Executor*>(&inline_ex), &pool()}) {
+      const auto got = col::hash_join(*ex, build, probe, dense_bound, join_rows);
+      EXPECT_EQ(col::to_rows(got), want)
+          << "dense_bound " << dense_bound << ", threads " << ex->num_threads();
+    }
+  }
 }
 
 // ---- key_upper_bounds ------------------------------------------------------------
