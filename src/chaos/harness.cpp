@@ -317,8 +317,8 @@ ChaosOutcome run_chaos_once(const ChaosConfig& cfg, Executor& pool) {
               at_done = rt.stats();
             });
   // Drive in slices so a finished job doesn't burn the whole horizon on
-  // idle heartbeats; after completion, a short grace window surfaces any
-  // straggling task events for the quiescence check.
+  // fault events still scheduled; after completion, a short grace window
+  // surfaces any straggling task events for the quiescence check.
   while (!done && sim.now() < cfg.horizon) {
     sim.run_until(std::min(cfg.horizon, sim.now() + 5.0));
   }

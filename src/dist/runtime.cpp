@@ -15,19 +15,27 @@ constexpr std::uint64_t kRpcBytes = 256;  // control-plane message body size
 
 }  // namespace
 
-DistRuntime::DistRuntime(sim::Comm& comm, DistConfig cfg, sim::Dfs* dfs)
+DistRuntime::DistRuntime(sim::Comm& comm, DistConfig cfg, sim::Dfs* dfs,
+                         sim::Membership* members)
     : comm_(comm),
       cfg_(cfg),
       dfs_(dfs),
       tag_exec_(comm.next_tag()),
       tag_drv_(comm.next_tag()),
-      jitter_rng_(mix_seed(cfg.seed, 1)),
+      members_(members),
       failure_rng_(mix_seed(cfg.seed, 2)) {
   const std::size_t n = comm.nranks();
   if (cfg_.driver >= n) throw std::invalid_argument("DistRuntime: bad driver rank");
   if (cfg_.slots_per_node == 0) {
     throw std::invalid_argument("DistRuntime: zero slots per node");
   }
+  if (members_ == nullptr) {
+    own_members_ = std::make_unique<sim::Membership>(
+        comm, cfg_.driver, cfg_.heartbeat_interval, cfg_.heartbeat_timeout,
+        cfg_.heartbeat_jitter, cfg_.seed, dfs_);
+    members_ = own_members_.get();
+  }
+  members_->subscribe(*this);
   execs_.assign(n, ExecState(cfg_));
   // Straggler assignment: a seeded random subset runs degraded, mirroring
   // cluster::SpeculationConfig.
@@ -46,13 +54,9 @@ DistRuntime::DistRuntime(sim::Comm& comm, DistConfig cfg, sim::Dfs* dfs)
     });
   }
   comm_.set_handler(cfg_.driver, tag_drv_,
-                    [this](std::size_t src, const Bytes& p) {
+                    [this](std::size_t, const Bytes& p) {
                       BufReader r(p);
                       const auto type = r.read_pod<std::uint8_t>();
-                      if (type == kHeartbeat) {
-                        on_heartbeat(src);
-                        return;
-                      }
                       const auto id = r.read_pod<std::uint64_t>();
                       if (!active_ || !attempts_.contains(id)) {
                         // A task event straggling in after the job finished
@@ -85,7 +89,7 @@ ShuffleTransport::Env DistRuntime::make_transport_env() {
   ShuffleTransport::Env env;
   env.comm = &comm_;
   env.driver = cfg_.driver;
-  env.node_alive = [this](std::size_t n) { return execs_[n].alive; };
+  env.node_alive = [this](std::size_t n) { return members_->alive(n); };
   env.disk = [this](std::size_t n) -> sim::Disk& { return execs_[n].disk; };
   env.attempt_dead = [this](std::uint64_t id) { return attempt_dead(id); };
   env.parent_output = [this](std::size_t ps, std::size_t pt) {
@@ -100,7 +104,7 @@ ShuffleTransport::Env DistRuntime::make_transport_env() {
     }
     std::size_t best = kNone, best_hops = ~std::size_t{0};
     for (auto r : dfs_->block_locations(ckpt_file(ps), 0)) {
-      if (!execs_[r].alive) continue;
+      if (!members_->alive(r)) continue;
       const std::size_t h = comm_.network().hops(near, r);
       if (h < best_hops) {
         best_hops = h;
@@ -166,15 +170,19 @@ void DistRuntime::trace_span(const std::string& name, const std::string& cat,
                                  tid, items, items > 0});
 }
 
-std::size_t DistRuntime::live_executors() const {
-  std::size_t n = 0;
-  for (const auto& e : execs_) n += (e.alive && !e.dead_to_driver) ? 1 : 0;
-  return n;
+DistStats DistRuntime::stats() const {
+  DistStats st = stats_;
+  st.heartbeats_received = members_->stats().heartbeats;
+  st.executors_declared_dead = members_->stats().declared_dead;
+  return st;
 }
 
+// Runtimes sharing one Dfs (a JobSlotPool's slots) may run jobs of the same
+// name at the same epoch; the runtime's Comm tag, unique per runtime, keeps
+// their checkpoints apart.
 std::string DistRuntime::ckpt_file(std::size_t stage) const {
-  return "/.ckpt/" + job_.name + "." + std::to_string(epoch_) + "/stage" +
-         std::to_string(stage);
+  return "/.ckpt/" + job_.name + ".r" + std::to_string(tag_exec_) + "." +
+         std::to_string(epoch_) + "/stage" + std::to_string(stage);
 }
 
 // ---------------------------------------------------------------------------
@@ -213,10 +221,7 @@ void DistRuntime::submit(JobSpec job, const RuntimeOptions& opts, JobDoneFn done
   result_ = JobResult{};
   result_.output.assign(job_.stages.back().ntasks, {});
   result_received_ = 0;
-  for (auto& e : execs_) {
-    e.busy = 0;
-    e.last_heartbeat = submit_time_;
-  }
+  for (auto& e : execs_) e.busy = 0;
   // Fence BOTH transports into the new epoch (the inactive one must drop its
   // previous job's stores/streams too), then select the active one.
   pull_->begin_job(&job_, epoch_, opts_);
@@ -224,14 +229,10 @@ void DistRuntime::submit(JobSpec job, const RuntimeOptions& opts, JobDoneFn done
   transport_ = opts_.transport == TransportKind::kPush
                    ? static_cast<ShuffleTransport*>(push_.get())
                    : static_cast<ShuffleTransport*>(pull_.get());
-  const std::uint64_t epoch = epoch_;
+  members_->job_started();
   for (std::size_t n = 0; n < execs_.size(); ++n) {
-    if (n != cfg_.driver && execs_[n].alive) heartbeat_loop(n);
     if (n != cfg_.driver && cfg_.node_mtbf > 0) schedule_next_failure(n);
   }
-  sim().schedule_after(cfg_.heartbeat_interval, [this, epoch] {
-    if (epoch_ == epoch) monitor_tick();
-  });
   schedule();
 }
 
@@ -269,8 +270,7 @@ void DistRuntime::schedule() {
         task < dfs_->block_count(spec.input_file)) {
       for (auto r : dfs_->block_locations(spec.input_file, task)) {
         auto& e = execs_[r];
-        if (e.alive && !e.dead_to_driver && !e.draining &&
-            e.busy < cfg_.slots_per_node) {
+        if (usable(r) && !e.draining && e.busy < cfg_.slots_per_node) {
           stats_.locality_hits++;
           return r;
         }
@@ -283,17 +283,13 @@ void DistRuntime::schedule() {
     const std::size_t pref = transport_->preferred_node(stage, task);
     if (pref != kNone) {
       auto& e = execs_[pref];
-      if (e.alive && !e.dead_to_driver && !e.draining &&
-          e.busy < cfg_.slots_per_node) {
+      if (usable(pref) && !e.draining && e.busy < cfg_.slots_per_node) {
         return pref;
       }
     }
     for (std::size_t n = 0; n < execs_.size(); ++n) {
       auto& e = execs_[n];
-      if (!e.alive || e.dead_to_driver || e.draining ||
-          e.busy >= cfg_.slots_per_node) {
-        continue;
-      }
+      if (!usable(n) || e.draining || e.busy >= cfg_.slots_per_node) continue;
       const std::size_t free = cfg_.slots_per_node - e.busy;
       if (free > best_free) {
         best_free = free;
@@ -368,7 +364,7 @@ void DistRuntime::speculate() {
       std::size_t best = kNone, best_free = 0;
       for (std::size_t n = 0; n < execs_.size(); ++n) {
         auto& e = execs_[n];
-        if (n == a.node || !e.alive || e.dead_to_driver || e.draining) continue;
+        if (n == a.node || !usable(n) || e.draining) continue;
         if (e.busy >= cfg_.slots_per_node) continue;
         const std::size_t free = cfg_.slots_per_node - e.busy;
         if (free > best_free) {
@@ -417,7 +413,7 @@ void DistRuntime::on_exec_msg(std::size_t node, const Bytes& payload) {
 bool DistRuntime::attempt_dead(std::uint64_t attempt_id) const {
   auto it = attempts_.find(attempt_id);
   if (!active_ || it == attempts_.end() || it->second.cancelled) return true;
-  return !execs_[it->second.node].alive;
+  return !members_->alive(it->second.node);
 }
 
 // ---------------------------------------------------------------------------
@@ -452,7 +448,7 @@ void DistRuntime::exec_start(std::uint64_t attempt_id) {
       a.task < dfs_->block_count(spec.input_file)) {
     std::size_t best = kNone, best_hops = ~std::size_t{0};
     for (auto r : dfs_->block_locations(spec.input_file, a.task)) {
-      if (!execs_[r].alive) continue;
+      if (!members_->alive(r)) continue;
       const std::size_t h = net.hops(a.node, r);
       if (h < best_hops) {
         best_hops = h;
@@ -570,10 +566,11 @@ void DistRuntime::on_task_done(std::uint64_t attempt_id) {
   Attempt& a = attempts_.at(attempt_id);
   if (a.cancelled) return;
   ExecState& ex = execs_[a.node];
-  if (ex.dead_to_driver) return;  // results from declared-dead executors are dropped
+  // Results from declared-dead executors are dropped.
+  if (members_->declared_dead(a.node)) return;
   TaskState& task = tasks_[a.stage][a.task];
   const BlockSet* pub = transport_->find(a.node, a.stage, a.task);
-  if (task.status != TStatus::Done && (!ex.alive || pub == nullptr)) {
+  if (task.status != TStatus::Done && (!members_->alive(a.node) || pub == nullptr)) {
     // The node died while the done-message was in flight: requeue, uncharged.
     on_attempt_failed(attempt_id, false);
     return;
@@ -635,7 +632,7 @@ void DistRuntime::on_attempt_failed(std::uint64_t attempt_id, bool charge_budget
   a.cancelled = true;
   auto& live = tasks_[a.stage][a.task].live_attempts;
   live.erase(std::remove(live.begin(), live.end(), attempt_id), live.end());
-  if (execs_[a.node].busy > 0 && !execs_[a.node].dead_to_driver) execs_[a.node].busy--;
+  if (execs_[a.node].busy > 0 && !members_->declared_dead(a.node)) execs_[a.node].busy--;
   TaskState& task = tasks_[a.stage][a.task];
   if (task.status == TStatus::Running && live.empty()) {
     task.status = TStatus::Pending;
@@ -659,7 +656,7 @@ void DistRuntime::on_fetch_failed(std::uint64_t attempt_id, std::size_t pstage,
   if (!test_no_lineage_ && pstage < tasks_.size() && ptask < tasks_[pstage].size()) {
     TaskState& parent = tasks_[pstage][ptask];
     const bool source_gone =
-        parent.output_node == kNone || !execs_[parent.output_node].alive ||
+        parent.output_node == kNone || !members_->alive(parent.output_node) ||
         transport_->find(parent.output_node, pstage, ptask) == nullptr;
     // A checkpoint normally stands in for the lost output — but only while
     // it is actually servable: some live replica (replicated) or >= k live
@@ -682,20 +679,6 @@ void DistRuntime::on_fetch_failed(std::uint64_t attempt_id, std::size_t pstage,
   on_attempt_failed(attempt_id, false);
 }
 
-void DistRuntime::on_heartbeat(std::size_t node) {
-  if (!active_ || node >= execs_.size()) return;
-  ExecState& ex = execs_[node];
-  stats_.heartbeats_received++;
-  ex.last_heartbeat = sim().now();
-  if (ex.dead_to_driver && ex.alive) {
-    // A recovered node (or a false positive) re-registers as a fresh
-    // executor; its pre-declaration outputs were already invalidated.
-    ex.dead_to_driver = false;
-    ex.busy = 0;
-    schedule();
-  }
-}
-
 void DistRuntime::invalidate_outputs_on(std::size_t node) {
   if (test_no_lineage_) return;  // seeded chaos bug: lost outputs stay "done"
   for (std::size_t s = 0; s < job_.stages.size(); ++s) {
@@ -711,12 +694,9 @@ void DistRuntime::invalidate_outputs_on(std::size_t node) {
   }
 }
 
-void DistRuntime::declare_dead(std::size_t node) {
-  ExecState& ex = execs_[node];
-  if (ex.dead_to_driver) return;
-  ex.dead_to_driver = true;
-  ex.busy = 0;
-  stats_.executors_declared_dead++;
+void DistRuntime::on_declared_dead(std::size_t node) {
+  execs_[node].busy = 0;
+  if (!active_) return;
   // Fail this node's running attempts and roll back its shuffle outputs
   // (lineage: ancestors whose outputs are still needed go back to Pending).
   for (std::size_t s = 0; s < job_.stages.size(); ++s) {
@@ -762,37 +742,22 @@ void DistRuntime::maybe_checkpoint(std::size_t s) {
 }
 
 // ---------------------------------------------------------------------------
-// Heartbeats, monitoring, failure injection
+// Membership events, the hung-attempt sweep, failure injection
 // ---------------------------------------------------------------------------
 
-void DistRuntime::heartbeat_loop(std::size_t node) {
-  if (!active_ || !execs_[node].alive) return;
-  BufWriter w;
-  w.write_pod<std::uint8_t>(kHeartbeat);
-  send_to_driver(node, kRpcBytes, w.take());
-  const double jitter = cfg_.heartbeat_jitter > 0
-                            ? jitter_rng_.next_double() * cfg_.heartbeat_jitter
-                            : 0.0;
-  const std::uint64_t epoch = epoch_;
-  sim().schedule_after(cfg_.heartbeat_interval + jitter, [this, node, epoch] {
-    if (epoch_ == epoch) heartbeat_loop(node);
-  });
+void DistRuntime::on_rejoined(std::size_t node) {
+  // A recovered node (or a false positive) re-registers as a fresh
+  // executor; its pre-declaration outputs were already invalidated.
+  execs_[node].busy = 0;
+  if (active_) schedule();
 }
 
-void DistRuntime::monitor_tick() {
+void DistRuntime::on_monitor_tick() {
   if (!active_) return;
-  const SimTime now = sim().now();
-  for (std::size_t n = 0; n < execs_.size(); ++n) {
-    if (n == cfg_.driver) continue;
-    ExecState& ex = execs_[n];
-    if (!ex.dead_to_driver && now - ex.last_heartbeat > cfg_.heartbeat_timeout) {
-      declare_dead(n);
-      if (!active_) return;
-    }
-  }
   // Hung-attempt sweep: guards liveness when control messages are lost.
   // Uncharged — a timed-out attempt is lost RPCs or congestion, not a task
   // bug; the hard launch cap in schedule() still bounds pathological churn.
+  const SimTime now = sim().now();
   std::vector<std::uint64_t> stale;
   for (const auto& [id, a] : attempts_) {
     if (!a.cancelled && now - a.launched > cfg_.attempt_timeout) stale.push_back(id);
@@ -801,10 +766,6 @@ void DistRuntime::monitor_tick() {
     on_attempt_failed(id, false);
     if (!active_) return;
   }
-  const std::uint64_t epoch = epoch_;
-  sim().schedule_after(cfg_.heartbeat_interval, [this, epoch] {
-    if (epoch_ == epoch) monitor_tick();
-  });
 }
 
 void DistRuntime::schedule_next_failure(std::size_t node) {
@@ -812,11 +773,11 @@ void DistRuntime::schedule_next_failure(std::size_t node) {
   const std::uint64_t epoch = epoch_;
   sim().schedule_after(dt, [this, node, epoch] {
     if (!active_ || epoch_ != epoch) return;
-    if (execs_[node].alive) {
-      kill_node(node);
+    if (members_->alive(node)) {
+      members_->set_alive(node, false);
       if (cfg_.node_downtime > 0) {
         sim().schedule_after(cfg_.node_downtime, [this, node, epoch] {
-          if (!execs_[node].alive) do_recover_node(node);
+          members_->set_alive(node, true);
           if (active_ && epoch_ == epoch) schedule_next_failure(node);
         });
         return;
@@ -826,47 +787,11 @@ void DistRuntime::schedule_next_failure(std::size_t node) {
   });
 }
 
-void DistRuntime::kill_node(std::size_t node) {
-  if (node == cfg_.driver) {
-    throw std::invalid_argument("DistRuntime: the driver node is immortal");
-  }
-  ExecState& ex = execs_[node];
-  ex.alive = false;
-  ex.busy = 0;
-  // transport_ is null until the first submit; a pool may fan a kill out to
-  // a slot (freshly added, or simply never used) with no job history.
-  if (transport_ != nullptr) {
-    transport_->node_killed(node);  // published blocks + in-flight flow state
-  }
-  if (dfs_ != nullptr) dfs_->fail_node(node);
-  // The driver only learns of the death through the heartbeat timeout.
-}
-
-void DistRuntime::do_recover_node(std::size_t node) {
-  if (node == cfg_.driver) return;
-  ExecState& ex = execs_[node];
-  ex.alive = true;
-  ex.busy = 0;
-  ex.last_heartbeat = sim().now();
-  if (transport_ != nullptr) transport_->node_recovered(node);  // empty memory
-  if (dfs_ != nullptr) dfs_->recover_node(node);
-  // dead_to_driver clears when the first heartbeat arrives (re-registration).
-  if (active_) heartbeat_loop(node);
-}
-
-void DistRuntime::kill_node_at(std::size_t node, SimTime t) {
-  if (node == cfg_.driver) {
-    throw std::invalid_argument("DistRuntime: the driver node is immortal");
-  }
-  sim().schedule_at(t, [this, node] {
-    if (execs_[node].alive) kill_node(node);
-  });
-}
-
-void DistRuntime::recover_node_at(std::size_t node, SimTime t) {
-  sim().schedule_at(t, [this, node] {
-    if (!execs_[node].alive) do_recover_node(node);
-  });
+void DistRuntime::on_liveness(std::size_t node, bool alive) {
+  // The node's memory is gone either way: published blocks and in-flight
+  // flow state. The driver learns of it only from the service's verdicts.
+  execs_[node].busy = 0;
+  alive ? transport_->node_recovered(node) : transport_->node_killed(node);
 }
 
 void DistRuntime::set_node_draining(std::size_t node, bool draining) {
@@ -898,6 +823,7 @@ void DistRuntime::finish(bool ok) {
         JobResult::StageSpan{job_.stages[s].name, stages_[s].start, stages_[s].end});
   }
   active_ = false;
+  members_->job_finished();
   if (ok) {
     stats_.jobs_completed++;
   } else {

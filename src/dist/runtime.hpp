@@ -6,7 +6,8 @@
 //   * shuffle movement delegated to a per-job ShuffleTransport
 //     (transport.hpp): classic pull-from-registry, or the push-based flow
 //     shuffle (flow.hpp), selected via RuntimeOptions at submit,
-//   * heartbeat-based failure detection with timeout, bounded task retry,
+//   * failure detection by a subscribed sim::Membership service (its own,
+//     or a JobSlotPool's shared one), bounded task retry,
 //     lineage-based recomputation of shuffle outputs lost to a node death,
 //     optional stage checkpointing to the DFS that truncates lineage, and
 //     LATE-style straggler speculation (the policy object is shared with
@@ -33,6 +34,7 @@
 #include "obs/trace.hpp"
 #include "sim/comm.hpp"
 #include "sim/dfs.hpp"
+#include "sim/membership.hpp"
 #include "sim/simulator.hpp"
 
 namespace hpbdc::dist {
@@ -81,6 +83,7 @@ struct DistStats {
   std::uint64_t fetch_failures = 0;
   std::uint64_t locality_hits = 0;       // input task placed on a block replica
   std::uint64_t locality_misses = 0;
+  // Counts of the membership service, shared by a JobSlotPool's slots.
   std::uint64_t heartbeats_received = 0;
   std::uint64_t executors_declared_dead = 0;
   std::uint64_t checkpoints_written = 0;
@@ -91,13 +94,16 @@ struct DistStats {
   std::uint64_t max_failures_one_task = 0;   // high-water charged failures
 };
 
-class DistRuntime {
+class DistRuntime : private sim::Membership::Subscriber {
  public:
   using JobDoneFn = std::function<void(const JobResult&)>;
 
   /// dfs is optional: without it there is no input locality and stage
-  /// checkpointing is silently disabled.
-  DistRuntime(sim::Comm& comm, DistConfig cfg, sim::Dfs* dfs = nullptr);
+  /// checkpointing is silently disabled. Without `members` the runtime
+  /// builds its own membership service from cfg's heartbeat_* fields;
+  /// otherwise it subscribes to the given one, which must outlive it.
+  DistRuntime(sim::Comm& comm, DistConfig cfg, sim::Dfs* dfs = nullptr,
+              sim::Membership* members = nullptr);
 
   /// Snapshot the dist.* counters, the live-executor level and the push
   /// fabric's dist.flow.* counters into `reg` as gauges. Call after (or
@@ -115,8 +121,14 @@ class DistRuntime {
   void submit(JobSpec job, const RuntimeOptions& opts, JobDoneFn done);
 
   /// Failure-injection hooks for tests/benches (driver node is immortal).
-  void kill_node_at(std::size_t node, sim::SimTime t);
-  void recover_node_at(std::size_t node, sim::SimTime t);
+  /// They act on the membership service, so on a shared service the node
+  /// dies for every subscriber.
+  void kill_node_at(std::size_t node, sim::SimTime t) {
+    members_->set_alive_at(node, false, t);
+  }
+  void recover_node_at(std::size_t node, sim::SimTime t) {
+    members_->set_alive_at(node, true, t);
+  }
   /// Change a node's compute speed factor at time t (straggler injection;
   /// affects attempts whose compute starts after t).
   void set_node_speed_at(std::size_t node, double speed, sim::SimTime t);
@@ -133,7 +145,7 @@ class DistRuntime {
     test_no_lineage_ = disable;
   }
 
-  const DistStats& stats() const noexcept { return stats_; }
+  DistStats stats() const;
   const DistConfig& config() const noexcept { return cfg_; }
   /// Options of the current (or most recent) job.
   const RuntimeOptions& options() const noexcept { return opts_; }
@@ -145,7 +157,7 @@ class DistRuntime {
   std::size_t flow_segments_in_flight() const {
     return push_->fabric().segments_in_flight();
   }
-  std::size_t live_executors() const;
+  std::size_t live_executors() const { return members_->live(); }
 
  private:
   static constexpr std::size_t kNone = ~std::size_t{0};
@@ -155,12 +167,9 @@ class DistRuntime {
   // Shuffle outputs live in the ShuffleTransport now (see transport.hpp for
   // the ownership contract); ExecState keeps only scheduler-visible state.
   struct ExecState {
-    bool alive = true;
     double speed = 1.0;
-    bool dead_to_driver = false;     // driver's (possibly stale) view
     bool draining = false;           // fleet shrink: no NEW attempts here
     std::size_t busy = 0;            // driver-side slot accounting
-    sim::SimTime last_heartbeat = 0;
     sim::Disk disk;
     explicit ExecState(const DistConfig& cfg)
         : disk(cfg.disk_bandwidth_bps) {}
@@ -193,7 +202,7 @@ class DistRuntime {
 
   // ---- message plumbing ----------------------------------------------------
   enum MsgType : std::uint8_t {
-    kLaunch = 1, kCancel, kHeartbeat, kTaskDone, kTaskFailed, kFetchFailed,
+    kLaunch = 1, kCancel, kTaskDone, kTaskFailed, kFetchFailed,
   };
   void on_exec_msg(std::size_t node, const Bytes& payload);
   void send_to_exec(std::size_t node, Bytes payload);
@@ -217,18 +226,22 @@ class DistRuntime {
   void on_attempt_failed(std::uint64_t attempt_id, bool charge_budget);
   void on_fetch_failed(std::uint64_t attempt_id, std::size_t pstage,
                        std::size_t ptask);
-  void on_heartbeat(std::size_t node);
-  void declare_dead(std::size_t node);
   void invalidate_outputs_on(std::size_t node);
   bool stage_retired(std::size_t s) const;
   bool stage_available(std::size_t s) const;
   void maybe_checkpoint(std::size_t s);
-  void monitor_tick();
-  void heartbeat_loop(std::size_t node);
   void schedule_next_failure(std::size_t node);
-  void kill_node(std::size_t node);
-  void do_recover_node(std::size_t node);
   void finish(bool ok);
+  /// The driver may place work on a node it believes alive that really is.
+  bool usable(std::size_t node) const {
+    return members_->alive(node) && !members_->declared_dead(node);
+  }
+
+  // ---- membership events (sim::Membership::Subscriber) ---------------------
+  void on_liveness(std::size_t node, bool alive) override;
+  void on_declared_dead(std::size_t node) override;
+  void on_rejoined(std::size_t node) override;
+  void on_monitor_tick() override;  // the hung-attempt sweep
   void speculate();
 
   std::string ckpt_file(std::size_t stage) const;
@@ -250,13 +263,15 @@ class DistRuntime {
   ShuffleTransport* transport_ = nullptr;
   RuntimeOptions opts_;
 
+  std::unique_ptr<sim::Membership> own_members_;  // standalone runtimes only
+  sim::Membership* members_ = nullptr;
   std::vector<ExecState> execs_;
-  Rng jitter_rng_, failure_rng_;
+  Rng failure_rng_;
   cluster::LatePolicy late_;
 
   // Active job state. epoch_ bumps per submit so that stale scheduled
-  // continuations (heartbeat/monitor/failure loops, DFS callbacks) from a
-  // finished job recognize themselves and stand down.
+  // continuations (failure loops, DFS callbacks) from a finished job
+  // recognize themselves and stand down.
   bool active_ = false;
   std::uint64_t epoch_ = 0;
   JobSpec job_;

@@ -7,17 +7,21 @@ namespace hpbdc::dist {
 
 JobSlotPool::JobSlotPool(sim::Comm& comm, DistConfig cfg, std::size_t slots,
                          sim::Dfs* dfs)
-    : comm_(comm), cfg_(cfg), dfs_(dfs) {
+    : comm_(comm),
+      cfg_(cfg),
+      dfs_(dfs),
+      membership_(comm, cfg.driver, cfg.heartbeat_interval, cfg.heartbeat_timeout,
+                  cfg.heartbeat_jitter, cfg.seed, dfs) {
   if (slots == 0) throw std::invalid_argument("JobSlotPool: zero slots");
   cfg_.node_mtbf = 0.0;  // per-slot injectors would fire independently
-  node_state_.assign(comm.nranks(), NodeState{});
+  draining_.assign(comm.nranks(), false);
   for (std::size_t i = 0; i < slots; ++i) make_slot(i);
 }
 
 JobSlotPool::Slot& JobSlotPool::make_slot(std::size_t index) {
   DistConfig sc = cfg_;
   sc.seed = mix_seed(cfg_.seed, index + 1);
-  slots_.push_back(std::make_unique<Slot>(comm_, sc, dfs_));
+  slots_.push_back(std::make_unique<Slot>(comm_, sc, dfs_, membership_));
   ++active_;
   return *slots_.back();
 }
@@ -32,27 +36,8 @@ std::size_t JobSlotPool::add_slot() {
   }
   const std::size_t i = slots_.size();
   Slot& slot = make_slot(i);
-  // A new runtime starts with every node healthy; bring it up to the pool's
-  // view. Current state applies at `now` (schedule_at refuses past times),
-  // and injected events still in the future are replayed so the new slot
-  // sees the same kills/recoveries/speed steps its siblings already have
-  // scheduled.
-  const sim::SimTime now = simulator().now();
-  for (std::size_t n = 0; n < node_state_.size(); ++n) {
-    const NodeState& ns = node_state_[n];
-    if (ns.dead) slot.rt.kill_node_at(n, now);
-    if (ns.speed != 1.0) slot.rt.set_node_speed_at(n, ns.speed, now);
-    if (ns.draining) slot.rt.set_node_draining(n, true);
-  }
-  for (const FaultEvent& ev : fault_log_) {
-    if (ev.t <= now) continue;
-    switch (ev.kind) {
-      case FaultEvent::Kind::kKill: slot.rt.kill_node_at(ev.node, ev.t); break;
-      case FaultEvent::Kind::kRecover: slot.rt.recover_node_at(ev.node, ev.t); break;
-      case FaultEvent::Kind::kSpeed:
-        slot.rt.set_node_speed_at(ev.node, ev.speed, ev.t);
-        break;
-    }
+  for (std::size_t n = 0; n < draining_.size(); ++n) {
+    if (draining_[n]) slot.rt.set_node_draining(n, true);
   }
   return i;
 }
@@ -109,28 +94,9 @@ void JobSlotPool::release_slot(std::size_t i) {
   --busy_;
 }
 
-void JobSlotPool::kill_node_at(std::size_t node, sim::SimTime t) {
-  for (auto& s : slots_) s->rt.kill_node_at(node, t);
-  fault_log_.push_back({FaultEvent::Kind::kKill, node, t, 1.0});
-  simulator().schedule_at(t, [this, node] { node_state_[node].dead = true; });
-}
-
-void JobSlotPool::recover_node_at(std::size_t node, sim::SimTime t) {
-  for (auto& s : slots_) s->rt.recover_node_at(node, t);
-  fault_log_.push_back({FaultEvent::Kind::kRecover, node, t, 1.0});
-  simulator().schedule_at(t, [this, node] { node_state_[node].dead = false; });
-}
-
-void JobSlotPool::set_node_speed_at(std::size_t node, double speed,
-                                    sim::SimTime t) {
-  for (auto& s : slots_) s->rt.set_node_speed_at(node, speed, t);
-  fault_log_.push_back({FaultEvent::Kind::kSpeed, node, t, speed});
-  simulator().schedule_at(t, [this, node, speed] { node_state_[node].speed = speed; });
-}
-
 void JobSlotPool::set_node_draining(std::size_t node, bool draining) {
   for (auto& s : slots_) s->rt.set_node_draining(node, draining);
-  node_state_.at(node).draining = draining;
+  draining_.at(node) = draining;
 }
 
 void JobSlotPool::export_metrics(obs::MetricsRegistry& reg) const {
@@ -143,7 +109,7 @@ void JobSlotPool::export_metrics(obs::MetricsRegistry& reg) const {
 DistStats JobSlotPool::aggregate_stats() const {
   DistStats sum;
   for (const auto& s : slots_) {
-    const DistStats& st = s->rt.stats();
+    const DistStats st = s->rt.stats();
     sum.jobs_completed += st.jobs_completed;
     sum.jobs_failed += st.jobs_failed;
     sum.tasks_launched += st.tasks_launched;
@@ -160,8 +126,6 @@ DistStats JobSlotPool::aggregate_stats() const {
     sum.fetch_failures += st.fetch_failures;
     sum.locality_hits += st.locality_hits;
     sum.locality_misses += st.locality_misses;
-    sum.heartbeats_received += st.heartbeats_received;
-    sum.executors_declared_dead += st.executors_declared_dead;
     sum.checkpoints_written += st.checkpoints_written;
     sum.checkpoint_restores += st.checkpoint_restores;
     sum.sink_writes += st.sink_writes;
@@ -169,6 +133,8 @@ DistStats JobSlotPool::aggregate_stats() const {
     sum.max_failures_one_task =
         std::max(sum.max_failures_one_task, st.max_failures_one_task);
   }
+  sum.heartbeats_received = membership_.stats().heartbeats;
+  sum.executors_declared_dead = membership_.stats().declared_dead;
   return sum;
 }
 

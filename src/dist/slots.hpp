@@ -4,10 +4,13 @@
 // turns the same simulated cluster into a K-way job executor by hosting K
 // independent DistRuntime instances over one Comm. Every slot sees the same
 // node ids and shares the simulated network fabric (NIC/link contention is
-// real across jobs) and the optional DFS; per-slot control planes use
-// distinct Comm tags, so messages never cross-deliver. Fault injection fans
-// out to every slot: a node kill takes the executor down for all in-flight
-// jobs at once, exactly like a machine death under a multi-job service.
+// real across jobs) and the optional DFS; per-slot task protocols use
+// distinct Comm tags, so messages never cross-deliver. Cluster membership
+// is the pool's, not the slots': ONE sim::Membership heartbeat service per
+// pool, to which every slot subscribes. A node kill takes the executor down
+// for all in-flight jobs at once, exactly like a machine death under a
+// multi-job service; the death is declared once and fanned out to every
+// slot, and each slot keeps only its own hung-attempt sweep.
 //
 // This is the execution backend of the serve layer (src/serve): saturation
 // (`busy() == slots()`) is the backpressure signal the service propagates
@@ -18,11 +21,9 @@
 // and shrinks it with retire_idle_slot(). Slots are never erased or
 // reordered — submit callbacks capture slot indices — so a retired slot is
 // a tombstone that later add_slot() calls resurrect before constructing
-// anything new. Fault injection keeps fanning out to tombstones (their
-// runtimes' liveness views stay current for free), and a genuinely NEW slot
-// has the pool's fault history applied at creation: the current dead /
-// speed / draining state of every node immediately, plus any fan-out events
-// still scheduled in the future.
+// anything new. Tombstones stay subscribed, and a genuinely NEW slot reads
+// liveness from the shared service, so it starts with every dead node dead;
+// the pool applies the current draining state of every node to it.
 
 #include <cstdint>
 #include <functional>
@@ -35,11 +36,11 @@ namespace hpbdc::dist {
 
 class JobSlotPool {
  public:
-  /// Slot i's runtime derives its seed from cfg.seed and i, so concurrent
-  /// jobs do not share heartbeat-jitter streams but the whole pool is still
-  /// pinned by one seed. cfg.node_mtbf is forced to 0: with K runtimes the
-  /// per-slot injectors would each kill nodes independently — drive faults
-  /// through kill_node_at/recover_node_at instead.
+  /// The membership service takes its heartbeat settings and seed from cfg;
+  /// slot i's runtime derives its seed from cfg.seed and i, so the whole
+  /// pool is pinned by one seed. cfg.node_mtbf is forced to 0: with K
+  /// runtimes the per-slot injectors would each kill nodes independently —
+  /// drive faults through kill_node_at/recover_node_at instead.
   JobSlotPool(sim::Comm& comm, DistConfig cfg, std::size_t slots,
               sim::Dfs* dfs = nullptr);
 
@@ -51,7 +52,7 @@ class JobSlotPool {
   /// Grow the pool by one slot and return its index. Resurrects the most
   /// recently retired tombstone when one exists (its runtime's fault state
   /// is already current — fan-out never stopped); otherwise constructs a
-  /// new runtime with the pool's fault history replayed onto it.
+  /// new runtime subscribed to the pool's membership service.
   std::size_t add_slot();
 
   /// Shrink the pool by one slot: tombstone the highest-indexed IDLE slot.
@@ -78,12 +79,14 @@ class JobSlotPool {
   std::size_t reserve_slot();
   void release_slot(std::size_t i);
 
-  /// Fault injection, fanned out to every slot (and the shared DFS, which
-  /// tolerates the resulting duplicate fail/recover calls). Events are also
-  /// logged so slots added later inherit them.
-  void kill_node_at(std::size_t node, sim::SimTime t);
-  void recover_node_at(std::size_t node, sim::SimTime t);
-  void set_node_speed_at(std::size_t node, double speed, sim::SimTime t);
+  /// Fault injection through the membership service, which fans each kill
+  /// and recovery out to the DFS and every slot when it fires.
+  void kill_node_at(std::size_t node, sim::SimTime t) {
+    membership_.set_alive_at(node, false, t);
+  }
+  void recover_node_at(std::size_t node, sim::SimTime t) {
+    membership_.set_alive_at(node, true, t);
+  }
 
   /// Drain control, fanned out to every slot immediately: a draining node
   /// receives no NEW task attempts in any slot while running attempts
@@ -98,12 +101,13 @@ class JobSlotPool {
   void export_metrics(obs::MetricsRegistry& reg) const;
 
   /// Element-wise sum of every slot's DistStats (tombstones included —
-  /// their history happened).
+  /// their history happened); the membership counts are the service's own,
+  /// counted once.
   DistStats aggregate_stats() const;
   /// Element-wise sum of every slot's push-fabric FlowStats.
   flow::FlowStats aggregate_flow_stats() const;
 
-  std::size_t live_executors() const { return slots_.front()->rt.live_executors(); }
+  std::size_t live_executors() const { return membership_.live(); }
   const DistConfig& config() const noexcept { return cfg_; }
   DistRuntime& slot_runtime(std::size_t i) { return slots_.at(i)->rt; }
   sim::Simulator& simulator() noexcept { return comm_.simulator(); }
@@ -114,26 +118,9 @@ class JobSlotPool {
     DistRuntime rt;
     bool busy = false;
     bool retired = false;
-    Slot(sim::Comm& comm, const DistConfig& cfg, sim::Dfs* dfs)
-        : rt(comm, cfg, dfs) {}
-  };
-
-  /// One injected fault, kept so add_slot can replay still-future events
-  /// onto a new runtime (past events are summarized by node_state_).
-  struct FaultEvent {
-    enum class Kind : std::uint8_t { kKill, kRecover, kSpeed } kind;
-    std::size_t node = 0;
-    sim::SimTime t = 0;
-    double speed = 1.0;
-  };
-
-  /// Pool-level mirror of each node's CURRENT fault state, maintained by
-  /// events scheduled alongside the per-slot fan-out. This is what a brand
-  /// new slot starts from.
-  struct NodeState {
-    bool dead = false;
-    double speed = 1.0;
-    bool draining = false;
+    Slot(sim::Comm& comm, const DistConfig& cfg, sim::Dfs* dfs,
+         sim::Membership& members)
+        : rt(comm, cfg, dfs, &members) {}
   };
 
   Slot& make_slot(std::size_t index);
@@ -141,12 +128,12 @@ class JobSlotPool {
   sim::Comm& comm_;
   DistConfig cfg_;
   sim::Dfs* dfs_;
+  sim::Membership membership_;  // before slots_: they subscribe to it
   std::vector<std::unique_ptr<Slot>> slots_;
   std::vector<std::size_t> retired_;  // tombstone indices, LIFO
   std::size_t active_ = 0;
   std::size_t busy_ = 0;
-  std::vector<FaultEvent> fault_log_;
-  std::vector<NodeState> node_state_;
+  std::vector<bool> draining_;  // per node: what a brand new slot starts from
 };
 
 }  // namespace hpbdc::dist

@@ -17,8 +17,8 @@ constexpr double kNegInf = -std::numeric_limits<double>::infinity();
 
 constexpr double kEpochInterval = 0.5;  // barrier cadence, simulated seconds
 constexpr double kRetryDelay = 0.25;    // checkpoint-read retry backoff
-constexpr std::uint64_t kCtrlBytes = 96;  // heartbeat/trigger/ack wire body
-constexpr std::uint64_t kHeartbeatPhaseSeed = 1;
+constexpr std::uint64_t kCtrlBytes = 96;  // trigger/ack wire body
+constexpr std::uint64_t kHeartbeatPhaseSeed = 1;  // the membership service's seed
 
 // Message type bytes. Data plane (tag_data_) and control plane (tag_ctrl_)
 // each carry a one-byte discriminator so every rank needs exactly two
@@ -29,30 +29,28 @@ enum : std::uint8_t {
 };
 enum : std::uint8_t {
   kMsgTrigger = 1,
-  kMsgHeartbeat = 2,
-  kMsgTaskAck = 3,
-  kMsgRestore = 4,
-  kMsgRestoreAck = 5,
+  kMsgTaskAck,
+  kMsgRestore,
+  kMsgRestoreAck,
 };
 
 }  // namespace
 
+// The membership service rejects an out-of-range coordinator.
 StreamRuntime::StreamRuntime(sim::Comm& comm, StreamConfig cfg, sim::Dfs* dfs)
-    : comm_(comm), cfg_(cfg), dfs_(dfs) {
-  if (cfg_.coordinator >= comm_.nranks()) {
-    throw std::invalid_argument("StreamRuntime: coordinator rank out of range");
-  }
+    : comm_(comm),
+      cfg_(cfg),
+      dfs_(dfs),
+      members_(comm, cfg.coordinator, cfg.heartbeat_interval, cfg.heartbeat_timeout,
+               0.0, kHeartbeatPhaseSeed, dfs) {
+  members_.subscribe(*this);
   tag_data_ = comm_.next_tag();
   tag_ctrl_ = comm_.next_tag();
-  alive_.assign(comm_.nranks(), true);
-  believed_dead_.assign(comm_.nranks(), false);
-  last_hb_.assign(comm_.nranks(), 0.0);
   for (std::size_t r = 0; r < comm_.nranks(); ++r) {
     comm_.set_handler(r, tag_data_,
                       [this, r](std::size_t, const Bytes& p) { on_data(r, p); });
-    comm_.set_handler(
-        r, tag_ctrl_,
-        [this, r](std::size_t src, const Bytes& p) { on_ctrl(r, src, p); });
+    comm_.set_handler(r, tag_ctrl_,
+                      [this, r](std::size_t, const Bytes& p) { on_ctrl(r, p); });
   }
 }
 
@@ -85,6 +83,7 @@ void StreamRuntime::submit(StreamJobSpec spec, const dist::RuntimeOptions& opts,
   ++fence_;
   ++submits_;
   stats_ = StreamStats{};
+  beats_at_submit_ = members_.stats().heartbeats;
   committed_.clear();
   ckpt_state_.clear();
   ckpt_file_.clear();
@@ -105,9 +104,15 @@ void StreamRuntime::submit(StreamJobSpec spec, const dist::RuntimeOptions& opts,
                       : (std::size_t{1} << 30);
 
   // Placement: the sink rides the coordinator (its output is the job result);
-  // every other stage spreads ntasks round-robin over the worker ranks.
+  // every other stage spreads ntasks round-robin over the worker ranks not
+  // declared dead — over all of them when none is left, and the job then
+  // starts in a recovery that waits for one to rejoin.
   std::vector<std::size_t> workers;
   for (std::size_t r = 0; r < comm_.nranks(); ++r) {
+    if (r != cfg_.coordinator && !members_.declared_dead(r)) workers.push_back(r);
+  }
+  const bool none_live = workers.empty();
+  for (std::size_t r = 0; none_live && r < comm_.nranks(); ++r) {
     if (r != cfg_.coordinator) workers.push_back(r);
   }
   tasks_.clear();
@@ -184,11 +189,8 @@ void StreamRuntime::submit(StreamJobSpec spec, const dist::RuntimeOptions& opts,
     }
   }
 
-  believed_dead_.assign(comm_.nranks(), false);
-  last_hb_.assign(comm_.nranks(), sim().now());
-
-  // Start the machinery: source generators, worker heartbeats, the failure
-  // monitor, and the first barrier epoch.
+  // Start the machinery: source generators, the membership service's
+  // heartbeats and failure monitor, and the first barrier epoch.
   const std::uint64_t f = fence_;
   for (const Task& t : tasks_) {
     if (spec_.stages[t.stage].kind == StreamStage::Kind::kSource) {
@@ -198,18 +200,11 @@ void StreamRuntime::submit(StreamJobSpec spec, const dist::RuntimeOptions& opts,
       });
     }
   }
-  const std::uint64_t job = submits_;
-  for (std::size_t r = 0; r < comm_.nranks(); ++r) {
-    if (r == cfg_.coordinator) continue;
-    const double phase =
-        cfg_.heartbeat_interval *
-        (static_cast<double>(mix64(kHeartbeatPhaseSeed ^ r) % 1000) / 1000.0);
-    sim().schedule_after(phase, [this, r, job] { heartbeat_loop(r, job); });
-  }
-  sim().schedule_after(cfg_.heartbeat_interval, [this, job] { monitor_tick(job); });
+  members_.job_started();
   sim().schedule_after(kEpochInterval, [this, f] {
     if (running_ && fence_ == f && !recovering_) trigger_epoch(1);
   });
+  if (none_live) start_recovery();
 }
 
 // ---------------------------------------------------------------------------
@@ -240,7 +235,7 @@ void StreamRuntime::seal(Channel& ch) {
 
 void StreamRuntime::pump(std::size_t ch_idx) {
   Channel& ch = channels_[ch_idx];
-  if (!alive_[tasks_[ch.src_gid].node]) return;
+  if (!members_.alive(tasks_[ch.src_gid].node)) return;
   while (!ch.queue.empty()) {
     // FIFO: a barrier needs no credit but still waits behind stalled
     // segments — barrier overtaking would tear the consistent cut.
@@ -272,7 +267,7 @@ void StreamRuntime::send_item(std::size_t ch_idx, QItem item) {
 }
 
 void StreamRuntime::on_data(std::size_t rank, const Bytes& payload) {
-  if (!running_ || !alive_[rank]) return;
+  if (!running_ || !members_.alive(rank)) return;
   BufReader r(payload);
   const auto type = r.read_pod<std::uint8_t>();
   const auto fence = r.read_pod<std::uint64_t>();
@@ -347,7 +342,7 @@ void StreamRuntime::enqueue_work(std::size_t ch_idx, QItem item) {
 void StreamRuntime::service(std::size_t ch_idx, QItem& item) {
   Channel& ch = channels_[ch_idx];
   Task& t = tasks_[ch.dst_gid];
-  if (!alive_[t.node]) return;
+  if (!members_.alive(t.node)) return;
   if (item.barrier) {
     ++t.aligned;
     if (t.aligned == t.in_channels.size()) complete_barrier(t);
@@ -437,7 +432,7 @@ void StreamRuntime::maybe_resume_source(std::size_t src_gid) {
 
 void StreamRuntime::source_pump(std::size_t gid) {
   Task& t = tasks_[gid];
-  if (!alive_[t.node] || t.paused) return;
+  if (!members_.alive(t.node) || t.paused) return;
   const std::uint64_t f = fence_;
   while (t.offset < t.items.size()) {
     const SourceItem& it = t.items[t.offset];
@@ -784,6 +779,8 @@ void StreamRuntime::schedule_next_trigger() {
 void StreamRuntime::finish_job(bool ok, std::string error) {
   running_ = false;
   ++fence_;  // invalidate every outstanding scheduled callback
+  members_.job_finished();
+  stats_.heartbeats = members_.stats().heartbeats - beats_at_submit_;
   StreamResult res;
   res.ok = ok;
   res.error = std::move(error);
@@ -801,21 +798,13 @@ void StreamRuntime::finish_job(bool ok, std::string error) {
 }
 
 // ---------------------------------------------------------------------------
-// Control plane: heartbeats, failure detection, recovery
+// Control plane: barriers, restores, failure recovery
 // ---------------------------------------------------------------------------
 
-void StreamRuntime::on_ctrl(std::size_t rank, std::size_t src, const Bytes& payload) {
-  if (!running_ || !alive_[rank]) return;
+void StreamRuntime::on_ctrl(std::size_t rank, const Bytes& payload) {
+  if (!running_ || !members_.alive(rank)) return;
   BufReader r(payload);
   const auto type = r.read_pod<std::uint8_t>();
-  if (type == kMsgHeartbeat) {
-    // Deliberately NOT fenced: a heartbeat proves liveness across recoveries;
-    // fencing it would make freshly-recovered nodes look permanently dead.
-    if (rank != cfg_.coordinator) return;
-    last_hb_[src] = sim().now();
-    believed_dead_[src] = false;
-    return;
-  }
   const auto fence = r.read_pod<std::uint64_t>();
   if (!fence_ok(fence)) {
     ++stats_.stale_dropped;
@@ -872,37 +861,14 @@ void StreamRuntime::on_ctrl(std::size_t rank, std::size_t src, const Bytes& payl
   }
 }
 
-void StreamRuntime::heartbeat_loop(std::size_t node, std::uint64_t job) {
-  if (!running_ || job != submits_) return;
-  if (alive_[node]) {
-    BufWriter w(8);
-    w.write_pod(std::uint8_t{kMsgHeartbeat});
-    comm_.send_sized(node, cfg_.coordinator, tag_ctrl_, kCtrlBytes, w.take());
-    ++stats_.heartbeats;
-  }
-  // Keep ticking while dead: ground-truth recovery resumes the beat, which
-  // is how the coordinator learns the node is back.
-  sim().schedule_after(cfg_.heartbeat_interval,
-                       [this, node, job] { heartbeat_loop(node, job); });
-}
-
-void StreamRuntime::monitor_tick(std::uint64_t job) {
-  if (!running_ || job != submits_) return;
-  bool need_recovery = false;
-  for (std::size_t n = 0; n < comm_.nranks(); ++n) {
-    if (n == cfg_.coordinator || believed_dead_[n]) continue;
-    if (sim().now() - last_hb_[n] < cfg_.heartbeat_timeout) continue;
-    believed_dead_[n] = true;
-    ++stats_.nodes_declared_dead;
-    for (const Task& t : tasks_) {
-      if (t.node == n) {
-        need_recovery = true;
-        break;
-      }
+void StreamRuntime::on_declared_dead(std::size_t node) {
+  if (!running_) return;
+  for (const Task& t : tasks_) {
+    if (t.node == node) {
+      start_recovery();
+      return;
     }
   }
-  if (need_recovery) start_recovery();
-  sim().schedule_after(cfg_.heartbeat_interval, [this, job] { monitor_tick(job); });
 }
 
 void StreamRuntime::start_recovery() {
@@ -915,7 +881,7 @@ void StreamRuntime::start_recovery() {
 
   std::vector<std::size_t> live;
   for (std::size_t r = 0; r < comm_.nranks(); ++r) {
-    if (r != cfg_.coordinator && !believed_dead_[r]) live.push_back(r);
+    if (r != cfg_.coordinator && !members_.declared_dead(r)) live.push_back(r);
   }
   const std::uint64_t f = fence_;
   if (live.empty()) {
@@ -926,7 +892,7 @@ void StreamRuntime::start_recovery() {
   }
   for (Task& t : tasks_) {
     if (spec_.stages[t.stage].kind == StreamStage::Kind::kSink) continue;
-    if (believed_dead_[t.node]) t.node = live[reassign_rr_++ % live.size()];
+    if (members_.declared_dead(t.node)) t.node = live[reassign_rr_++ % live.size()];
   }
 
   // Global rollback to the last completed epoch: wipe every channel and every
@@ -1039,25 +1005,8 @@ void StreamRuntime::on_restore_ack(std::size_t gid) {
 }
 
 // ---------------------------------------------------------------------------
-// Fault injection and observability
+// Observability
 // ---------------------------------------------------------------------------
-
-void StreamRuntime::kill_node_at(std::size_t node, sim::SimTime t) {
-  if (node == cfg_.coordinator) {
-    throw std::invalid_argument("StreamRuntime: cannot kill the coordinator");
-  }
-  sim().schedule_at(t, [this, node] {
-    alive_[node] = false;
-    if (dfs_ != nullptr) dfs_->fail_node(node);
-  });
-}
-
-void StreamRuntime::recover_node_at(std::size_t node, sim::SimTime t) {
-  sim().schedule_at(t, [this, node] {
-    alive_[node] = true;
-    if (dfs_ != nullptr) dfs_->recover_node(node);
-  });
-}
 
 void StreamRuntime::export_metrics(obs::MetricsRegistry& reg) const {
   const auto set = [&reg](const char* name, std::uint64_t v) {

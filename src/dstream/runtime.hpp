@@ -31,8 +31,10 @@
 //       durable write, epoch n COMPLETES: the sink's buffered epochs <= n
 //       commit to the job output exactly once, then epoch n+1 triggers.
 //
-// Exactly-once recovery: heartbeat timeout declares a node dead, bumps the
-// generation fence, reassigns its tasks to live nodes, restores EVERY task
+// Exactly-once recovery: the runtime's sim::Membership heartbeat service
+// (built from StreamConfig's heartbeat_* fields; see sim/membership.hpp)
+// declares a silent node dead; the coordinator then bumps the generation
+// fence, reassigns its tasks to live nodes, restores EVERY task
 // from the last completed checkpoint (sources rewind to recorded offsets),
 // and discards the sink's uncommitted epoch buffers; re-fired windows land
 // in re-buffered epochs, so the committed multiset is bit-identical to a
@@ -56,6 +58,7 @@
 #include "plan/plan.hpp"
 #include "sim/comm.hpp"
 #include "sim/dfs.hpp"
+#include "sim/membership.hpp"
 
 namespace hpbdc::dstream {
 
@@ -91,8 +94,7 @@ struct StreamStats {
   std::uint64_t recoveries = 0;
   std::uint64_t restores_sent = 0;
   std::uint64_t stale_dropped = 0;        // generation-fenced messages
-  std::uint64_t nodes_declared_dead = 0;
-  std::uint64_t heartbeats = 0;
+  std::uint64_t heartbeats = 0;           // beats the coordinator received
   // Sim-time lag of the sink watermark behind the clock at the most recent
   // epoch completion, in whole milliseconds (0 until a finite watermark).
   std::int64_t watermark_lag_ms = 0;
@@ -119,7 +121,7 @@ struct StreamResult {
   }
 };
 
-class StreamRuntime {
+class StreamRuntime : private sim::Membership::Subscriber {
  public:
   using DoneFn = std::function<void(const StreamResult&)>;
   /// Fires at every epoch completion (serve charges per-epoch DRF usage here).
@@ -139,8 +141,12 @@ class StreamRuntime {
 
   /// Ground-truth fault injection (same contract as DistRuntime): the
   /// coordinator only learns about a kill through heartbeat silence.
-  void kill_node_at(std::size_t node, sim::SimTime t);
-  void recover_node_at(std::size_t node, sim::SimTime t);
+  void kill_node_at(std::size_t node, sim::SimTime t) {
+    members_.set_alive_at(node, false, t);
+  }
+  void recover_node_at(std::size_t node, sim::SimTime t) {
+    members_.set_alive_at(node, true, t);
+  }
 
   /// Snapshot the current job's stats into `reg` as dstream.* gauges:
   /// watermark_lag_ms, epochs_completed, events_late_dropped,
@@ -269,9 +275,8 @@ class StreamRuntime {
   void finish_job(bool ok, std::string error);
 
   // Failure detection and recovery.
-  void on_ctrl(std::size_t rank, std::size_t src, const Bytes& payload);
-  void heartbeat_loop(std::size_t node, std::uint64_t job);
-  void monitor_tick(std::uint64_t job);
+  void on_ctrl(std::size_t rank, const Bytes& payload);
+  void on_declared_dead(std::size_t node) override;
   void start_recovery();
   void read_checkpoint(std::uint64_t fence);
   void send_restores();
@@ -280,6 +285,7 @@ class StreamRuntime {
   sim::Comm& comm_;
   StreamConfig cfg_;
   sim::Dfs* dfs_;
+  sim::Membership members_;
   int tag_data_ = 0, tag_ctrl_ = 0;
 
   // Job state (valid while running_).
@@ -292,7 +298,8 @@ class StreamRuntime {
   std::size_t events_per_segment_ = 64;
   std::size_t init_credits_ = 4;
   std::uint64_t fence_ = 0;  // bumped per submit AND per recovery
-  std::uint64_t submits_ = 0;  // jobs submitted; fences the liveness loops
+  std::uint64_t submits_ = 0;  // jobs submitted; names their checkpoints
+  std::uint64_t beats_at_submit_ = 0;  // members_.stats().heartbeats then
   std::vector<Task> tasks_;
   std::vector<Edge> edges_;
   std::vector<Channel> channels_;
@@ -312,9 +319,6 @@ class StreamRuntime {
   std::string ckpt_file_;
   std::size_t restore_acks_ = 0;
   std::vector<CommittedRow> committed_;
-  std::vector<bool> alive_;          // ground truth
-  std::vector<bool> believed_dead_;  // coordinator's failure-detector view
-  std::vector<double> last_hb_;
   std::size_t reassign_rr_ = 0;
 
   StreamStats stats_;

@@ -1,11 +1,12 @@
 // Tests for the distributed dataflow runtime (src/dist): parity with the
 // shared-memory dataflow engine (bit-for-bit), lineage-based recovery from a
 // mid-job node kill, checkpoint-truncated recomputation, straggler
-// speculation, DFS-block locality, and whole-run determinism under a fixed
-// seed.
+// speculation, DFS-block locality, whole-run determinism under a fixed
+// seed, and a JobSlotPool's one membership service shared by every slot.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
 
 #include "algos/terasort.hpp"
@@ -13,6 +14,7 @@
 #include "algos/wordcount.hpp"
 #include "dist/jobs.hpp"
 #include "dist/runtime.hpp"
+#include "dist/slots.hpp"
 #include "exec/thread_pool.hpp"
 #include "obs/trace.hpp"
 
@@ -514,6 +516,123 @@ TEST(DistRuntime, RejectsBadJobs) {
   cyclic.stages = {st};
   EXPECT_THROW(cl.rt.submit(std::move(cyclic), nullptr), std::invalid_argument);
   EXPECT_THROW(cl.rt.kill_node_at(0, 1.0), std::invalid_argument);  // driver
+}
+
+// ---- a JobSlotPool's shared membership service --------------------------------
+
+struct PoolCluster {
+  sim::Simulator sim;
+  sim::Network net;
+  sim::Comm comm;
+  sim::Dfs dfs;
+  JobSlotPool pool;
+
+  PoolCluster(std::size_t nodes, std::size_t slots, DistConfig dc = fast_detect_config())
+      : net(sim, star(nodes)), comm(sim, net), dfs(comm, sim::DfsConfig{}),
+        pool(comm, dc, slots, &dfs) {}
+};
+
+/// Three stages of 16 tasks, each first-stage task scanning 64 MiB: about a
+/// second per stage on 8 nodes with one attempt per node per slot.
+JobSpec long_job() { return synthetic_job(3, 16, 8 * MiB, 0, 64 * MiB); }
+
+/// Launch times of the task spans a traced runtime recorded on `node`.
+std::vector<double> task_starts_on(const obs::TraceSession& trace, std::size_t node) {
+  std::vector<double> out;
+  for (const auto& ev : trace.events()) {
+    if (ev.category == "task" && ev.tid == node + 1) {
+      out.push_back(static_cast<double>(ev.ts_us) / 1e6);
+    }
+  }
+  return out;
+}
+
+TEST(JobSlotPool, ConcurrentSameNameJobsWriteDistinctCheckpoints) {
+  PoolCluster cl(8, 2, DistConfig{});
+  std::size_t ok = 0;
+  for (int j = 0; j < 2; ++j) {
+    cl.pool.submit(synthetic_job(4, 4, 1 * MiB, 1),
+                   [&ok](const JobResult& r) { ok += r.ok ? 1 : 0; });
+  }
+  cl.sim.run();
+  EXPECT_EQ(ok, 2u);
+  EXPECT_EQ(cl.pool.aggregate_stats().checkpoints_written, 6u);
+  std::size_t ckpts = 0;
+  for (const std::string& name : cl.dfs.file_names()) {
+    ckpts += name.starts_with("/.ckpt/") ? 1 : 0;
+  }
+  EXPECT_EQ(ckpts, 6u) << "both jobs' three stage checkpoints, none overwritten";
+}
+
+TEST(JobSlotPool, KillIsDeclaredOnceAndFailsEveryBusySlot) {
+  PoolCluster cl(8, 3);
+  std::size_t ok = 0;
+  const auto done = [&ok](const JobResult& r) { ok += r.ok ? 1 : 0; };
+  cl.pool.submit(long_job(), done);  // slot 0
+  cl.pool.submit(long_job(), done);  // slot 1
+  cl.pool.kill_node_at(3, 0.5);
+  cl.sim.run_until(1.0);
+  ASSERT_EQ(cl.pool.aggregate_stats().executors_declared_dead, 1u);
+  EXPECT_GE(cl.pool.slot_runtime(0).stats().task_retries, 1u);
+  EXPECT_GE(cl.pool.slot_runtime(1).stats().task_retries, 1u);
+  // The idle slot 2 and a slot added after the death both start with node 3
+  // dead: their jobs never wait on it and nobody declares it again.
+  EXPECT_EQ(cl.pool.slot_runtime(2).live_executors(), 7u);
+  const std::size_t added = cl.pool.add_slot();
+  EXPECT_EQ(cl.pool.slot_runtime(added).live_executors(), 7u);
+  cl.pool.submit(long_job(), done);  // slot 2
+  cl.pool.submit(long_job(), done);  // the added slot
+  cl.sim.run();
+  EXPECT_EQ(ok, 4u);
+  EXPECT_EQ(cl.pool.aggregate_stats().executors_declared_dead, 1u);
+  EXPECT_EQ(cl.pool.slot_runtime(2).stats().task_retries, 0u);
+  EXPECT_EQ(cl.pool.slot_runtime(added).stats().task_retries, 0u);
+  EXPECT_EQ(cl.pool.live_executors(), 7u);
+}
+
+TEST(JobSlotPool, RecoveredNodeRejoinsEverySlot) {
+  PoolCluster cl(8, 2);
+  obs::TraceSession trace[2];
+  std::size_t ok = 0;
+  for (std::size_t i = 0; i < 2; ++i) {
+    cl.pool.slot_runtime(i).bind_trace(trace[i]);
+    cl.pool.submit(long_job(), [&ok](const JobResult& r) { ok += r.ok ? 1 : 0; });
+  }
+  cl.pool.kill_node_at(3, 0.3);
+  cl.pool.recover_node_at(3, 0.9);
+  cl.sim.run_until(0.85);
+  ASSERT_EQ(cl.pool.aggregate_stats().executors_declared_dead, 1u);
+  EXPECT_EQ(cl.pool.live_executors(), 7u);
+  cl.sim.run();
+  EXPECT_EQ(ok, 2u);
+  EXPECT_EQ(cl.pool.live_executors(), 8u);
+  for (std::size_t i = 0; i < 2; ++i) {
+    SCOPED_TRACE(::testing::Message() << "slot " << i);
+    EXPECT_EQ(cl.pool.slot_runtime(i).live_executors(), 8u);
+    const std::vector<double> starts = task_starts_on(trace[i], 3);
+    EXPECT_TRUE(std::any_of(starts.begin(), starts.end(),
+                            [](double t) { return t > 0.9; }))
+        << "the slot never placed work on the re-registered node";
+  }
+}
+
+TEST(JobSlotPool, SimRunReturnsOnceThePoolDrains) {
+  PoolCluster cl(8, 2);
+  std::size_t ok = 0;
+  const auto done = [&ok](const JobResult& r) { ok += r.ok ? 1 : 0; };
+  cl.pool.submit(synthetic_job(3, 8, 4 * MiB), done);
+  cl.pool.submit(synthetic_job(3, 8, 4 * MiB), done);
+  cl.sim.run_until(1000.0);
+  EXPECT_TRUE(cl.sim.idle()) << "heartbeats must stop once no job runs";
+  EXPECT_EQ(ok, 2u);
+  const std::uint64_t beats = cl.pool.aggregate_stats().heartbeats_received;
+  EXPECT_GT(beats, 0u);
+  // A later job restarts the beats, and they stop again after it.
+  cl.pool.submit(synthetic_job(3, 8, 4 * MiB), done);
+  cl.sim.run_until(2000.0);
+  EXPECT_TRUE(cl.sim.idle());
+  EXPECT_EQ(ok, 3u);
+  EXPECT_GT(cl.pool.aggregate_stats().heartbeats_received, beats);
 }
 
 }  // namespace

@@ -2,8 +2,9 @@
 // partitioned sources, plan lowering, fault-free parity with the local
 // reference evaluation, windowed join pipelines, exactly-once recovery after
 // a mid-window node kill (bit-identical committed output), credit-driven
-// backpressure onset, the seeded restore bug being observable, and the
-// dstream metrics / epoch trace spans.
+// backpressure onset, the seeded restore bug being observable, the failure
+// detector's kill-to-recovery latency bound, and the dstream metrics / epoch
+// trace spans.
 
 #include <gtest/gtest.h>
 
@@ -254,6 +255,36 @@ TEST(DstreamRuntime, KillMidWindowRecoversBitIdentical) {
   EXPECT_GE(c.rt.stats().epochs_completed, 1u);
   EXPECT_EQ(canonical_stream_bytes(r.rows()), want)
       << "exactly-once recovery must yield bit-identical committed output";
+}
+
+TEST(DstreamRuntime, KillIsDetectedWithinTimeoutPlusInterval) {
+  // The membership service's monitor ticks every heartbeat_interval and
+  // declares a worker dead once it has been silent for heartbeat_timeout, so
+  // the coordinator starts its recovery no later than one tick past the
+  // timeout — wherever the kill falls between two beats.
+  StreamingOptions opts;
+  opts.rate = 48.0;
+  opts.window = 0.5;
+  const StreamJobSpec spec = lower_streaming(aggregate_plan(3, 192), opts);
+  const StreamConfig sc;
+  for (const double kill_at : {1.3, 1.37, 1.44, 2.01}) {
+    SCOPED_TRACE(::testing::Message() << "kill at " << kill_at);
+    Cluster c(6, sc);
+    obs::TraceSession trace;
+    c.rt.set_trace(&trace);
+    c.rt.kill_node_at(1, kill_at);
+    c.rt.recover_node_at(1, 3.5);
+    ASSERT_TRUE(run_to_completion(c, spec).ok);
+    EXPECT_EQ(c.rt.stats().recoveries, 1u);
+    const std::vector<obs::TraceEvent> events = trace.events();
+    const auto rec = std::find_if(events.begin(), events.end(), [](const auto& ev) {
+      return ev.category == "dstream" && ev.name == "recovery";
+    });
+    ASSERT_NE(rec, events.end());
+    const double latency = static_cast<double>(rec->ts_us) / 1e6 - kill_at;
+    EXPECT_GE(latency, sc.heartbeat_timeout - sc.heartbeat_interval);
+    EXPECT_LE(latency, sc.heartbeat_timeout + sc.heartbeat_interval);
+  }
 }
 
 TEST(DstreamRuntime, EcCheckpointsRecoverBitIdenticalThroughOutage) {
