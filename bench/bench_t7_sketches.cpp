@@ -1,9 +1,8 @@
 // T7 — Sketch accuracy vs memory (DESIGN.md extension): HyperLogLog
 // cardinality error across precisions, count-min heavy-hitter error across
-// widths, Bloom filter measured-vs-configured false-positive rate, and raw
-// throughput (HLL updates, CMS updates plus estimates). Expected shape: HLL
-// error ~1.04/sqrt(m); CMS error bounded by eps*N on heavy hitters; Bloom FP
-// near its design point.
+// widths, and raw throughput (HLL updates, CMS updates plus estimates).
+// Expected shape: HLL error ~1.04/sqrt(m); CMS error bounded by eps*N on
+// heavy hitters.
 // --json=FILE also writes the headline numbers (bench_json.hpp).
 
 #include <iostream>
@@ -88,27 +87,7 @@ int main(int argc, char** argv) {
   }
   cms_tbl.print(std::cout);
 
-  // --- BloomFilter -------------------------------------------------------------
-  std::cout << "\nbloom filter, 200k inserted keys:\n\n";
-  Table bf_tbl({"target FP %", "bits/key", "hashes", "measured FP %"});
-  for (double fp : {0.1, 0.01, 0.001}) {
-    BloomFilter bf(200000, fp);
-    for (std::uint64_t i = 0; i < 200000; ++i) bf.add(hash_u64(i));
-    int hits = 0;
-    constexpr int kProbes = 100000;
-    for (std::uint64_t i = 0; i < kProbes; ++i) {
-      hits += bf.may_contain(hash_u64(1'000'000 + i));
-    }
-    json.metric("bloom_measured_fp_pct", 100.0 * hits / kProbes,
-                {{"target_fp_pct", Table::num(100 * fp, 2)}});
-    bf_tbl.row({Table::num(100 * fp, 2),
-                Table::num(static_cast<double>(bf.bit_count()) / 200000, 1),
-                std::to_string(bf.hash_count()),
-                Table::num(100.0 * hits / kProbes, 3)});
-  }
-  bf_tbl.print(std::cout);
   std::cout << "\nexpected shape: HLL error tracks the 1.04/sqrt(m) bound; "
-               "CMS heavy-hitter error shrinks ~linearly with 1/eps memory; "
-               "Bloom measured FP within ~2x of the design point.\n";
+               "CMS heavy-hitter error shrinks ~linearly with 1/eps memory.\n";
   return 0;
 }

@@ -1,13 +1,10 @@
 #pragma once
 // Probabilistic sketches — the standard approximate-aggregation toolkit of
 // big-data engines:
-//   BloomFilter     — approximate membership, no false negatives.
-//   HyperLogLog     — cardinality estimation in O(2^p) bytes (~1.04/sqrt(m)
-//                     relative error), with merge.
-//   CountMinSketch  — frequency estimation with one-sided error, with merge.
-//   ReservoirSample — uniform k-sample over a stream (Vitter's algorithm R).
-// All are deterministic given their inputs (hash-based, no hidden RNG except
-// the reservoir, which takes an explicit Rng).
+//   HyperLogLog    — cardinality estimation in O(2^p) bytes (~1.04/sqrt(m)
+//                    relative error), with merge.
+//   CountMinSketch — frequency estimation with one-sided error, with merge.
+// Both are deterministic given their inputs (hash-based, no hidden RNG).
 
 #include <algorithm>
 #include <array>
@@ -18,57 +15,8 @@
 #include <vector>
 
 #include "common/hash.hpp"
-#include "common/rng.hpp"
 
 namespace hpbdc {
-
-/// Bloom filter sized for `expected_items` at `fp_rate` false positives.
-class BloomFilter {
- public:
-  BloomFilter(std::size_t expected_items, double fp_rate = 0.01) {
-    if (expected_items == 0 || fp_rate <= 0 || fp_rate >= 1) {
-      throw std::invalid_argument("BloomFilter: bad parameters");
-    }
-    // Optimal sizing: m = -n ln(p) / ln(2)^2, k = (m/n) ln(2).
-    const double n = static_cast<double>(expected_items);
-    const double m = -n * std::log(fp_rate) / (std::log(2.0) * std::log(2.0));
-    bits_.assign(static_cast<std::size_t>(m / 64.0) + 1, 0);
-    hashes_ = std::max<std::size_t>(
-        1, static_cast<std::size_t>(std::round(m / n * std::log(2.0))));
-  }
-
-  void add(std::uint64_t item_hash) {
-    for (std::size_t i = 0; i < hashes_; ++i) {
-      set_bit(nth_hash(item_hash, i));
-    }
-  }
-  void add(std::string_view item) { add(hash_str(item)); }
-
-  /// False negatives never occur; false positives at ~the configured rate.
-  bool may_contain(std::uint64_t item_hash) const {
-    for (std::size_t i = 0; i < hashes_; ++i) {
-      if (!get_bit(nth_hash(item_hash, i))) return false;
-    }
-    return true;
-  }
-  bool may_contain(std::string_view item) const { return may_contain(hash_str(item)); }
-
-  std::size_t bit_count() const noexcept { return bits_.size() * 64; }
-  std::size_t hash_count() const noexcept { return hashes_; }
-
- private:
-  // Kirsch–Mitzenmacher double hashing: h_i = h1 + i*h2.
-  std::size_t nth_hash(std::uint64_t h, std::size_t i) const noexcept {
-    const std::uint64_t h1 = h;
-    const std::uint64_t h2 = mix64(h) | 1;
-    return static_cast<std::size_t>((h1 + i * h2) % bit_count());
-  }
-  void set_bit(std::size_t b) noexcept { bits_[b >> 6] |= 1ULL << (b & 63); }
-  bool get_bit(std::size_t b) const noexcept { return (bits_[b >> 6] >> (b & 63)) & 1; }
-
-  std::vector<std::uint64_t> bits_;
-  std::size_t hashes_ = 0;
-};
 
 /// HyperLogLog with 2^precision registers (precision in [4, 18]).
 class HyperLogLog {
@@ -209,36 +157,6 @@ class CountMinSketch {
   std::vector<std::uint64_t> seeds_;  // hash_u64(d + 1) per row
   std::vector<std::uint64_t> table_;
   std::uint64_t total_ = 0;
-};
-
-/// Uniform k-sample over a stream (algorithm R). Every element seen so far
-/// is in the sample with probability k/n.
-template <typename T>
-class ReservoirSample {
- public:
-  explicit ReservoirSample(std::size_t k, std::uint64_t seed = 99)
-      : k_(k), rng_(seed) {
-    if (k == 0) throw std::invalid_argument("ReservoirSample: k must be >= 1");
-  }
-
-  void add(T item) {
-    ++seen_;
-    if (sample_.size() < k_) {
-      sample_.push_back(std::move(item));
-      return;
-    }
-    const std::uint64_t j = rng_.next_below(seen_);
-    if (j < k_) sample_[static_cast<std::size_t>(j)] = std::move(item);
-  }
-
-  const std::vector<T>& sample() const noexcept { return sample_; }
-  std::uint64_t seen() const noexcept { return seen_; }
-
- private:
-  std::size_t k_;
-  Rng rng_;
-  std::vector<T> sample_;
-  std::uint64_t seen_ = 0;
 };
 
 }  // namespace hpbdc

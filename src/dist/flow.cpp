@@ -146,12 +146,10 @@ void FlowFabric::on_message(std::size_t me, std::size_t from, const Bytes& paylo
     drain(ch);
     return;
   }
-  ++stats_.segments_delivered;
   const bool unicast = h.kind == kSeg;
   if (!hooks_.node_alive(me)) {
     // Dead target: segment evaporates, no ack — the channel's credit leaks
     // until node_killed() resets it.
-    ++stats_.segments_dropped;
     return;
   }
   if (unicast) {
@@ -209,11 +207,7 @@ void FlowFabric::finish_waiters(Stream& st, bool ok) {
   for (auto& w : ws) {
     const double waited = now - w.registered_at;
     stats_.overlap_wait_s += waited;
-    if (ok) {
-      ++stats_.waits_satisfied;
-    } else {
-      ++stats_.waits_abandoned;
-    }
+    if (ok) ++stats_.waits_satisfied;
     w.cb(ok);
   }
 }
@@ -264,7 +258,6 @@ void FlowFabric::await(std::size_t node, std::size_t stage, std::size_t task,
     if (w == ws.end()) return;  // already satisfied
     const double waited = comm_.simulator().now() - w->registered_at;
     stats_.overlap_wait_s += waited;
-    ++stats_.waits_abandoned;
     auto cb2 = std::move(w->cb);
     ws.erase(w);
     cb2(false);
@@ -276,7 +269,6 @@ void FlowFabric::node_killed(std::size_t node) {
   bufs_[node].clear();
   {
     Channel& self = chan(node, node);  // local pushes (producer == target)
-    stats_.segments_dropped += self.queue.size();
     self.queue.clear();
     self.credits = opts_.credits_per_channel;
   }
@@ -295,7 +287,6 @@ void FlowFabric::node_killed(std::size_t node) {
     // Channels touching the node: queued segments are lost, credits refill
     // for the next incarnation.
     for (auto* ch : {&chan(node, n), &chan(n, node)}) {
-      stats_.segments_dropped += ch->queue.size();
       ch->queue.clear();
       ch->credits = opts_.credits_per_channel;
     }
@@ -307,7 +298,6 @@ void FlowFabric::node_recovered(std::size_t node) {
   for (std::size_t n = 0; n < nranks_; ++n) {
     if (n == node) continue;
     for (auto* ch : {&chan(node, n), &chan(n, node)}) {
-      stats_.segments_dropped += ch->queue.size();
       ch->queue.clear();
       ch->credits = opts_.credits_per_channel;
     }

@@ -51,15 +51,12 @@ namespace hpbdc::dist::flow {
 
 struct FlowStats {
   std::uint64_t segments_pushed = 0;     // unicast segments sent (incl. queued-then-sent)
-  std::uint64_t segments_delivered = 0;  // segment arrivals (unicast + multicast replicas)
-  std::uint64_t segments_dropped = 0;    // arrivals discarded (dead target / stale epoch)
   std::uint64_t multicast_segments = 0;  // broadcast segments (one fabric frame each)
   std::uint64_t bytes_pushed = 0;        // body bytes handed to the fabric
   std::uint64_t credit_stalls = 0;       // segments that had to queue for credit
   std::uint64_t streams_completed = 0;
   std::uint64_t streams_broken = 0;      // completed arrival but producer was gone
   std::uint64_t waits_satisfied = 0;     // readers woken by a completing stream
-  std::uint64_t waits_abandoned = 0;     // readers that hit patience / breakage
   double overlap_wait_s = 0.0;           // reader time spent blocked on in-flight streams
 };
 

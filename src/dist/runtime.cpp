@@ -117,10 +117,8 @@ ShuffleTransport::Env DistRuntime::make_transport_env() {
     return ckpt_data_.at(ps).at(pt).at(child);
   };
   env.count_fetch = [this](std::uint64_t bytes, bool local, bool from_ckpt) {
-    stats_.shuffle_fetches++;
     stats_.shuffle_bytes += bytes;
     if (local) {
-      stats_.shuffle_local_fetches++;
       stats_.shuffle_bytes_local += bytes;
     } else {
       stats_.shuffle_bytes_remote += bytes;
@@ -824,11 +822,6 @@ void DistRuntime::finish(bool ok) {
   }
   active_ = false;
   members_->job_finished();
-  if (ok) {
-    stats_.jobs_completed++;
-  } else {
-    stats_.jobs_failed++;
-  }
   trace_span(job_.name, "job", submit_time_, sim().now(), 0, 0);
   JobDoneFn cb = std::move(done_cb_);
   done_cb_ = nullptr;

@@ -67,16 +67,12 @@ struct DistConfig {
 };
 
 struct DistStats {
-  std::uint64_t jobs_completed = 0;
-  std::uint64_t jobs_failed = 0;
   std::uint64_t tasks_launched = 0;
   std::uint64_t tasks_completed = 0;
   std::uint64_t task_retries = 0;        // re-launches after attempt failure
   std::uint64_t tasks_recomputed = 0;    // re-launches of previously-done tasks
   std::uint64_t speculative_launched = 0;
   std::uint64_t speculative_won = 0;
-  std::uint64_t shuffle_fetches = 0;
-  std::uint64_t shuffle_local_fetches = 0;
   std::uint64_t shuffle_bytes = 0;        // simulated bytes fetched (local + remote)
   std::uint64_t shuffle_bytes_local = 0;  // same-node serves: no wire traffic
   std::uint64_t shuffle_bytes_remote = 0; // crossed the fabric (the honest number)

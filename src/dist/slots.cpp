@@ -110,16 +110,12 @@ DistStats JobSlotPool::aggregate_stats() const {
   DistStats sum;
   for (const auto& s : slots_) {
     const DistStats st = s->rt.stats();
-    sum.jobs_completed += st.jobs_completed;
-    sum.jobs_failed += st.jobs_failed;
     sum.tasks_launched += st.tasks_launched;
     sum.tasks_completed += st.tasks_completed;
     sum.task_retries += st.task_retries;
     sum.tasks_recomputed += st.tasks_recomputed;
     sum.speculative_launched += st.speculative_launched;
     sum.speculative_won += st.speculative_won;
-    sum.shuffle_fetches += st.shuffle_fetches;
-    sum.shuffle_local_fetches += st.shuffle_local_fetches;
     sum.shuffle_bytes += st.shuffle_bytes;
     sum.shuffle_bytes_local += st.shuffle_bytes_local;
     sum.shuffle_bytes_remote += st.shuffle_bytes_remote;
@@ -143,15 +139,12 @@ flow::FlowStats JobSlotPool::aggregate_flow_stats() const {
   for (const auto& s : slots_) {
     const flow::FlowStats& st = s->rt.flow_stats();
     sum.segments_pushed += st.segments_pushed;
-    sum.segments_delivered += st.segments_delivered;
-    sum.segments_dropped += st.segments_dropped;
     sum.multicast_segments += st.multicast_segments;
     sum.bytes_pushed += st.bytes_pushed;
     sum.credit_stalls += st.credit_stalls;
     sum.streams_completed += st.streams_completed;
     sum.streams_broken += st.streams_broken;
     sum.waits_satisfied += st.waits_satisfied;
-    sum.waits_abandoned += st.waits_abandoned;
     sum.overlap_wait_s += st.overlap_wait_s;
   }
   return sum;

@@ -48,8 +48,8 @@ std::size_t reorder_fused_filters(LogicalPlan& plan) {
     const std::uint64_t sample_n =
         std::min<std::uint64_t>(head.rows, kReorderSampleRows);
     if (sample_n == 0) continue;
-    // Prefixes of source_rows_ex are exact: rows are generated
-    // sequentially from one RNG stream.
+    // Prefixes of source_rows_ex are exact: row i is a pure function of
+    // (salt, i, shape).
     std::vector<Row> rows = source_rows_ex(head.salt, sample_n, head.key_domain,
                                            head.skew, head.distinct_keys);
     std::size_t s = 1;

@@ -179,25 +179,6 @@ std::vector<Row> gather_rows(const std::vector<std::vector<Bytes>>& inputs,
   return rows;
 }
 
-/// Task `task`'s slice of a source (a kSource node or a fused source head):
-/// the rows whose index is task + m·ntasks, streamed from the generator
-/// without materializing the whole source.
-template <typename Shape>
-std::vector<Row> source_slice(const Shape& src, std::size_t task,
-                              std::size_t ntasks) {
-  std::vector<Row> mine;
-  mine.reserve(src.rows / ntasks + 1);
-  std::uint64_t j = 0, want = task;
-  for_each_source_row(src.salt, src.rows, src.key_domain, src.skew,
-                      src.distinct_keys, [&](std::uint64_t k, std::uint64_t v) {
-                        if (j++ == want) {
-                          mine.emplace_back(k, v);
-                          want += ntasks;
-                        }
-                      });
-  return mine;
-}
-
 /// One key of hash_join's index: the key's first and last lhs row.
 template <typename Idx>
 struct JoinSlot {
@@ -378,9 +359,9 @@ dist::JobSpec lower_dist(const LogicalPlan& plan, std::size_t ntasks,
       case OpKind::kSource: {
         // Task t owns the rows with index ≡ t (mod ntasks): disjoint slices
         // whose union is exactly the reference source.
-        st.run = [src = nd, ntasks, finalize](
+        st.run = [gen = SourceGen(nd), rows = nd.rows, ntasks, finalize](
                      std::size_t task, const std::vector<std::vector<Bytes>>&) {
-          return finalize(source_slice(src, task, ntasks));
+          return finalize(source_slice(gen, rows, task, ntasks));
         };
         st.input_bytes_per_task =
             std::max<std::uint64_t>(1, nd.rows * 16 / ntasks);
@@ -438,10 +419,11 @@ dist::JobSpec lower_dist(const LogicalPlan& plan, std::size_t ntasks,
         // dist runtime: each absorbed node was a full shuffle round-trip.
         const std::vector<NarrowStep> steps = nd.steps;
         if (steps.front().op == OpKind::kSource) {
-          st.run = [ntasks, steps, finalize](
+          st.run = [gen = SourceGen(steps.front()), rows = steps.front().rows,
+                    ntasks, steps, finalize](
                        std::size_t task, const std::vector<std::vector<Bytes>>&) {
             return finalize(
-                apply_steps(steps, 1, source_slice(steps.front(), task, ntasks)));
+                apply_steps(steps, 1, source_slice(gen, rows, task, ntasks)));
           };
           st.input_bytes_per_task =
               std::max<std::uint64_t>(1, steps.front().rows * 16 / ntasks);

@@ -57,13 +57,17 @@ RowBlock apply_step_block(Executor& ex, RowBlock b, const NarrowStep& st) {
 }
 
 /// A source's rows written straight from the generator into a block.
-RowBlock source_block(std::uint64_t salt, std::uint64_t rows,
-                      std::uint64_t key_domain, std::uint64_t skew,
-                      bool distinct_keys) {
+template <typename Shape>
+RowBlock source_block(const Shape& src) {
+  const SourceGen gen(src);
   RowBlock b;
-  b.reserve(rows);
-  for_each_source_row(salt, rows, key_domain, skew, distinct_keys,
-                      [&b](std::uint64_t k, std::uint64_t v) { b.push(k, v); });
+  b.key.resize(src.rows);
+  b.val.resize(src.rows);
+  for (std::uint64_t i = 0; i < src.rows; ++i) {
+    const Row r = gen.row(i);
+    b.key[i] = r.first;
+    b.val[i] = r.second;
+  }
   return b;
 }
 
@@ -86,8 +90,7 @@ std::vector<Row> lower_columnar(const LogicalPlan& plan, Executor& ex) {
     const PlanNode& nd = plan.nodes[i];
     switch (nd.op) {
       case OpKind::kSource:
-        built[i] = source_block(nd.salt, nd.rows, nd.key_domain, nd.skew,
-                                nd.distinct_keys);
+        built[i] = source_block(nd);
         break;
       case OpKind::kMap:
       case OpKind::kMapValues:
@@ -101,8 +104,7 @@ std::vector<Row> lower_columnar(const LogicalPlan& plan, Executor& ex) {
         RowBlock b;
         std::size_t first = 0;
         if (nd.steps.front().op == OpKind::kSource) {
-          const NarrowStep& h = nd.steps.front();
-          b = source_block(h.salt, h.rows, h.key_domain, h.skew, h.distinct_keys);
+          b = source_block(nd.steps.front());
           first = 1;
         } else {
           b = built[nd.left];

@@ -74,17 +74,20 @@ std::vector<Row> source_rows(std::uint64_t salt, std::uint64_t n) {
   return source_rows_ex(salt, n, 0, 0, false);
 }
 
+std::vector<Row> source_slice(const SourceGen& gen, std::uint64_t n,
+                              std::uint64_t task, std::uint64_t ntasks) {
+  std::vector<Row> out;
+  out.reserve(n > task ? (n - task - 1) / ntasks + 1 : 0);
+  for (std::uint64_t i = task; i < n; i += ntasks) out.push_back(gen.row(i));
+  return out;
+}
+
 std::vector<Row> source_rows_ex(std::uint64_t salt, std::uint64_t n,
                                 std::uint64_t key_domain,
                                 std::uint64_t skew_permille,
                                 bool distinct_keys) {
-  std::vector<Row> out;
-  out.reserve(n);
-  for_each_source_row(salt, n, key_domain, skew_permille, distinct_keys,
-                      [&out](std::uint64_t k, std::uint64_t v) {
-                        out.emplace_back(k, v);
-                      });
-  return out;
+  return source_slice(SourceGen(salt, key_domain, skew_permille, distinct_keys),
+                      n, 0, 1);
 }
 
 Row map_row(const Row& r, std::uint64_t salt) {

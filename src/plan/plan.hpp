@@ -142,46 +142,78 @@ struct LogicalPlan {
 
 std::vector<Row> source_rows(std::uint64_t salt, std::uint64_t n);
 
-/// The one source generator: calls fn(key, value) for each of the n rows of
-/// a shaped source, in order, without materializing them. `key_domain`
-/// widens/narrows the key space (0 = kKeyDomain), `skew_permille` routes
-/// that fraction of rows to one deterministic hot key, and `distinct_keys`
-/// emits keys 0..n-1 (mod domain) in order — the dimension-table shape.
-/// Rows are generated sequentially from one RNG stream (a row's draw count
-/// varies with next_below's rejections), so the first m rows of an n-row
-/// source are the m-row source.
-template <typename Fn>
-void for_each_source_row(std::uint64_t salt, std::uint64_t n,
-                         std::uint64_t key_domain, std::uint64_t skew_permille,
-                         bool distinct_keys, Fn&& fn) {
-  const std::uint64_t domain = key_domain == 0 ? kKeyDomain : key_domain;
-  Rng rng(salt);
-  if (distinct_keys) {
-    // Dimension-table shape: every key exactly once (cycling past n >
-    // domain), values still drawn so two dims with one salt differ.
-    std::uint64_t k = 0;
-    for (std::uint64_t i = 0; i < n; ++i) {
-      fn(k, rng());
-      if (++k == domain) k = 0;
-    }
-    return;
-  }
-  // The deterministic hot key every skewed row lands on. CMS-based hot-key
-  // detection in plan/stats discovers it — nothing downstream is told.
-  const std::uint64_t hot = mix64(salt ^ 0x5ca1ab1eULL) % domain;
-  for (std::uint64_t i = 0; i < n; ++i) {
-    std::uint64_t k = rng.next_below(domain);
-    const std::uint64_t v = rng();
-    // The skew draw comes after the historical (key, value) draws, so
-    // skew == 0 consumes exactly the legacy RNG stream.
-    if (skew_permille != 0 && rng.next_below(1000) < skew_permille) k = hot;
-    fn(k, v);
-  }
-}
+/// The one source generator. Row i of a shaped source is a pure function of
+/// (salt, i, shape), so a task can build its own slice of a source and a
+/// sketch can read a prefix's keys without their values (BigBench's PDGF
+/// seeds every field from a seed hierarchy the same way). Each row costs a
+/// fixed number of mixes:
+///   - h = mix_seed(salt, i) is the row's hash, mix64(h ^ kValueMix) its
+///     value;
+///   - the key is the high word of h * domain, a multiply-high with no
+///     rejection loop, so a key's share is off uniform by at most domain/2^64;
+///   - a skewed source draws its skew roll from the low word of that product,
+///     the part of h the key does not use (uniform given the key), and sends
+///     the row to the hot key when roll < skew permille;
+///   - a dimension (distinct_keys) takes key i mod domain, every key exactly
+///     once per cycle, and ignores skew.
+/// `key_domain` 0 means kKeyDomain. The first m rows of an n-row source are
+/// the m-row source.
+class SourceGen {
+ public:
+  SourceGen(std::uint64_t salt, std::uint64_t key_domain,
+            std::uint64_t skew_permille, bool distinct_keys) noexcept
+      : salt_(salt),
+        domain_(key_domain == 0 ? kKeyDomain : key_domain),
+        skew_(distinct_keys ? 0 : skew_permille),
+        distinct_(distinct_keys),
+        // The deterministic hot key every skewed row lands on. CMS-based
+        // hot-key detection in plan/stats discovers it; nothing downstream
+        // is told.
+        hot_(mix64(salt ^ 0x5ca1ab1eULL) % domain_) {}
+  /// The generator of a kSource node or a fused source head.
+  template <typename Shape>
+  explicit SourceGen(const Shape& s) noexcept
+      : SourceGen(s.salt, s.key_domain, s.skew, s.distinct_keys) {}
 
-/// for_each_source_row collected into a vector. With default shape
-/// parameters this is bit-identical to source_rows (same RNG draw
-/// sequence).
+  std::uint64_t key(std::uint64_t i) const noexcept {
+    return distinct_ ? i % domain_ : drawn_key(mix_seed(salt_, i));
+  }
+  Row row(std::uint64_t i) const noexcept {
+    const std::uint64_t h = mix_seed(salt_, i);
+    return {distinct_ ? i % domain_ : drawn_key(h), mix64(h ^ kValueMix)};
+  }
+
+ private:
+  static constexpr std::uint64_t kValueMix = 0xd6e8feb86659fd93ULL;
+
+  std::uint64_t drawn_key(std::uint64_t h) const noexcept {
+    const __uint128_t m = static_cast<__uint128_t>(h) * domain_;
+    if (skew_ != 0) {
+      const __uint128_t roll =
+          static_cast<__uint128_t>(static_cast<std::uint64_t>(m)) * 1000;
+      if (static_cast<std::uint64_t>(roll >> 64) < skew_) return hot_;
+    }
+    return static_cast<std::uint64_t>(m >> 64);
+  }
+
+  std::uint64_t salt_;
+  std::uint64_t domain_;
+  std::uint64_t skew_;
+  bool distinct_;
+  std::uint64_t hot_;
+};
+
+/// Task `task`'s slice of an n-row source: rows task, task + ntasks, ...,
+/// each computed on its own. A dist source task builds only its own rows
+/// this way, and interleaving the slices of tasks 0..ntasks-1 gives the
+/// whole source back.
+std::vector<Row> source_slice(const SourceGen& gen, std::uint64_t n,
+                              std::uint64_t task, std::uint64_t ntasks);
+
+/// The n rows of a shaped source, SourceGen rows 0..n-1 (its one slice).
+/// `skew_permille` routes that fraction of rows to one deterministic hot key,
+/// and `distinct_keys` emits keys 0..n-1 (mod domain) in order, the
+/// dimension-table shape. With default shape parameters this is source_rows.
 std::vector<Row> source_rows_ex(std::uint64_t salt, std::uint64_t n,
                                 std::uint64_t key_domain,
                                 std::uint64_t skew_permille,

@@ -28,9 +28,9 @@ void sort_hot(std::vector<HotKey>& hot) {
 }
 
 /// Sketch a source: HLL for NDV, CMS for heavy hitters, both over a prefix
-/// sample. Prefixes of for_each_source_row are themselves exact because the
-/// rows are generated sequentially from one RNG stream: the first m rows of
-/// an n-row source are the m-row source.
+/// sample. A prefix is exact because row i of a source is a pure function of
+/// (salt, i, shape): the first m rows of an n-row source are the m-row
+/// source, and SourceGen::key reads a row's key without its value.
 ///
 /// The sample is first reduced to one (key, count) pair per distinct key by
 /// one of three front ends:
@@ -69,6 +69,7 @@ NodeStats sketch_source(std::uint64_t salt, std::uint64_t rows,
   // A flat table of bit_ceil(2 * distinct-bound) slots: key_bound fitting in
   // it is the direct condition, and the hashed table stays at most half full.
   const std::size_t table_size = std::bit_ceil(2 * std::min(sample_n, key_bound));
+  const SourceGen gen(salt, key_domain, skew, distinct_keys);
   if (distinct_keys) {
     const std::uint64_t full = sample_n / key_bound, rest = sample_n % key_bound;
     keys.resize(std::min(sample_n, key_bound));
@@ -79,8 +80,7 @@ NodeStats sketch_source(std::uint64_t salt, std::uint64_t rows,
              sample_n <= std::numeric_limits<std::uint32_t>::max()) {
     // Every source key is < key_bound, so a key is its own count slot.
     std::vector<std::uint32_t> counts(key_bound);
-    for_each_source_row(salt, sample_n, key_domain, skew, false,
-                        [&](std::uint64_t key, std::uint64_t) { ++counts[key]; });
+    for (std::uint64_t i = 0; i < sample_n; ++i) ++counts[gen.key(i)];
     keys.reserve(std::min(sample_n, key_bound));
     for (std::uint64_t k = 0; k < key_bound; ++k) {
       if (counts[k] != 0) keys.push_back({k, counts[k]});
@@ -89,14 +89,13 @@ NodeStats sketch_source(std::uint64_t salt, std::uint64_t rows,
     // Linear probing; count 0 marks an empty slot.
     keys.resize(table_size);
     const std::size_t mask = table_size - 1;
-    for_each_source_row(
-        salt, sample_n, key_domain, skew, false,
-        [&](std::uint64_t key, std::uint64_t) {
-          std::size_t i = static_cast<std::size_t>(hash_u64(key)) & mask;
-          while (keys[i].count != 0 && keys[i].key != key) i = (i + 1) & mask;
-          keys[i].key = key;
-          ++keys[i].count;
-        });
+    for (std::uint64_t r = 0; r < sample_n; ++r) {
+      const std::uint64_t key = gen.key(r);
+      std::size_t i = static_cast<std::size_t>(hash_u64(key)) & mask;
+      while (keys[i].count != 0 && keys[i].key != key) i = (i + 1) & mask;
+      keys[i].key = key;
+      ++keys[i].count;
+    }
     std::size_t distinct = 0;
     for (const KeyCount& kc : keys) {
       if (kc.count != 0) keys[distinct++] = kc;  // compact to the front

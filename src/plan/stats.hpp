@@ -3,11 +3,12 @@
 // nodes are sketched on every collect_stats call (a star query is planned
 // with two: order_star_dims, then cost_optimize): a HyperLogLog estimates the
 // distinct-key count and a count-min sketch surfaces heavy-hitter keys, both
-// over a prefix sample of the one source generator, plan::for_each_source_row
-// (dimensions, whose keys cycle through their domain, are counted in closed
-// form without it). The estimates propagate through the plan with the
-// standard textbook formulas (filters halve, joins multiply and divide by the
-// larger NDV, reduces collapse to one row per key). Everything here is
+// over a prefix sample of the keys of the one source generator,
+// plan::SourceGen, which computes row i on its own (dimensions, whose keys
+// cycle through their domain, are counted in closed form without it). The
+// estimates propagate through the plan with the standard textbook formulas
+// (filters halve, joins multiply and divide by the larger NDV, reduces
+// collapse to one row per key). Everything here is
 // ADVISORY: the stats feed physical hints (join build side, skew-salt fanout,
 // filter order inside fused chains) that never change result multisets, so a
 // bad estimate costs performance, never correctness.

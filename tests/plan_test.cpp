@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <map>
 #include <set>
 #include <string>
@@ -319,7 +320,7 @@ PlanNode shaped_source(std::uint64_t salt, std::uint64_t rows, std::uint64_t dom
   return nd;
 }
 
-/// The key every skewed row of a source lands on (for_each_source_row).
+/// The key every skewed row of a source lands on (SourceGen).
 std::uint64_t hot_key_of(const PlanNode& src) {
   return mix64(src.salt ^ 0x5ca1ab1eULL) % (src.key_domain == 0 ? kKeyDomain : src.key_domain);
 }
@@ -334,10 +335,12 @@ LogicalPlan plan_of(std::vector<PlanNode> nodes, std::vector<std::size_t> sinks)
 
 TEST(PlanLower, DistStageBytesPinnedToParent) {
   // Every stage's output blocks, for every task, hashed and pinned to digests
-  // captured from the std::multimap join, materialize-then-stride sources and
-  // std::map combine these kernels replaced. Simulated sizes are byte counts
-  // of these blocks, so a kernel that reorders, drops or re-encodes a row
-  // changes simulated outcomes and fails here.
+  // that the std::multimap join, materialize-then-stride sources and
+  // std::map combine these kernels replaced agreed with, re-captured when
+  // the source generator became indexed (every source row changed).
+  // Simulated sizes are byte counts of these blocks, so a kernel that
+  // reorders, drops or re-encodes a row changes simulated outcomes and fails
+  // here.
   struct Case {
     std::string name;
     LogicalPlan plan;
@@ -405,12 +408,12 @@ TEST(PlanLower, DistStageBytesPinnedToParent) {
                      bc});
   }
   const std::vector<std::uint64_t> want = {
-      0x41042e2a5f8f62f4ULL, 0xfbaae15f34d2ce40ULL, 0xf2e2059e69b7d4b0ULL,
-      0x5d9d28b00ebad4c5ULL, 0xa12a0e8cfa40d1f6ULL, 0x897b5c6db30a89e9ULL,
-      0xa5871049714a078dULL, 0xefb0e256a03f1267ULL, 0x211c165e79c7bc3cULL,
-      0x082f4a473605bee1ULL, 0xe63879142561bf5fULL, 0xe09f78fcadded20aULL,
-      0xcca69bbf2fed8cfbULL, 0xd75cb11c7d114f4bULL, 0x9d481151ca25e785ULL,
-      0x6303d6519dd96412ULL};
+      0x41042e2a5f8f62f4ULL, 0xfbaae15f34d2ce40ULL, 0xff67a4719b174d8bULL,
+      0xcfe5f300886787d3ULL, 0xf365dd589ed8c202ULL, 0x65d813c4206d12e5ULL,
+      0x3307678bebf1baa8ULL, 0xf3c63d1a41d50f1dULL, 0xb53f4ce967dfc9f7ULL,
+      0xc85a64ea08872fabULL, 0x9304483104005550ULL, 0xe9ae8690c603faf8ULL,
+      0x3d9ce969fc5ec07aULL, 0xabe60590753cee0cULL, 0x4497f8b38b0c9279ULL,
+      0x147ecbd81057444eULL};
   std::size_t i = 0;
   for (const Case& c : cases) {
     for (const std::size_t ntasks : {3u, 4u}) {
@@ -454,17 +457,17 @@ TEST(PlanRows, CombineRowsEqualsMapReference) {
 // ---- source generator --------------------------------------------------------
 
 TEST(PlanSource, ShapedRowsPinnedToParent) {
-  // Digests of source_rows_ex captured before the rows came from the one
-  // for_each_source_row generator: every shape, at 0, 1, 17 and 60000 rows.
-  // A change to any key, value or RNG draw fails here.
+  // Digests of source_rows_ex from the indexed SourceGen, where row i is a
+  // pure function of (salt, i, shape): every shape, at 0, 1, 17 and 60000
+  // rows. A change to any key, value or draw fails here.
   const std::vector<std::uint64_t> want = {
-      0x53f08ed709944e2eULL, 0x87f08bbd9e183560ULL, 0xe702527e805c8ba1ULL,
-      0x87f08bbd9e183560ULL, 0x6d96643e88580b4eULL, 0x903907d572d3cca0ULL,
-      0x56c67d84ebd76b4cULL, 0x903907d572d3cca0ULL, 0x772f20c252557836ULL,
-      0x40fce64ffa81824fULL, 0x0df72cfd4f1713cfULL, 0x40fce64ffa81824fULL,
-      0x4a49430923f8b863ULL, 0xb1632ee180114533ULL, 0x3ef5201040dcce11ULL,
-      0xb1632ee180114533ULL, 0x3700a5828531d0ccULL, 0xb3747648c23a4d8eULL,
-      0x69864024fcb566f3ULL, 0xb3747648c23a4d8eULL};
+      0x7e7d8e9c93481b23ULL, 0x7c796ce0650e5546ULL, 0x4be67167100cbceaULL,
+      0x7c796ce0650e5546ULL, 0x6361f05c7a05a51cULL, 0x6ff7450de9c0f224ULL,
+      0x34ac54754849a4eaULL, 0x6ff7450de9c0f224ULL, 0xdf0ffb01966ab58dULL,
+      0x120f5adbf646f24aULL, 0x93bfec2a8ebf806bULL, 0x120f5adbf646f24aULL,
+      0x3285e4ab361333d5ULL, 0xd51b1ebec8820defULL, 0x02e0b3e351ea42e9ULL,
+      0xd51b1ebec8820defULL, 0xfb5bd82d59163cc6ULL, 0x40dd515ee5326251ULL,
+      0x5bc0f186a6cd4c62ULL, 0x40dd515ee5326251ULL};
   std::size_t shape = 0;
   for (const std::uint64_t domain : kShapeDomains) {
     for (const std::uint64_t skew : {0ull, 300ull}) {
@@ -484,6 +487,140 @@ TEST(PlanSource, ShapedRowsPinnedToParent) {
     }
   }
   EXPECT_EQ(shape, want.size());
+}
+
+TEST(PlanSource, SlicesInterleaveToTheSourceAndPrefixesAreExact) {
+  // Row i is a pure function of (salt, i, shape): a dist task's strided
+  // slice, a random read and a shorter source all see the same rows.
+  constexpr std::uint64_t kRows = 1000;
+  for (const std::uint64_t domain : kShapeDomains) {
+    for (const std::uint64_t skew : {0ull, 300ull}) {
+      for (const bool distinct : {false, true}) {
+        SCOPED_TRACE(::testing::Message() << "domain " << domain << " skew " << skew
+                                          << " distinct " << distinct);
+        const std::uint64_t salt = 0x511ceULL + domain;
+        const SourceGen gen(salt, domain, skew, distinct);
+        const std::vector<Row> all = source_rows_ex(salt, kRows, domain, skew, distinct);
+        ASSERT_EQ(all.size(), kRows);
+        for (const std::uint64_t ntasks : {1ull, 3ull, 4ull, 7ull}) {
+          std::vector<std::vector<Row>> slices;
+          for (std::uint64_t t = 0; t < ntasks; ++t) {
+            slices.push_back(source_slice(gen, kRows, t, ntasks));
+            EXPECT_EQ(slices.back().size(), (kRows - t + ntasks - 1) / ntasks);
+          }
+          std::vector<Row> woven;
+          for (std::uint64_t i = 0; i < kRows; ++i) {
+            woven.push_back(slices[i % ntasks].at(i / ntasks));
+          }
+          EXPECT_EQ(woven, all) << ntasks << " tasks";
+        }
+        for (const std::uint64_t m : std::initializer_list<std::uint64_t>{0, 1, 17, kRows - 1}) {
+          EXPECT_EQ(source_rows_ex(salt, m, domain, skew, distinct),
+                    std::vector<Row>(all.begin(), all.begin() + static_cast<std::ptrdiff_t>(m)))
+              << m << " rows";
+        }
+        for (const std::uint64_t i : std::initializer_list<std::uint64_t>{0, 1, 499, kRows - 1}) {
+          EXPECT_EQ(gen.row(i), all[i]) << "row " << i;
+          EXPECT_EQ(gen.key(i), all[i].first) << "row " << i;
+        }
+      }
+    }
+  }
+}
+
+/// Pearson's chi-square statistic of per-key counts against equal shares,
+/// leaving out `skip` (a hot key) when it is in range.
+double chi_square_uniform(const std::vector<std::uint64_t>& counts,
+                          std::uint64_t skip = ~0ULL) {
+  double total = 0, cells = 0;
+  for (std::uint64_t k = 0; k < counts.size(); ++k) {
+    if (k == skip) continue;
+    total += static_cast<double>(counts[k]);
+    ++cells;
+  }
+  const double expect = total / cells;
+  double chi = 0;
+  for (std::uint64_t k = 0; k < counts.size(); ++k) {
+    if (k == skip) continue;
+    const double d = static_cast<double>(counts[k]) - expect;
+    chi += d * d / expect;
+  }
+  return chi;
+}
+
+/// A bound a chi-square statistic with `df` degrees of freedom stays under
+/// unless the keys are far from uniform: its mean plus six standard
+/// deviations.
+double chi_square_bound(double df) { return df + 6 * std::sqrt(2 * df); }
+
+TEST(PlanSource, KeysAreUniformOverTheDomain) {
+  // Multiply-high without rejection: every key within domain/2^64 of an
+  // equal share. 50 expected rows per key.
+  for (const std::uint64_t domain : {2ull, 64ull, 96ull, 1000ull, 4096ull}) {
+    std::vector<std::uint64_t> counts(domain);
+    const SourceGen gen(0x0ddba11ULL + domain, domain, 0, false);
+    for (std::uint64_t i = 0; i < 50 * domain; ++i) ++counts.at(gen.key(i));
+    EXPECT_LT(chi_square_uniform(counts), chi_square_bound(static_cast<double>(domain - 1)))
+        << "domain " << domain;
+  }
+}
+
+TEST(PlanSource, HotKeyShareMatchesSkew) {
+  // A skewed row goes to the hot key with probability skew/1000; the rest
+  // land uniformly, the hot key included. The skew roll is drawn from the
+  // part of the row hash the key does not use, so the other keys stay
+  // uniform among themselves.
+  constexpr std::uint64_t kRows = 200000;
+  for (const std::uint64_t domain : {64ull, 4096ull}) {
+    for (const std::uint64_t skew : {1ull, 100ull, 300ull, 999ull}) {
+      const PlanNode src = shaped_source(0x5eedULL + skew, kRows, domain, skew, false);
+      const std::uint64_t hot = hot_key_of(src);
+      const SourceGen gen(src);
+      std::vector<std::uint64_t> counts(domain);
+      for (std::uint64_t i = 0; i < kRows; ++i) ++counts.at(gen.key(i));
+      const double s = static_cast<double>(skew) / 1000.0;
+      const double p = s + (1 - s) / static_cast<double>(domain);
+      const double share = static_cast<double>(counts[hot]) / kRows;
+      EXPECT_NEAR(share, p, 5 * std::sqrt(p * (1 - p) / kRows))
+          << "domain " << domain << " skew " << skew;
+      EXPECT_LT(chi_square_uniform(counts, hot),
+                chi_square_bound(static_cast<double>(domain - 2)))
+          << "domain " << domain << " skew " << skew;
+    }
+  }
+}
+
+TEST(PlanSource, DistinctKeysCycleExactly) {
+  // A dimension's key i is i mod domain, partial last cycle included, and
+  // skew never moves it.
+  for (const std::uint64_t domain : {1ull, 7ull, 64ull, 4096ull}) {
+    for (const std::uint64_t n :
+         std::initializer_list<std::uint64_t>{0, 1, domain - 1, domain, domain + 1, 3 * domain + 5}) {
+      const auto rows = source_rows_ex(0xd1aULL, n, domain, 300, true);
+      ASSERT_EQ(rows.size(), n);
+      for (std::uint64_t i = 0; i < n; ++i) {
+        ASSERT_EQ(rows[i].first, i % domain) << "domain " << domain << " n " << n << " row " << i;
+      }
+    }
+    const SourceGen gen(0xd1aULL, domain, 0, true);
+    const std::uint64_t far = (std::uint64_t{1} << 40) + 5;
+    EXPECT_EQ(gen.key(far), far % domain);
+  }
+}
+
+TEST(PlanSource, DimensionsWithOneSaltButDifferentDomainsDiffer) {
+  // Same salt, same values; the key cycles differ once the smaller domain
+  // wraps, so the two tables are different sources.
+  const auto narrow = source_rows_ex(0xd1aULL, 200, 64, 0, true);
+  const auto wide = source_rows_ex(0xd1aULL, 200, 96, 0, true);
+  EXPECT_NE(narrow, wide);
+  EXPECT_EQ(narrow[64].first, 0u);
+  EXPECT_EQ(wide[64].first, 64u);
+  // Different salts draw different values for every row.
+  const auto other = source_rows_ex(0xd1bULL, 200, 64, 0, true);
+  for (std::size_t i = 0; i < narrow.size(); ++i) {
+    EXPECT_NE(narrow[i].second, other[i].second) << "row " << i;
+  }
 }
 
 // ---- fingerprinting (the serve-layer cache key) ---------------------------

@@ -1,5 +1,5 @@
-// Tests for the probabilistic sketches: Bloom filter, HyperLogLog,
-// count-min sketch, and reservoir sampling — accuracy bounds and merges.
+// Tests for the probabilistic sketches: HyperLogLog and count-min sketch —
+// accuracy bounds and merges.
 
 #include <gtest/gtest.h>
 
@@ -13,42 +13,6 @@
 
 namespace hpbdc {
 namespace {
-
-// ---- BloomFilter -----------------------------------------------------------------
-
-TEST(BloomFilter, NoFalseNegatives) {
-  BloomFilter bf(10000, 0.01);
-  for (int i = 0; i < 10000; ++i) {
-    bf.add("item-" + std::to_string(i));
-  }
-  for (int i = 0; i < 10000; ++i) {
-    EXPECT_TRUE(bf.may_contain("item-" + std::to_string(i))) << i;
-  }
-}
-
-TEST(BloomFilter, FalsePositiveRateNearTarget) {
-  BloomFilter bf(10000, 0.01);
-  for (int i = 0; i < 10000; ++i) bf.add("in-" + std::to_string(i));
-  int fp = 0;
-  constexpr int kProbes = 20000;
-  for (int i = 0; i < kProbes; ++i) {
-    fp += bf.may_contain("out-" + std::to_string(i));
-  }
-  const double rate = static_cast<double>(fp) / kProbes;
-  EXPECT_LT(rate, 0.03);  // 3x slack on the 1% design point
-}
-
-TEST(BloomFilter, LowerFpRateUsesMoreBits) {
-  BloomFilter loose(1000, 0.1), tight(1000, 0.001);
-  EXPECT_GT(tight.bit_count(), loose.bit_count());
-  EXPECT_GT(tight.hash_count(), loose.hash_count());
-}
-
-TEST(BloomFilter, RejectsBadParameters) {
-  EXPECT_THROW(BloomFilter(0, 0.01), std::invalid_argument);
-  EXPECT_THROW(BloomFilter(10, 0.0), std::invalid_argument);
-  EXPECT_THROW(BloomFilter(10, 1.0), std::invalid_argument);
-}
 
 // ---- HyperLogLog -----------------------------------------------------------------
 
@@ -152,41 +116,6 @@ TEST(CountMinSketch, WeightedAdds) {
   cms.add(hash_u64(1), 100);
   EXPECT_GE(cms.estimate(hash_u64(1)), 100u);
   EXPECT_LE(cms.estimate(hash_u64(2)), 100u);  // one-sided error bound only
-}
-
-// ---- ReservoirSample --------------------------------------------------------------
-
-TEST(ReservoirSample, KeepsAllWhenUnderK) {
-  ReservoirSample<int> rs(10);
-  for (int i = 0; i < 5; ++i) rs.add(i);
-  EXPECT_EQ(rs.sample().size(), 5u);
-}
-
-TEST(ReservoirSample, ExactlyKAfterOverflow) {
-  ReservoirSample<int> rs(10);
-  for (int i = 0; i < 1000; ++i) rs.add(i);
-  EXPECT_EQ(rs.sample().size(), 10u);
-  EXPECT_EQ(rs.seen(), 1000u);
-}
-
-TEST(ReservoirSample, ApproximatelyUniform) {
-  // Each of 100 values should appear in a k=10 reservoir ~10% of runs.
-  constexpr int kRuns = 3000;
-  std::vector<int> hits(100, 0);
-  for (int run = 0; run < kRuns; ++run) {
-    ReservoirSample<int> rs(10, static_cast<std::uint64_t>(run));
-    for (int i = 0; i < 100; ++i) rs.add(i);
-    for (int v : rs.sample()) ++hits[static_cast<std::size_t>(v)];
-  }
-  for (int i = 0; i < 100; ++i) {
-    const double p = static_cast<double>(hits[static_cast<std::size_t>(i)]) / kRuns;
-    EXPECT_GT(p, 0.05) << i;
-    EXPECT_LT(p, 0.17) << i;
-  }
-}
-
-TEST(ReservoirSample, ZeroKThrows) {
-  EXPECT_THROW(ReservoirSample<int>(0), std::invalid_argument);
 }
 
 // ---- accuracy-bound properties the cost model relies on --------------------------
