@@ -1,10 +1,11 @@
 // F10 — Distributed dataflow runtime (DESIGN.md extension): makespan of a
 // synthetic shuffle-heavy DAG on the simulated cluster, swept over (1) node
-// count, (2) node failure rate with and without stage checkpointing, and
-// (3) checkpoint interval at a fixed failure rate. Expected shape: near-linear
-// makespan reduction with nodes until shuffle fan-in dominates; failures
-// inflate makespan via lineage recomputation, and checkpoints cap that
-// inflation at the cost of extra DFS writes.
+// count, (2) node failure rate (a seeded sim::FaultPlan of kill/recover
+// pairs) with and without stage checkpointing, and (3) checkpoint interval at
+// a fixed failure rate. Expected shape: near-linear makespan reduction with
+// nodes until shuffle fan-in dominates; failures inflate makespan via lineage
+// recomputation, and checkpoints cap that inflation at the cost of extra DFS
+// writes.
 //
 // `--trace=FILE` additionally records one failure-injected run as a Chrome
 // trace (simulated time) loadable in chrome://tracing or ui.perfetto.dev.
@@ -12,15 +13,18 @@
 // and speedup per node count, makespan and recomputes per MTBF and
 // checkpoint setting.
 
+#include <algorithm>
 #include <cstring>
 #include <iostream>
 #include <string>
+#include <vector>
 
 #include "bench_json.hpp"
 #include "common/stats.hpp"
 #include "dist/jobs.hpp"
 #include "dist/runtime.hpp"
 #include "obs/trace.hpp"
+#include "sim/fault.hpp"
 
 namespace {
 
@@ -46,15 +50,36 @@ RunOut run_job(std::size_t nodes, double mtbf, std::size_t checkpoint_every,
   DistConfig dc;
   dc.seed = 42;
   dc.slots_per_node = 2;
-  dc.node_mtbf = mtbf;
-  // Outages must outlast the heartbeat timeout to be detectable; attempts
-  // stuck on silently-restarted executors are swept well before that.
-  dc.node_downtime = 2.0;
   dc.heartbeat_interval = 0.1;
   dc.heartbeat_timeout = 0.5;
   dc.attempt_timeout = 8.0;
   DistRuntime rt(comm, dc, &dfs);
   if (trace != nullptr) rt.bind_trace(*trace);
+
+  // Random failures (mtbf 0 = none): every node but the driver dies after
+  // exponential gaps of mean `mtbf`, drawn in kill order from one stream
+  // seeded by the master seed, until the horizon. Outages must outlast the
+  // heartbeat timeout to be detectable; attempts stuck on silently-restarted
+  // executors are swept well before that.
+  constexpr double kDowntime = 2.0;
+  constexpr double kHorizon = 120.0;
+  Rng rng(mix_seed(dc.seed, 2));
+  std::vector<double> next_kill(nodes, kHorizon);
+  for (std::size_t n = 0; n < nodes && mtbf > 0; ++n) {
+    if (n != dc.driver) next_kill[n] = rng.next_exponential(1.0 / mtbf);
+  }
+  sim::FaultPlan faults;
+  for (auto t = std::min_element(next_kill.begin(), next_kill.end()); *t < kHorizon;
+       t = std::min_element(next_kill.begin(), next_kill.end())) {
+    const auto n = static_cast<std::size_t>(t - next_kill.begin());
+    faults.kill(*t, n).recover(*t + kDowntime, n);
+    *t += kDowntime + rng.next_exponential(1.0 / mtbf);
+  }
+  sim::FaultTargets targets;
+  targets.kill_node = [&rt, &s](std::size_t n) { rt.kill_node_at(n, s.now()); };
+  targets.recover_node = [&rt, &s](std::size_t n) { rt.recover_node_at(n, s.now()); };
+  sim::FaultInjector injector(s, targets);
+  injector.arm(faults);
   JobResult out;
   rt.submit(synthetic_job(3, ntasks, MiB, checkpoint_every),
             [&](const JobResult& r) { out = r; });

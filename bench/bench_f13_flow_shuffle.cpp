@@ -131,6 +131,8 @@ int main(int argc, char** argv) {
                 {{"workload", "all_to_all"}, {"transport", tp}});
     json.metric("wire_bytes", static_cast<double>(r->wire_bytes),
                 {{"workload", "all_to_all"}, {"transport", tp}});
+    json.metric("credit_stalls", static_cast<double>(r->flow.credit_stalls),
+                {{"workload", "all_to_all"}, {"transport", tp}});
   }
   json.metric("join_stage_speedup", join_speedup,
               {{"workload", "broadcast_join"}});

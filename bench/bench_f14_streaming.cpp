@@ -154,6 +154,7 @@ int main(int argc, char** argv) {
     json.metric("window_latency_p50_ms", o.p50_ms, labels);
     json.metric("window_latency_p95_ms", o.p95_ms, labels);
     json.metric("window_latency_p99_ms", o.p99_ms, labels);
+    json.metric("credit_stalls", static_cast<double>(o.stats.credit_stalls), labels);
     json.metric("backpressure_pauses",
                 static_cast<double>(o.stats.backpressure_pauses), labels);
     json.metric("output_identical", o.identical ? 1.0 : 0.0, labels);

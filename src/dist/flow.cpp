@@ -57,6 +57,9 @@ std::uint64_t segment_body(std::uint64_t bytes, std::uint64_t seg_bytes,
                          : seg_bytes;
 }
 
+// Every unicast segment draws one credit.
+constexpr auto needs_credit = [](const auto& /*segment*/) { return true; };
+
 }  // namespace
 
 FlowFabric::FlowFabric(sim::Comm& comm, Hooks hooks)
@@ -83,7 +86,7 @@ void FlowFabric::reset(const FlowOptions& opts, std::uint64_t epoch) {
 std::size_t FlowFabric::segments_in_flight() const {
   std::size_t n = 0;
   for (const auto& ch : chans_) {
-    if (ch.gen == reset_gen_) n += opts_.credits_per_channel - ch.credits;
+    if (ch.gen == reset_gen_) n += ch.window.in_flight();
   }
   return n;
 }
@@ -96,13 +99,8 @@ void FlowFabric::push_block(std::size_t src, std::size_t dst, std::size_t stage,
   for (std::uint32_t i = 0; i < nseg; ++i) {
     PendingSeg s{src, dst, stage, task, child, i, nseg,
                  segment_body(sim_bytes, opts_.segment_bytes, i, nseg)};
-    if (ch.credits > 0 && ch.queue.empty()) {
-      --ch.credits;
-      send_segment(s);
-    } else {
-      ++stats_.credit_stalls;
-      ch.queue.push_back(s);
-    }
+    if (ch.window.push(s)) ++stats_.credit_stalls;
+    ch.window.pump([this](const PendingSeg& seg) { send_segment(seg); }, needs_credit);
   }
 }
 
@@ -127,23 +125,14 @@ void FlowFabric::send_segment(const PendingSeg& s) {
   comm_.send_sized(s.src, s.dst, tag_, s.body, encode(h));
 }
 
-void FlowFabric::drain(Channel& ch) {
-  while (ch.credits > 0 && !ch.queue.empty()) {
-    PendingSeg s = ch.queue.front();
-    ch.queue.pop_front();
-    --ch.credits;
-    send_segment(s);
-  }
-}
-
 void FlowFabric::on_message(std::size_t me, std::size_t from, const Bytes& payload) {
   const Header h = decode(payload);
   if (h.epoch != epoch_) return;  // traffic from a previous job
   if (h.kind == kAck) {
     // `me` is the producer; `from` returns one credit on channel (me, from).
     Channel& ch = chan(me, from);
-    if (ch.credits < opts_.credits_per_channel) ++ch.credits;
-    drain(ch);
+    ch.window.grant();
+    ch.window.pump([this](const PendingSeg& seg) { send_segment(seg); }, needs_credit);
     return;
   }
   const bool unicast = h.kind == kSeg;
@@ -265,13 +254,10 @@ void FlowFabric::await(std::size_t node, std::size_t stage, std::size_t task,
 }
 
 void FlowFabric::node_killed(std::size_t node) {
-  // Buffered streams (and their waiters) die with the node's memory.
-  bufs_[node].clear();
-  {
-    Channel& self = chan(node, node);  // local pushes (producer == target)
-    self.queue.clear();
-    self.credits = opts_.credits_per_channel;
-  }
+  // Buffered streams (and their waiters) die with the node's memory, and the
+  // channels touching it, local pushes included, lose their queued segments.
+  node_recovered(node);
+  chan(node, node).window.arm(opts_.credits_per_channel);
   // Streams it was producing elsewhere can never complete from this
   // incarnation: break the in-flight ones now so waiting readers fall back
   // immediately instead of burning their full patience.
@@ -284,22 +270,17 @@ void FlowFabric::node_killed(std::size_t node) {
         finish_waiters(st, false);
       }
     }
-    // Channels touching the node: queued segments are lost, credits refill
-    // for the next incarnation.
-    for (auto* ch : {&chan(node, n), &chan(n, node)}) {
-      ch->queue.clear();
-      ch->credits = opts_.credits_per_channel;
-    }
   }
 }
 
 void FlowFabric::node_recovered(std::size_t node) {
   bufs_[node].clear();
+  // Channels touching the node: queued segments are lost, credits refill
+  // for the next incarnation.
   for (std::size_t n = 0; n < nranks_; ++n) {
     if (n == node) continue;
     for (auto* ch : {&chan(node, n), &chan(n, node)}) {
-      ch->queue.clear();
-      ch->credits = opts_.credits_per_channel;
+      ch->window.arm(opts_.credits_per_channel);
     }
   }
 }

@@ -21,10 +21,11 @@
 //     completion time (deterministic — block content is a pure function of
 //     the job spec). A producer that died before completion breaks the
 //     stream instead.
-//   - Unicast pushes are credit-paced per (src, dst) channel: at most
-//     `credits_per_channel` segments in flight, each delivery acked by a
-//     small credit-return message, excess segments queue at the producer
-//     (counted as credit stalls). Lost segments or acks leak credits for
+//   - Unicast pushes are credit-paced per (src, dst) channel through the
+//     dist::CreditWindow (options.hpp) that the streaming runtime's data
+//     channels share: at most `credits_per_channel` segments in flight, each
+//     delivery acked by a small credit-return message, excess segments queue
+//     at the producer (counted as credit stalls). Lost segments or acks leak credits for
 //     the remainder of the job; liveness never depends on them — the
 //     reader-patience fallback covers every such hole, so no retransmit or
 //     credit-timeout machinery exists.
@@ -37,7 +38,6 @@
 //     acks from a previous job are dropped on arrival.
 
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <map>
 #include <vector>
@@ -177,8 +177,7 @@ class FlowFabric {
   };
 
   struct Channel {
-    std::size_t credits = 0;
-    std::deque<PendingSeg> queue;
+    CreditWindow<PendingSeg> window;
     std::uint64_t gen = 0;  // reset generation this channel was last armed in
   };
 
@@ -194,8 +193,7 @@ class FlowFabric {
     Channel& ch = chans_[src * nranks_ + dst];
     if (ch.gen != reset_gen_) {
       ch.gen = reset_gen_;
-      ch.credits = opts_.credits_per_channel;
-      ch.queue.clear();
+      ch.window.arm(opts_.credits_per_channel);
     }
     return ch;
   }
@@ -206,7 +204,6 @@ class FlowFabric {
                   std::uint64_t task, std::uint32_t child, std::uint32_t nseg);
   void complete_stream(std::size_t me, std::uint64_t k, Stream& st);
   void finish_waiters(Stream& st, bool ok);
-  void drain(Channel& ch);
 
   sim::Comm& comm_;
   Hooks hooks_;

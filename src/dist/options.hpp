@@ -8,6 +8,8 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <deque>
+#include <utility>
 
 #include "sim/policy.hpp"
 
@@ -32,6 +34,61 @@ struct FlowOptions {
 /// Body size of a credit-return message, on the push fabric and on the
 /// streaming runtime's data channels alike.
 inline constexpr std::uint64_t kCreditAckBytes = 64;
+
+/// The credit-paced send window of a push channel: a FIFO queue plus a
+/// credit count. The flow fabric's (src, dst) channels and the streaming
+/// runtime's data channels both pace through it, and each receiver returns
+/// one credit per item it consumed. An item that needs no credit (a stream
+/// barrier) still never overtakes a credit-starved head: that would tear the
+/// consistent cut.
+template <typename Item>
+class CreditWindow {
+ public:
+  /// Full window of `credits`, empty queue.
+  void arm(std::size_t credits) {
+    window_ = credits;
+    credits_ = credits;
+    queue_.clear();
+  }
+
+  /// Queue `item`. True when it cannot leave at once: there is no credit,
+  /// or items are queued ahead of it.
+  bool push(Item item) {
+    const bool waits = credits_ == 0 || !queue_.empty();
+    queue_.push_back(std::move(item));
+    return waits;
+  }
+
+  /// send(item) from the head in FIFO order while credits last; an item
+  /// with needs_credit(item) == false takes none. True when it stopped on a
+  /// credit.
+  template <typename Send, typename NeedsCredit>
+  bool pump(Send&& send, NeedsCredit&& needs_credit) {
+    while (!queue_.empty()) {
+      if (needs_credit(queue_.front())) {
+        if (credits_ == 0) return true;
+        --credits_;
+      }
+      Item item = std::move(queue_.front());
+      queue_.pop_front();
+      send(std::move(item));
+    }
+    return false;
+  }
+
+  /// Return one credit, never above the armed window.
+  void grant() {
+    if (credits_ < window_) ++credits_;
+  }
+
+  std::size_t queued() const noexcept { return queue_.size(); }
+  std::size_t in_flight() const noexcept { return window_ - credits_; }  // credits drawn
+
+ private:
+  std::deque<Item> queue_;
+  std::size_t window_ = 0;
+  std::size_t credits_ = 0;
+};
 
 /// Everything a caller may vary per job. Plain value type; default
 /// construction is the pre-redesign behavior (pull transport), which keeps

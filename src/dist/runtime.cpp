@@ -22,8 +22,7 @@ DistRuntime::DistRuntime(sim::Comm& comm, DistConfig cfg, sim::Dfs* dfs,
       dfs_(dfs),
       tag_exec_(comm.next_tag()),
       tag_drv_(comm.next_tag()),
-      members_(members),
-      failure_rng_(mix_seed(cfg.seed, 2)) {
+      members_(members) {
   const std::size_t n = comm.nranks();
   if (cfg_.driver >= n) throw std::invalid_argument("DistRuntime: bad driver rank");
   if (cfg_.slots_per_node == 0) {
@@ -228,9 +227,6 @@ void DistRuntime::submit(JobSpec job, const RuntimeOptions& opts, JobDoneFn done
                    ? static_cast<ShuffleTransport*>(push_.get())
                    : static_cast<ShuffleTransport*>(pull_.get());
   members_->job_started();
-  for (std::size_t n = 0; n < execs_.size(); ++n) {
-    if (n != cfg_.driver && cfg_.node_mtbf > 0) schedule_next_failure(n);
-  }
   schedule();
 }
 
@@ -764,25 +760,6 @@ void DistRuntime::on_monitor_tick() {
     on_attempt_failed(id, false);
     if (!active_) return;
   }
-}
-
-void DistRuntime::schedule_next_failure(std::size_t node) {
-  const double dt = failure_rng_.next_exponential(1.0 / cfg_.node_mtbf);
-  const std::uint64_t epoch = epoch_;
-  sim().schedule_after(dt, [this, node, epoch] {
-    if (!active_ || epoch_ != epoch) return;
-    if (members_->alive(node)) {
-      members_->set_alive(node, false);
-      if (cfg_.node_downtime > 0) {
-        sim().schedule_after(cfg_.node_downtime, [this, node, epoch] {
-          members_->set_alive(node, true);
-          if (active_ && epoch_ == epoch) schedule_next_failure(node);
-        });
-        return;
-      }
-    }
-    schedule_next_failure(node);
-  });
 }
 
 void DistRuntime::on_liveness(std::size_t node, bool alive) {

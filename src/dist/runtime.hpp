@@ -14,9 +14,9 @@
 //     src/cluster/speculation).
 //
 // The runtime is entirely event-driven on the single-threaded Simulator, so
-// every run is deterministic: heartbeat jitter, straggler assignment, and
-// random failure injection all derive sub-seeds from DistConfig::seed, and
-// network loss determinism comes from NetworkConfig::loss_seed.
+// every run is deterministic: heartbeat jitter and straggler assignment
+// derive sub-seeds from DistConfig::seed, network loss determinism comes from
+// NetworkConfig::loss_seed, and node faults arrive through kill_node_at.
 
 #include <cstdint>
 #include <functional>
@@ -56,13 +56,8 @@ struct DistConfig {
   double straggler_speed = 0.25;
   // LATE-style speculation (policy shared with cluster::LatePolicy).
   bool speculate = false;
-  // Random failure injection: per-node exponential failures with this mean
-  // time between failures (0 = disabled); failed nodes recover after
-  // node_downtime seconds (0 = stay dead).
-  double node_mtbf = 0.0;
-  double node_downtime = 10.0;
-  /// Master seed: stragglers, heartbeat jitter, and failure times all derive
-  /// sub-seeds from this single value.
+  /// Master seed: stragglers and heartbeat jitter derive sub-seeds from this
+  /// single value.
   std::uint64_t seed = 1;
 };
 
@@ -226,7 +221,6 @@ class DistRuntime : private sim::Membership::Subscriber {
   bool stage_retired(std::size_t s) const;
   bool stage_available(std::size_t s) const;
   void maybe_checkpoint(std::size_t s);
-  void schedule_next_failure(std::size_t node);
   void finish(bool ok);
   /// The driver may place work on a node it believes alive that really is.
   bool usable(std::size_t node) const {
@@ -262,11 +256,10 @@ class DistRuntime : private sim::Membership::Subscriber {
   std::unique_ptr<sim::Membership> own_members_;  // standalone runtimes only
   sim::Membership* members_ = nullptr;
   std::vector<ExecState> execs_;
-  Rng failure_rng_;
   cluster::LatePolicy late_;
 
   // Active job state. epoch_ bumps per submit so that stale scheduled
-  // continuations (failure loops, DFS callbacks) from a finished job
+  // continuations (DFS checkpoint callbacks) from a finished job
   // recognize themselves and stand down.
   bool active_ = false;
   std::uint64_t epoch_ = 0;

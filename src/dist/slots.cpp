@@ -13,7 +13,6 @@ JobSlotPool::JobSlotPool(sim::Comm& comm, DistConfig cfg, std::size_t slots,
       membership_(comm, cfg.driver, cfg.heartbeat_interval, cfg.heartbeat_timeout,
                   cfg.heartbeat_jitter, cfg.seed, dfs) {
   if (slots == 0) throw std::invalid_argument("JobSlotPool: zero slots");
-  cfg_.node_mtbf = 0.0;  // per-slot injectors would fire independently
   draining_.assign(comm.nranks(), false);
   for (std::size_t i = 0; i < slots; ++i) make_slot(i);
 }

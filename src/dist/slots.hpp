@@ -38,9 +38,7 @@ class JobSlotPool {
  public:
   /// The membership service takes its heartbeat settings and seed from cfg;
   /// slot i's runtime derives its seed from cfg.seed and i, so the whole
-  /// pool is pinned by one seed. cfg.node_mtbf is forced to 0: with K
-  /// runtimes the per-slot injectors would each kill nodes independently —
-  /// drive faults through kill_node_at/recover_node_at instead.
+  /// pool is pinned by one seed.
   JobSlotPool(sim::Comm& comm, DistConfig cfg, std::size_t slots,
               sim::Dfs* dfs = nullptr);
 

@@ -180,7 +180,7 @@ void StreamRuntime::submit(StreamJobSpec spec, const dist::RuntimeOptions& opts,
           ch.edge = eidx;
           ch.src_gid = first_gid(e.src_stage) + sl;
           ch.dst_gid = first_gid(s) + dl;
-          ch.credits = init_credits_;
+          ch.window.arm(init_credits_);
           channels_.push_back(std::move(ch));
           tasks_[first_gid(s) + dl].in_channels.push_back(channels_.size() - 1);
         }
@@ -230,23 +230,18 @@ void StreamRuntime::seal(Channel& ch) {
   QItem q;
   q.events = std::move(ch.open);
   ch.open.clear();
-  ch.queue.push_back(std::move(q));
+  ch.window.push(std::move(q));
 }
 
 void StreamRuntime::pump(std::size_t ch_idx) {
   Channel& ch = channels_[ch_idx];
   if (!members_.alive(tasks_[ch.src_gid].node)) return;
-  while (!ch.queue.empty()) {
-    // FIFO: a barrier needs no credit but still waits behind stalled
-    // segments — barrier overtaking would tear the consistent cut.
-    if (!ch.queue.front().barrier && ch.credits == 0) {
-      ++stats_.credit_stalls;
-      return;
-    }
-    QItem item = std::move(ch.queue.front());
-    ch.queue.pop_front();
-    if (!item.barrier) --ch.credits;
-    send_item(ch_idx, std::move(item));
+  // FIFO: a barrier needs no credit but still waits behind stalled
+  // segments — barrier overtaking would tear the consistent cut.
+  if (ch.window.pump([this, ch_idx](QItem item) { send_item(ch_idx, std::move(item)); },
+                     [](const QItem& item) { return !item.barrier; })) {
+    ++stats_.credit_stalls;
+    return;
   }
   maybe_resume_source(ch.src_gid);
 }
@@ -279,7 +274,7 @@ void StreamRuntime::on_data(std::size_t rank, const Bytes& payload) {
   Channel& ch = channels_[ch_idx];
   if (type == kMsgAck) {
     if (tasks_[ch.src_gid].node != rank) return;  // reassigned mid-flight
-    ++ch.credits;
+    ch.window.grant();
     ++stats_.segment_acks;
     pump(ch_idx);
     return;
@@ -410,18 +405,23 @@ void StreamRuntime::apply_segment(Task& t, std::size_t side,
   }
 }
 
-void StreamRuntime::maybe_resume_source(std::size_t src_gid) {
-  Task& t = tasks_[src_gid];
-  if (!t.paused || spec_.stages[t.stage].kind != StreamStage::Kind::kSource) return;
+bool StreamRuntime::backpressured(const Task& t) const {
   for (std::size_t eidx : stage_out_edges_[t.stage]) {
     const Edge& e = edges_[eidx];
     for (std::size_t dl = 0; dl < stage_ntasks(e.dst_stage); ++dl) {
-      if (channels_[ch_index(e, t.local, dl)].queue.size() >=
+      if (channels_[ch_index(e, t.local, dl)].window.queued() >=
           cfg_.max_buffered_segments) {
-        return;
+        return true;
       }
     }
   }
+  return false;
+}
+
+void StreamRuntime::maybe_resume_source(std::size_t src_gid) {
+  Task& t = tasks_[src_gid];
+  if (!t.paused || spec_.stages[t.stage].kind != StreamStage::Kind::kSource) return;
+  if (backpressured(t)) return;
   t.paused = false;
   const std::uint64_t f = fence_;
   const std::size_t gid = t.gid;
@@ -443,19 +443,13 @@ void StreamRuntime::source_pump(std::size_t gid) {
       });
       return;
     }
-    // Backpressure gate: with every outgoing channel already holding a full
+    // Backpressure gate: with an outgoing channel already holding a full
     // queue of unsendable segments, generating more would only grow memory —
-    // pause until credits drain a queue (maybe_resume_source).
-    for (std::size_t eidx : stage_out_edges_[t.stage]) {
-      const Edge& e = edges_[eidx];
-      for (std::size_t dl = 0; dl < stage_ntasks(e.dst_stage); ++dl) {
-        if (channels_[ch_index(e, t.local, dl)].queue.size() >=
-            cfg_.max_buffered_segments) {
-          t.paused = true;
-          ++stats_.backpressure_pauses;
-          return;
-        }
-      }
+    // pause until credits drain the queues (maybe_resume_source).
+    if (backpressured(t)) {
+      t.paused = true;
+      ++stats_.backpressure_pauses;
+      return;
     }
     for (const plan::Row& r : it.rows) {
       emit(t, TimedRow{it.time, r});
@@ -482,7 +476,7 @@ void StreamRuntime::enqueue_barrier(Task& t, std::uint64_t epoch, double wm) {
       q.barrier = true;
       q.epoch = epoch;
       q.wm = wm;
-      ch.queue.push_back(std::move(q));
+      ch.window.push(std::move(q));
       pump(ci);
     }
   }
@@ -902,8 +896,7 @@ void StreamRuntime::start_recovery() {
   acks_.clear();
   for (Channel& ch : channels_) {
     ch.open.clear();
-    ch.queue.clear();
-    ch.credits = init_credits_;
+    ch.window.arm(init_credits_);
     ch.next_seq = 0;
     ch.expect_seq = 0;
     ch.stash.clear();

@@ -206,13 +206,14 @@ class StreamRuntime : private sim::Membership::Subscriber {
     std::vector<TimedRow> events;
   };
 
+  /// One data channel. Its sealed items pace through the dist::CreditWindow
+  /// that the push fabric's channels share; a barrier is the credit-free item.
   struct Channel {
     std::size_t edge = 0;
     std::size_t src_gid = 0, dst_gid = 0;
     // Sender side.
-    std::vector<TimedRow> open;    // accumulating segment
-    std::deque<QItem> queue;       // sealed, awaiting credits
-    std::size_t credits = 0;
+    std::vector<TimedRow> open;         // accumulating segment
+    dist::CreditWindow<QItem> window;   // sealed, awaiting credits
     std::uint64_t next_seq = 0;
     // Receiver side.
     std::uint64_t expect_seq = 0;
@@ -260,6 +261,7 @@ class StreamRuntime : private sim::Membership::Subscriber {
   void enqueue_work(std::size_t ch_idx, QItem item);
   void service(std::size_t ch_idx, QItem& item);
   void apply_segment(Task& t, std::size_t side, const std::vector<TimedRow>& events);
+  bool backpressured(const Task& t) const;
   void maybe_resume_source(std::size_t src_gid);
   void source_pump(std::size_t gid);
   void enqueue_barrier(Task& t, std::uint64_t epoch, double wm);

@@ -8,6 +8,7 @@
 
 #include <algorithm>
 #include <memory>
+#include <vector>
 
 #include "algos/terasort.hpp"
 #include "algos/textgen.hpp"
@@ -17,6 +18,7 @@
 #include "dist/slots.hpp"
 #include "exec/thread_pool.hpp"
 #include "obs/trace.hpp"
+#include "sim/fault.hpp"
 
 namespace hpbdc::dist {
 namespace {
@@ -246,6 +248,26 @@ TEST(DistRuntime, CheckpointRecomputesStrictlyLessThanLineage) {
   EXPECT_EQ(plain.result, ckpt.result);  // recovery never changes the answer
 }
 
+/// Random node churn: every node but the driver dies after exponential gaps
+/// of mean `mtbf` and recovers `downtime` later, until `horizon`. The gaps
+/// come from one stream seeded by the master seed, drawn in kill order.
+sim::FaultPlan churn_plan(std::size_t nodes, const DistConfig& dc, double mtbf,
+                          double downtime, double horizon) {
+  Rng rng(mix_seed(dc.seed, 2));
+  std::vector<double> next_kill(nodes, horizon);
+  for (std::size_t n = 0; n < nodes; ++n) {
+    if (n != dc.driver) next_kill[n] = rng.next_exponential(1.0 / mtbf);
+  }
+  sim::FaultPlan plan;
+  for (auto t = std::min_element(next_kill.begin(), next_kill.end()); *t < horizon;
+       t = std::min_element(next_kill.begin(), next_kill.end())) {
+    const auto n = static_cast<std::size_t>(t - next_kill.begin());
+    plan.kill(*t, n).recover(*t + downtime, n);
+    *t += downtime + rng.next_exponential(1.0 / mtbf);
+  }
+  return plan;
+}
+
 TEST(DistRuntime, SameSeedRunsAreIdentical) {
   auto run_once = [] {
     auto nc = star(8);
@@ -253,13 +275,19 @@ TEST(DistRuntime, SameSeedRunsAreIdentical) {
     nc.loss_seed = 999;
     DistConfig dc = fast_detect_config();
     dc.slots_per_node = 2;
-    dc.node_mtbf = 6.0;  // random failures drawn from the master seed
-    dc.node_downtime = 0.5;
     // Longer than any genuine attempt (fetch queueing included) so only
     // genuinely lost control RPCs get requeued.
     dc.attempt_timeout = 10.0;
     dc.max_task_attempts = 10;
     Cluster cl(nc, dc);
+    // Random failures drawn from the master seed.
+    sim::FaultTargets targets;
+    targets.kill_node = [&cl](std::size_t n) { cl.rt.kill_node_at(n, cl.sim.now()); };
+    targets.recover_node = [&cl](std::size_t n) {
+      cl.rt.recover_node_at(n, cl.sim.now());
+    };
+    sim::FaultInjector injector(cl.sim, targets);
+    injector.arm(churn_plan(nc.nodes, dc, 6.0, 0.5, 60.0));
     // A light job whose per-attempt work stays well under attempt_timeout even
     // with disk/NIC contention, so the failure churn is survivable: ~a dozen
     // node kill/recover cycles and a few lineage recomputes per run.

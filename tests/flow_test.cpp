@@ -1,5 +1,6 @@
 // Tests for the push-based flow shuffle (src/dist/flow) behind the
-// ShuffleTransport seam: credit exhaustion and resume under small windows,
+// ShuffleTransport seam: the shared CreditWindow's FIFO and credit rules,
+// credit exhaustion and resume under small windows,
 // multicast vs unicast bytes-on-wire for broadcast stages, readers blocking
 // ahead of in-flight streams (compute/transfer overlap), push/pull result
 // parity, lineage recovery after killing a node holding in-flight segments,
@@ -73,6 +74,86 @@ Bytes result_bytes(const JobResult& res) {
   for (const auto& blocks : res.output)
     for (const auto& b : blocks) w.write_bytes(b);
   return w.take();
+}
+
+// ---- credit window ---------------------------------------------------------------
+
+/// A window item: a data segment draws a credit, a barrier does not.
+struct WinItem {
+  int id = 0;
+  bool barrier = false;
+};
+
+struct WindowProbe {
+  CreditWindow<WinItem> window;
+  std::vector<int> sent;
+
+  bool pump() {
+    return window.pump([this](WinItem it) { sent.push_back(it.id); },
+                       [](const WinItem& it) { return !it.barrier; });
+  }
+};
+
+TEST(CreditWindow, CreditFreeItemNeverOvertakesStarvedHead) {
+  WindowProbe w;
+  w.window.arm(1);
+  EXPECT_FALSE(w.window.push({1, false}));
+  EXPECT_FALSE(w.pump());
+  w.window.push({2, false});          // no credit left: stalls at the head
+  w.window.push({3, true});           // barrier behind it
+  EXPECT_TRUE(w.pump());              // stopped on a credit
+  EXPECT_EQ(w.sent, (std::vector<int>{1}));  // the barrier did not overtake
+  EXPECT_EQ(w.window.queued(), 2u);
+  w.window.grant();
+  EXPECT_FALSE(w.pump());
+  EXPECT_EQ(w.sent, (std::vector<int>{1, 2, 3}));
+  // A barrier at the head leaves without a credit.
+  w.window.push({4, true});
+  EXPECT_FALSE(w.pump());
+  EXPECT_EQ(w.sent, (std::vector<int>{1, 2, 3, 4}));
+  EXPECT_EQ(w.window.in_flight(), 1u);
+}
+
+TEST(CreditWindow, PushWaitsBehindQueuedItemsEvenWithCredit) {
+  WindowProbe w;
+  w.window.arm(2);
+  EXPECT_FALSE(w.window.push({1, false}));
+  EXPECT_TRUE(w.window.push({2, false}));  // credit free, but 1 is ahead
+  EXPECT_FALSE(w.pump());
+  EXPECT_EQ(w.sent, (std::vector<int>{1, 2}));
+  EXPECT_EQ(w.window.in_flight(), 2u);
+  EXPECT_TRUE(w.window.push({3, false}));  // no credit
+}
+
+TEST(CreditWindow, GrantNeverLiftsCreditsAboveArmedWindow) {
+  WindowProbe w;
+  w.window.arm(2);
+  w.window.grant();  // stray returns on a full window
+  w.window.grant();
+  EXPECT_EQ(w.window.in_flight(), 0u);
+  for (int i = 1; i <= 3; ++i) w.window.push({i, false});
+  EXPECT_TRUE(w.pump());
+  EXPECT_EQ(w.sent, (std::vector<int>{1, 2}));
+  w.window.grant();
+  w.window.grant();
+  w.window.grant();
+  EXPECT_FALSE(w.pump());
+  EXPECT_EQ(w.window.in_flight(), 1u);  // 2 credits at most, 1 spent
+}
+
+TEST(CreditWindow, ArmDropsTheQueue) {
+  WindowProbe w;
+  w.window.arm(1);
+  for (int i = 1; i <= 3; ++i) w.window.push({i, false});
+  EXPECT_TRUE(w.pump());
+  EXPECT_EQ(w.window.queued(), 2u);
+  EXPECT_EQ(w.window.in_flight(), 1u);
+  w.window.arm(3);
+  EXPECT_EQ(w.window.queued(), 0u);
+  EXPECT_EQ(w.window.in_flight(), 0u);
+  EXPECT_FALSE(w.window.push({4, false}));
+  EXPECT_FALSE(w.pump());
+  EXPECT_EQ(w.sent, (std::vector<int>{1, 4}));
 }
 
 // ---- flow control ----------------------------------------------------------------
