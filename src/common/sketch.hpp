@@ -3,7 +3,8 @@
 // big-data engines:
 //   HyperLogLog    — cardinality estimation in O(2^p) bytes (~1.04/sqrt(m)
 //                    relative error), with merge.
-//   CountMinSketch — frequency estimation with one-sided error, with merge.
+//   CountMinSketch — frequency estimation with one-sided error, with merge;
+//                    CountMinGeometry is its shape and column hash alone.
 // Both are deterministic given their inputs (hash-based, no hidden RNG).
 
 #include <algorithm>
@@ -91,17 +92,18 @@ class HyperLogLog {
   std::vector<std::uint8_t> registers_;
 };
 
-/// Count-min sketch: freq(x) <= estimate(x) <= freq(x) + eps*N whp.
-class CountMinSketch {
+/// Count-min geometry: the width and depth that (eps, delta) call for, and
+/// the column a hash lands in per row. CountMinSketch adds the counters; a
+/// caller that builds its own rows (plan/stats) needs the geometry alone.
+class CountMinGeometry {
  public:
   /// eps: additive error fraction of total count; delta: failure probability.
-  CountMinSketch(double eps = 0.001, double delta = 0.01) {
+  CountMinGeometry(double eps, double delta) {
     if (eps <= 0 || eps >= 1 || delta <= 0 || delta >= 1) {
       throw std::invalid_argument("CountMinSketch: bad parameters");
     }
     width_ = static_cast<std::size_t>(std::ceil(std::exp(1.0) / eps));
     depth_ = static_cast<std::size_t>(std::ceil(std::log(1.0 / delta)));
-    table_.assign(width_ * depth_, 0);
     // Lemire's fastmod magic: ceil(2^128 / width). For every 64-bit x,
     // ((magic * x) mod 2^128) * width / 2^128 == x % width exactly.
     magic_ = ~__uint128_t{0} / width_ + 1;
@@ -109,35 +111,6 @@ class CountMinSketch {
     for (std::size_t d = 0; d < depth_; ++d) seeds_[d] = hash_u64(d + 1);
   }
 
-  void add(std::uint64_t item_hash, std::uint64_t count = 1) {
-    for (std::size_t d = 0; d < depth_; ++d) {
-      table_[d * width_ + slot(item_hash, d)] += count;
-    }
-    total_ += count;
-  }
-  void add(std::string_view item, std::uint64_t count = 1) {
-    add(hash_str(item), count);
-  }
-
-  std::uint64_t estimate(std::uint64_t item_hash) const {
-    std::uint64_t best = ~0ULL;
-    for (std::size_t d = 0; d < depth_; ++d) {
-      best = std::min(best, table_[d * width_ + slot(item_hash, d)]);
-    }
-    return best;
-  }
-  std::uint64_t estimate(std::string_view item) const { return estimate(hash_str(item)); }
-
-  void merge(const CountMinSketch& o) {
-    if (o.width_ != width_ || o.depth_ != depth_) {
-      throw std::invalid_argument("CountMinSketch: shape mismatch");
-    }
-    for (std::size_t i = 0; i < table_.size(); ++i) table_[i] += o.table_[i];
-    total_ += o.total_;
-  }
-
-  std::uint64_t total() const noexcept { return total_; }
-  std::size_t memory_bytes() const noexcept { return table_.size() * sizeof(std::uint64_t); }
   std::size_t width() const noexcept { return width_; }
   std::size_t depth() const noexcept { return depth_; }
 
@@ -155,6 +128,45 @@ class CountMinSketch {
   std::size_t width_ = 0, depth_ = 0;
   __uint128_t magic_ = 0;
   std::vector<std::uint64_t> seeds_;  // hash_u64(d + 1) per row
+};
+
+/// Count-min sketch: freq(x) <= estimate(x) <= freq(x) + eps*N whp.
+class CountMinSketch : public CountMinGeometry {
+ public:
+  CountMinSketch(double eps = 0.001, double delta = 0.01)
+      : CountMinGeometry(eps, delta), table_(width() * depth(), 0) {}
+
+  void add(std::uint64_t item_hash, std::uint64_t count = 1) {
+    for (std::size_t d = 0; d < depth(); ++d) {
+      table_[d * width() + slot(item_hash, d)] += count;
+    }
+    total_ += count;
+  }
+  void add(std::string_view item, std::uint64_t count = 1) {
+    add(hash_str(item), count);
+  }
+
+  std::uint64_t estimate(std::uint64_t item_hash) const {
+    std::uint64_t best = ~0ULL;
+    for (std::size_t d = 0; d < depth(); ++d) {
+      best = std::min(best, table_[d * width() + slot(item_hash, d)]);
+    }
+    return best;
+  }
+  std::uint64_t estimate(std::string_view item) const { return estimate(hash_str(item)); }
+
+  void merge(const CountMinSketch& o) {
+    if (o.width() != width() || o.depth() != depth()) {
+      throw std::invalid_argument("CountMinSketch: shape mismatch");
+    }
+    for (std::size_t i = 0; i < table_.size(); ++i) table_[i] += o.table_[i];
+    total_ += o.total_;
+  }
+
+  std::uint64_t total() const noexcept { return total_; }
+  std::size_t memory_bytes() const noexcept { return table_.size() * sizeof(std::uint64_t); }
+
+ private:
   std::vector<std::uint64_t> table_;
   std::uint64_t total_ = 0;
 };

@@ -99,7 +99,13 @@ std::vector<std::size_t> naive_order(const StarSpec& spec) {
 
 std::vector<std::size_t> order_star_dims(const StarSpec& spec,
                                          const StatsOptions& opts) {
-  // Sketch the fact source once, each dimension chain once.
+  // Sketch the fact source once, each dimension chain once. The greedy
+  // order reads only rows and NDV, and a source's rows and NDV do not
+  // depend on its hot keys, so the fact and every unfiltered dimension skip
+  // the count-min half. A kFilterKey row estimate does depend on them, so a
+  // filtered dimension keeps the full sketch.
+  StatsOptions ndv_only = opts;
+  ndv_only.hot_fraction = 0;
   LogicalPlan fp;
   PlanNode fact;
   fact.op = OpKind::kSource;
@@ -109,11 +115,13 @@ std::vector<std::size_t> order_star_dims(const StarSpec& spec,
   fact.skew = spec.fact_skew;
   fp.nodes.push_back(fact);
   fp.sinks = {0};
-  NodeStats cur = collect_stats(fp, opts).back();
+  NodeStats cur = collect_stats(fp, ndv_only).back();
 
   std::vector<NodeStats> ds;
   ds.reserve(spec.dims.size());
-  for (const DimSpec& d : spec.dims) ds.push_back(dim_stats(d, opts));
+  for (const DimSpec& d : spec.dims) {
+    ds.push_back(dim_stats(d, d.filter ? opts : ndv_only));
+  }
 
   std::vector<std::size_t> remaining(spec.dims.size());
   std::iota(remaining.begin(), remaining.end(), 0);

@@ -52,7 +52,9 @@ std::vector<std::size_t> naive_order(const StarSpec& spec);
 /// Cost-based join order: sketch the fact and each (filtered) dimension
 /// with collect_stats' source estimators, then greedily append the
 /// dimension minimizing the estimated next-join output. Most-selective
-/// joins run first, so every later join probes fewer rows.
+/// joins run first, so every later join probes fewer rows. The order equals
+/// the one full sketches give, but only filtered dimensions, whose row
+/// estimate reads hot keys, run the count-min half.
 std::vector<std::size_t> order_star_dims(const StarSpec& spec,
                                          const StatsOptions& opts = {});
 

@@ -188,12 +188,14 @@ class SourceGen {
 
   std::uint64_t drawn_key(std::uint64_t h) const noexcept {
     const __uint128_t m = static_cast<__uint128_t>(h) * domain_;
-    if (skew_ != 0) {
-      const __uint128_t roll =
-          static_cast<__uint128_t>(static_cast<std::uint64_t>(m)) * 1000;
-      if (static_cast<std::uint64_t>(roll >> 64) < skew_) return hot_;
-    }
-    return static_cast<std::uint64_t>(m >> 64);
+    const auto k = static_cast<std::uint64_t>(m >> 64);
+    if (skew_ == 0) return k;
+    const __uint128_t roll =
+        static_cast<__uint128_t>(static_cast<std::uint64_t>(m)) * 1000;
+    // The hot key by mask, not by branch: the roll is a coin flip per row,
+    // which a branch mispredicts on a skewed source.
+    const std::uint64_t hot = static_cast<std::uint64_t>(roll >> 64) < skew_;
+    return k ^ ((k ^ hot_) & (0 - hot));
   }
 
   std::uint64_t salt_;

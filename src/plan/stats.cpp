@@ -27,13 +27,89 @@ void sort_hot(std::vector<HotKey>& hot) {
   if (hot.size() > kMaxHotKeys) hot.resize(kMaxHotKeys);
 }
 
+/// The sketch back end over one source's distinct sampled keys:
+/// each_key(f) calls f(key, count) once per distinct key, and st holds the
+/// source's rows and key bound. HLL registers depend only on the key set,
+/// so feeding each distinct key's hash once equals feeding the HLL row by
+/// row. Heavy hitters are the keys whose count-min estimate clears the hot
+/// threshold. A count-min cell depends only on per-key totals, and a key
+/// clears the threshold only if its cell clears it in every row, so the
+/// rows are built one at a time and the next only while some key is still
+/// a candidate. The first pass hashes each key once, feeds the HLL and
+/// fills row 0. Only if a row-0 cell clears the threshold (a skewed source;
+/// most have none) does a second pass keep (key, hash, count) for the rows
+/// after it. A candidate that survives every row has the minimum of its
+/// cells, exactly CountMinSketch::estimate. With a zero threshold the
+/// count-min half is skipped, so rows and NDV cost one HLL pass. The
+/// linear NDV scale-up overestimates for sparse domains, but the key bound
+/// cap makes it exact in the saturated case, which every star-schema domain
+/// here is.
+template <typename EachKey>
+void sketch_keys(const EachKey& each_key, std::uint64_t sample_n,
+                 const StatsOptions& opts, NodeStats& st) {
+  const double scale = st.rows / static_cast<double>(sample_n);
+  const auto threshold = static_cast<std::uint64_t>(
+      opts.hot_fraction * static_cast<double>(sample_n));
+  HyperLogLog hll(kHllPrecision);
+  const CountMinGeometry cms(kCmsEpsilon, kCmsDelta);
+  std::vector<std::uint64_t> row;  // one count-min row at a time
+  std::size_t distinct = 0;
+  if (threshold == 0) {
+    each_key([&](std::uint64_t key, std::uint64_t) { hll.add(hash_u64(key)); });
+  } else {
+    row.resize(cms.width());
+    each_key([&](std::uint64_t key, std::uint64_t count) {
+      const std::uint64_t h = hash_u64(key);
+      hll.add(h);
+      row[cms.slot(h, 0)] += count;
+      ++distinct;
+    });
+  }
+  st.ndv = std::min(static_cast<double>(st.key_bound), hll.estimate() * scale);
+  const auto clears = [threshold](std::uint64_t cell) { return cell >= threshold; };
+  if (threshold == 0 || std::none_of(row.begin(), row.end(), clears)) return;
+  // CMS only overestimates, so a truly hot key is never dropped; a false
+  // positive only costs a wasted salt.
+  struct Keyed {
+    std::uint64_t key, hash, count;
+  };
+  struct Candidate {
+    std::size_t index;  // into keys
+    std::uint64_t est;  // its smallest cell so far
+  };
+  std::vector<Keyed> keys;
+  keys.reserve(distinct);
+  std::vector<Candidate> cand;
+  each_key([&](std::uint64_t key, std::uint64_t count) {
+    const std::uint64_t h = hash_u64(key);
+    const std::uint64_t cell = row[cms.slot(h, 0)];
+    if (clears(cell)) cand.push_back({keys.size(), cell});
+    keys.push_back({key, h, count});
+  });
+  for (std::size_t d = 1; d < cms.depth() && !cand.empty(); ++d) {
+    std::fill(row.begin(), row.end(), 0);
+    for (const Keyed& k : keys) row[cms.slot(k.hash, d)] += k.count;
+    std::size_t kept = 0;
+    for (const Candidate& c : cand) {
+      const std::uint64_t cell = row[cms.slot(keys[c.index].hash, d)];
+      if (clears(cell)) cand[kept++] = {c.index, std::min(c.est, cell)};
+    }
+    cand.resize(kept);
+  }
+  for (const Candidate& c : cand) {
+    st.hot.push_back({keys[c.index].key,
+                      static_cast<std::uint64_t>(static_cast<double>(c.est) * scale)});
+  }
+  sort_hot(st.hot);
+}
+
 /// Sketch a source: HLL for NDV, CMS for heavy hitters, both over a prefix
 /// sample. A prefix is exact because row i of a source is a pure function of
 /// (salt, i, shape): the first m rows of an n-row source are the m-row
 /// source, and SourceGen::key reads a row's key without its value.
 ///
-/// The sample is first reduced to one (key, count) pair per distinct key by
-/// one of three front ends:
+/// The sample is reduced to one (key, count) pair per distinct key by one
+/// of three front ends, each a visitor for sketch_keys:
 ///   - distinct-key sources (dimensions) need no generator: keys cycle
 ///     0..domain-1, so key k occurs sample/domain times, once more when
 ///     k < sample % domain;
@@ -41,17 +117,6 @@ void sort_hot(std::vector<HotKey>& hot) {
 ///     array indexed by key;
 ///   - wider domains count into a flat open-addressing table of
 ///     (key, count) slots.
-/// The shared back end hashes each distinct key once and feeds the HLL with
-/// it; HLL registers depend only on the key set, so this equals feeding it
-/// row by row. Heavy hitters are the keys whose CMS estimate clears the hot
-/// threshold. A CMS cell depends only on per-key totals, and a key clears
-/// the threshold only if its cell clears it in every row, so the CMS is
-/// built one row at a time over the distinct keys and the next row is built
-/// only while some key is still a candidate. A candidate that survives all
-/// rows has the minimum of its cells, exactly CountMinSketch::estimate; most
-/// sources have none after row 0. The linear NDV scale-up overestimates for
-/// sparse domains, but the key bound cap makes it exact in the saturated
-/// case, which every star-schema domain here is.
 NodeStats sketch_source(std::uint64_t salt, std::uint64_t rows,
                         std::uint64_t key_domain, std::uint64_t skew,
                         bool distinct_keys, const StatsOptions& opts) {
@@ -61,99 +126,53 @@ NodeStats sketch_source(std::uint64_t salt, std::uint64_t rows,
   st.key_bound = key_bound;
   const std::uint64_t sample_n = std::min<std::uint64_t>(rows, opts.sample_rows);
   if (sample_n == 0) return st;
-  struct KeyCount {
-    std::uint64_t key = 0;
-    std::uint64_t count = 0;
-  };
-  std::vector<KeyCount> keys;
   // A flat table of bit_ceil(2 * distinct-bound) slots: key_bound fitting in
   // it is the direct condition, and the hashed table stays at most half full.
   const std::size_t table_size = std::bit_ceil(2 * std::min(sample_n, key_bound));
   const SourceGen gen(salt, key_domain, skew, distinct_keys);
   if (distinct_keys) {
     const std::uint64_t full = sample_n / key_bound, rest = sample_n % key_bound;
-    keys.resize(std::min(sample_n, key_bound));
-    for (std::uint64_t k = 0; k < keys.size(); ++k) {
-      keys[k] = {k, full + (k < rest)};
-    }
+    const std::uint64_t distinct = std::min(sample_n, key_bound);
+    sketch_keys(
+        [&](const auto& f) {
+          for (std::uint64_t k = 0; k < distinct; ++k) f(k, full + (k < rest));
+        },
+        sample_n, opts, st);
   } else if (key_bound <= table_size &&
              sample_n <= std::numeric_limits<std::uint32_t>::max()) {
     // Every source key is < key_bound, so a key is its own count slot.
     std::vector<std::uint32_t> counts(key_bound);
     for (std::uint64_t i = 0; i < sample_n; ++i) ++counts[gen.key(i)];
-    keys.reserve(std::min(sample_n, key_bound));
-    for (std::uint64_t k = 0; k < key_bound; ++k) {
-      if (counts[k] != 0) keys.push_back({k, counts[k]});
-    }
+    sketch_keys(
+        [&](const auto& f) {
+          for (std::uint64_t k = 0; k < key_bound; ++k) {
+            if (counts[k] != 0) f(k, counts[k]);
+          }
+        },
+        sample_n, opts, st);
   } else {
     // Linear probing; count 0 marks an empty slot.
-    keys.resize(table_size);
+    struct KeyCount {
+      std::uint64_t key = 0;
+      std::uint64_t count = 0;
+    };
+    std::vector<KeyCount> table(table_size);
     const std::size_t mask = table_size - 1;
     for (std::uint64_t r = 0; r < sample_n; ++r) {
       const std::uint64_t key = gen.key(r);
       std::size_t i = static_cast<std::size_t>(hash_u64(key)) & mask;
-      while (keys[i].count != 0 && keys[i].key != key) i = (i + 1) & mask;
-      keys[i].key = key;
-      ++keys[i].count;
+      while (table[i].count != 0 && table[i].key != key) i = (i + 1) & mask;
+      table[i].key = key;
+      ++table[i].count;
     }
-    std::size_t distinct = 0;
-    for (const KeyCount& kc : keys) {
-      if (kc.count != 0) keys[distinct++] = kc;  // compact to the front
-    }
-    keys.resize(distinct);
+    sketch_keys(
+        [&](const auto& f) {
+          for (const KeyCount& kc : table) {
+            if (kc.count != 0) f(kc.key, kc.count);
+          }
+        },
+        sample_n, opts, st);
   }
-
-  HyperLogLog hll(kHllPrecision);
-  std::vector<std::uint64_t> hashes(keys.size());
-  for (std::size_t i = 0; i < keys.size(); ++i) {
-    hashes[i] = hash_u64(keys[i].key);
-    hll.add(hashes[i]);
-  }
-  const double scale = static_cast<double>(rows) / static_cast<double>(sample_n);
-  st.ndv = std::min(static_cast<double>(key_bound), hll.estimate() * scale);
-  const auto threshold = static_cast<std::uint64_t>(
-      opts.hot_fraction * static_cast<double>(sample_n));
-  if (threshold == 0) return st;
-  // The CMS row by row. cand[j] indexes keys; est[j] is its smallest cell
-  // so far. CMS only overestimates, so a truly hot key is never dropped; a
-  // false positive only costs a wasted salt.
-  const CountMinSketch cms(kCmsEpsilon, kCmsDelta);  // geometry and slot()
-  std::vector<std::uint64_t> row(cms.width());
-  std::vector<std::uint32_t> slots(keys.size());
-  std::vector<std::size_t> cand;
-  std::vector<std::uint64_t> est;
-  for (std::size_t d = 0; d < cms.depth(); ++d) {
-    std::fill(row.begin(), row.end(), 0);
-    for (std::size_t i = 0; i < keys.size(); ++i) {
-      slots[i] = static_cast<std::uint32_t>(cms.slot(hashes[i], d));
-      row[slots[i]] += keys[i].count;
-    }
-    if (d == 0) {
-      for (std::size_t i = 0; i < keys.size(); ++i) {
-        if (row[slots[i]] < threshold) continue;
-        cand.push_back(i);
-        est.push_back(row[slots[i]]);
-      }
-    } else {
-      std::size_t kept = 0;
-      for (std::size_t j = 0; j < cand.size(); ++j) {
-        const std::uint64_t cell = row[slots[cand[j]]];
-        if (cell < threshold) continue;
-        cand[kept] = cand[j];
-        est[kept] = std::min(est[j], cell);
-        ++kept;
-      }
-      cand.resize(kept);
-      est.resize(kept);
-    }
-    if (cand.empty()) return st;
-  }
-  for (std::size_t j = 0; j < cand.size(); ++j) {
-    st.hot.push_back(
-        {keys[cand[j]].key,
-         static_cast<std::uint64_t>(static_cast<double>(est[j]) * scale)});
-  }
-  sort_hot(st.hot);
   return st;
 }
 

@@ -1,14 +1,16 @@
 #pragma once
 // Per-node table/key statistics for the cost model (plan/cost.hpp). Source
-// nodes are sketched on every collect_stats call (a star query is planned
-// with two: order_star_dims, then cost_optimize): a HyperLogLog estimates the
+// nodes are sketched on every collect_stats call: a HyperLogLog estimates the
 // distinct-key count and a count-min sketch surfaces heavy-hitter keys, both
 // over a prefix sample of the keys of the one source generator,
 // plan::SourceGen, which computes row i on its own (dimensions, whose keys
 // cycle through their domain, are counted in closed form without it). The
 // estimates propagate through the plan with the standard textbook formulas
 // (filters halve, joins multiply and divide by the larger NDV, reduces
-// collapse to one row per key). Everything here is
+// collapse to one row per key). A star query is sketched twice: in full by
+// cost_optimize, and before that by order_star_dims, which reads only rows
+// and NDV and so runs the HyperLogLog half alone on the fact and on every
+// dimension without a key filter. Everything here is
 // ADVISORY: the stats feed physical hints (join build side, skew-salt fanout,
 // filter order inside fused chains) that never change result multisets, so a
 // bad estimate costs performance, never correctness.
@@ -48,7 +50,9 @@ struct StatsOptions {
   /// prefix sample and scaled.
   std::uint64_t sample_rows = 1 << 16;
   /// A key is "hot" when its CMS estimate is at least this fraction of the
-  /// sketched rows.
+  /// sketched rows. A fraction whose threshold rounds to zero rows (0 among
+  /// them) skips the count-min half: no node has hot keys, and a source's
+  /// rows and NDV are the same as with any other fraction.
   double hot_fraction = 0.05;
 };
 
@@ -62,13 +66,15 @@ inline constexpr std::size_t kMaxHotKeys = 8;
 /// Estimate rows/ndv/hot for every node. Sources are sketched over a prefix
 /// of up to sample_rows rows, reduced to one (key, count) pair per distinct
 /// key: in closed form for distinct-key sources, in a dense per-key array
-/// when the key bound allows, else in a hashed table. The HLL is fed once
-/// per distinct key, and the CMS is built one row at a time, only while a
-/// key can still clear the hot threshold. A source costs O(sample + distinct
-/// keys) (O(distinct keys) for a dimension) with no sort and no row vector,
-/// and yields exactly the per-row sketches' estimates. Interior nodes use
-/// propagation rules only — no interior node is ever materialized, so this
-/// is cheap enough to run on every submitted plan.
+/// when the key bound allows, else in a hashed table. One pass over those
+/// pairs hashes each key once, feeds the HLL and fills the first CMS row;
+/// later CMS rows are built one at a time, only while a key can still clear
+/// the hot threshold, and not at all when the threshold is zero. A source
+/// costs O(sample + distinct keys) (O(distinct keys) for a dimension) with
+/// no sort, no row vector and no per-key array unless a key is a hot
+/// candidate, and yields exactly the per-row sketches' estimates. Interior
+/// nodes use propagation rules only — no interior node is ever
+/// materialized, so this is cheap enough to run on every submitted plan.
 std::vector<NodeStats> collect_stats(const LogicalPlan& plan,
                                      const StatsOptions& opts = {});
 

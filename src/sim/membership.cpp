@@ -111,7 +111,10 @@ void Membership::set_alive(std::size_t node, bool alive) {
   nodes_[node].alive = alive;
   if (dfs_ != nullptr) alive ? dfs_->recover_node(node) : dfs_->fail_node(node);
   for (std::size_t i = 0; i < subs_.size(); ++i) subs_[i]->on_liveness(node, alive);
-  if (alive) send_beat(node);
+  // A recovery beats at once only while the loops run. An idle service
+  // has no detector to tell, and a beat would count under the old
+  // generation; the next job's beats re-register the node.
+  if (alive && active_ > 0) send_beat(node);
 }
 
 void Membership::set_alive_at(std::size_t node, bool alive, SimTime t) {

@@ -9,11 +9,13 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <iterator>
 #include <set>
 #include <string>
 #include <vector>
 
 #include "common/hash.hpp"
+#include "common/rng.hpp"
 #include "common/sketch.hpp"
 #include "dataflow/context.hpp"
 #include "exec/thread_pool.hpp"
@@ -180,14 +182,15 @@ TEST(PlanStats, SketchEqualsPerRowReference) {
   std::vector<StatsOptions> option_grid;
   for (const std::uint64_t sample_rows : {StatsOptions{}.sample_rows,
                                           std::uint64_t{1}, std::uint64_t{5000}}) {
-    for (const double hot_fraction : {0.05, 0.001}) {
+    // 0 is the NDV-only sketch order_star_dims runs: no count-min half.
+    for (const double hot_fraction : {0.05, 0.001, 0.0}) {
       StatsOptions o;
       o.sample_rows = sample_rows;
       o.hot_fraction = hot_fraction;
       option_grid.push_back(o);
     }
   }
-  std::size_t cases = 0, with_hot = 0;
+  std::size_t cases = 0, hot_cases = 0, with_hot = 0;
   for (const std::uint64_t domain :
        {std::uint64_t{1}, std::uint64_t{2}, std::uint64_t{64}, std::uint64_t{4096},
         std::uint64_t{16384}, std::uint64_t{1} << 40}) {
@@ -208,14 +211,15 @@ TEST(PlanStats, SketchEqualsPerRowReference) {
             EXPECT_EQ(got.key_bound, want.key_bound);
             EXPECT_EQ(got.hot, want.hot);
             ++cases;
+            hot_cases += o.hot_fraction != 0;
             with_hot += !want.hot.empty();
           }
         }
       }
     }
   }
-  EXPECT_EQ(cases, 6u * 7u * 3u * 2u * 6u);
-  EXPECT_GT(with_hot, cases / 4) << "the grid must exercise hot-key detection";
+  EXPECT_EQ(cases, 6u * 7u * 3u * 2u * 9u);
+  EXPECT_GT(with_hot, hot_cases / 4) << "the grid must exercise hot-key detection";
 }
 
 TEST(PlanStats, SketchEqualsPerRowReferenceAtDirectSlotBoundary) {
@@ -478,6 +482,100 @@ TEST(BigBench, OrderStarDimsPicksSmallestIntermediatesFirst) {
   EXPECT_NE(order, naive_order(spec));
   EXPECT_EQ(order.front(), spec.dims.size() - 1)
       << "the filtered narrowest dim joins first";
+}
+
+/// order_star_dims' greedy smallest-intermediate order, recomputed from full
+/// collect_stats (count-min half included) over the star plan itself: node 0
+/// is the fact, and the left input of the i-th join in the declared order is
+/// dimension i's source, key-filtered when the dimension is.
+std::vector<std::size_t> greedy_order_from_full_stats(const StarSpec& spec,
+                                                      const StatsOptions& o) {
+  const LogicalPlan q = star_query(spec, naive_order(spec));
+  const std::vector<NodeStats> stats = collect_stats(q, o);
+  std::vector<NodeStats> dims;
+  for (const PlanNode& nd : q.nodes) {
+    if (nd.op == OpKind::kJoin) dims.push_back(stats[nd.left]);
+  }
+  NodeStats cur = stats[0];
+  std::vector<std::size_t> remaining = naive_order(spec), order;
+  while (!remaining.empty()) {
+    std::size_t best = 0;
+    double best_rows = -1;
+    for (std::size_t c = 0; c < remaining.size(); ++c) {
+      const NodeStats& d = dims[remaining[c]];
+      const double est = cur.rows * d.rows / std::max({cur.ndv, d.ndv, 1.0});
+      if (best_rows < 0 || est < best_rows) {
+        best_rows = est;
+        best = c;
+      }
+    }
+    const NodeStats& d = dims[remaining[best]];
+    order.push_back(remaining[best]);
+    remaining.erase(remaining.begin() + static_cast<std::ptrdiff_t>(best));
+    cur.rows = best_rows;
+    cur.ndv = std::min({cur.ndv, d.ndv, cur.rows});
+  }
+  return order;
+}
+
+TEST(BigBench, OrderStarDimsEqualsFullSketchOrder) {
+  // order_star_dims sketches the fact and the unfiltered dimensions without
+  // the count-min half. Its order must equal the greedy order over full
+  // sketches on seeded random stars: dimensions with rows below, at and
+  // above their domain (a small domain cycled several times has hot keys,
+  // which a key filter evaluates exactly), skewed facts, a 2^40 fact domain
+  // (the hashed front end) and sample caps below the row counts.
+  Rng rng(0x0bde5eedULL);
+  const std::uint64_t fact_domains[] = {64, 512, 4096, 16384, std::uint64_t{1} << 40};
+  const std::uint64_t fact_skews[] = {0, 0, 300, 800};
+  const std::uint64_t fact_rows[] = {500, 6000, 20000, 70000};
+  const std::uint64_t dim_domains[] = {4, 8, 16, 64, 256, 2048};
+  const std::uint64_t sample_caps[] = {StatsOptions{}.sample_rows, 5000, 777};
+  constexpr std::size_t kSpecs = 240;
+  std::size_t hashed = 0, skewed = 0, capped = 0, filtered_hot = 0, hot_decides = 0;
+  for (std::size_t n = 0; n < kSpecs; ++n) {
+    StarSpec spec;
+    spec.fact_salt = rng();
+    spec.fact_rows = fact_rows[rng.next_below(std::size(fact_rows))];
+    spec.fact_domain = fact_domains[rng.next_below(std::size(fact_domains))];
+    spec.fact_skew = fact_skews[rng.next_below(std::size(fact_skews))];
+    const std::size_t ndims = 1 + rng.next_below(4);
+    for (std::size_t d = 0; d < ndims; ++d) {
+      DimSpec dim;
+      dim.salt = rng();
+      dim.domain = dim_domains[rng.next_below(std::size(dim_domains))];
+      dim.rows = dim.domain / 2 + rng.next_below(8 * dim.domain);
+      dim.filter = rng.next_below(2) == 0;
+      spec.dims.push_back(dim);
+    }
+    StatsOptions o;
+    o.sample_rows = sample_caps[rng.next_below(std::size(sample_caps))];
+    SCOPED_TRACE(::testing::Message() << "spec " << n);
+    const std::vector<std::size_t> want = greedy_order_from_full_stats(spec, o);
+    EXPECT_EQ(order_star_dims(spec, o), want);
+
+    hashed += spec.fact_domain > (std::uint64_t{1} << 20);
+    skewed += spec.fact_skew != 0;
+    bool capped_any = spec.fact_rows > o.sample_rows;
+    bool hot_any = false;
+    for (const DimSpec& d : spec.dims) {
+      capped_any |= d.rows > o.sample_rows;
+      LogicalPlan dp = source_only(d.rows, d.domain, 0, true);
+      hot_any |= d.filter && !collect_stats(dp, o)[0].hot.empty();
+    }
+    capped += capped_any;
+    filtered_hot += hot_any;
+    // Specs whose order changes when no dimension's filter sees hot keys:
+    // these are the ones an NDV-only sketch of a filtered dimension breaks.
+    StatsOptions no_hot = o;
+    no_hot.hot_fraction = 0;
+    hot_decides += greedy_order_from_full_stats(spec, no_hot) != want;
+  }
+  EXPECT_GT(hashed, kSpecs / 10);
+  EXPECT_GT(skewed, kSpecs / 4);
+  EXPECT_GT(capped, kSpecs / 4);
+  EXPECT_GT(filtered_hot, kSpecs / 4);
+  EXPECT_GT(hot_decides, 0u) << "no spec's order depends on a filtered dimension's hot keys";
 }
 
 // Star specs shaped like the repository benchmark's: the canonical sales and

@@ -191,6 +191,24 @@ TEST(DistRuntime, KilledNodeRecoversAndRejoins) {
   EXPECT_EQ(cl.rt.live_executors(), 8u);  // node 3 re-registered via heartbeat
 }
 
+TEST(DistRuntime, IdleKillAndRecoveryCountNoBeat) {
+  // Once the job has finished the beat loops are stopped, so a recovery has
+  // no detector to report to: it must not send a beat that the observer
+  // would count under the finished job's generation.
+  Cluster cl(star(8), fast_detect_config());
+  ASSERT_TRUE(cl.run(synthetic_job(3, 16, 8 * MiB)).ok);
+  const std::uint64_t beats = cl.rt.stats().heartbeats_received;
+  EXPECT_GT(beats, 0u);
+  cl.rt.kill_node_at(3, cl.sim.now() + 1.0);
+  cl.rt.recover_node_at(3, cl.sim.now() + 2.0);
+  cl.sim.run();
+  EXPECT_EQ(cl.rt.stats().heartbeats_received, beats);
+  // The next job restarts the beats, and every executor is live.
+  ASSERT_TRUE(cl.run(synthetic_job(3, 16, 8 * MiB)).ok);
+  EXPECT_GT(cl.rt.stats().heartbeats_received, beats);
+  EXPECT_EQ(cl.rt.live_executors(), 8u);
+}
+
 sim::SimTime stage_end(const obs::TraceSession& trace, const std::string& stage) {
   for (const auto& ev : trace.events()) {
     if (ev.category == "stage" && ev.name == stage) {
