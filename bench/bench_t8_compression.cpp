@@ -1,7 +1,7 @@
-// T8 — Compression codecs (DESIGN.md extension): ratio and throughput of
-// RLE and LZSS across data shapes (random, text-like, zipf words, zeroed,
-// versioned binary). Expected shape: LZSS dominates on structured data,
-// RLE only wins on long runs; both near-1.0x (slightly worse) on random.
+// T8 — Compression (DESIGN.md extension): ratio and throughput of LZSS
+// across data shapes (random, zipf words, sparse zeros, versioned binary).
+// Expected shape: LZSS compresses structured data and is near 1.0x
+// (slightly worse) on random.
 
 #include <iostream>
 #include <string>
@@ -77,39 +77,28 @@ int main() {
       {"versioned binary (64K window)", versioned_binary(112 << 10)},
   };
 
-  std::cout << "T8: compression codecs, 4 MiB inputs (except versioned: 112 KiB)\n\n";
-  Table tbl({"data", "codec", "ratio", "compress MB/s", "decompress MB/s"});
+  std::cout << "T8: LZSS compression, 4 MiB inputs (except versioned: 112 KiB)\n\n";
+  Table tbl({"data", "ratio", "compress MB/s", "decompress MB/s"});
   for (const auto& set : sets) {
-    struct Codec {
-      const char* name;
-      ByteVec (*compress)(std::span<const std::uint8_t>);
-      ByteVec (*decompress)(std::span<const std::uint8_t>);
-    };
-    const Codec codecs[] = {
-        {"rle", &Rle::compress, &Rle::decompress},
-        {"lzss", &Lzss::compress, &Lzss::decompress},
-    };
-    for (const auto& codec : codecs) {
-      Stopwatch cw;
-      auto compressed = codec.compress(set.data);
-      const double c_sec = cw.elapsed_sec();
-      Stopwatch dw;
-      auto restored = codec.decompress(compressed);
-      const double d_sec = dw.elapsed_sec();
-      if (restored != set.data) {
-        std::cerr << "BUG: round-trip mismatch on " << set.name << "\n";
-        return 1;
-      }
-      const double mb = static_cast<double>(set.data.size()) / 1e6;
-      tbl.row({set.name, codec.name,
-               Table::num(static_cast<double>(set.data.size()) /
-                              static_cast<double>(compressed.size())),
-               Table::num(mb / c_sec, 0), Table::num(mb / d_sec, 0)});
+    Stopwatch cw;
+    auto compressed = Lzss::compress(set.data);
+    const double c_sec = cw.elapsed_sec();
+    Stopwatch dw;
+    auto restored = Lzss::decompress(compressed);
+    const double d_sec = dw.elapsed_sec();
+    if (restored != set.data) {
+      std::cerr << "BUG: round-trip mismatch on " << set.name << "\n";
+      return 1;
     }
+    const double mb = static_cast<double>(set.data.size()) / 1e6;
+    tbl.row({set.name,
+             Table::num(static_cast<double>(set.data.size()) /
+                        static_cast<double>(compressed.size())),
+             Table::num(mb / c_sec, 0), Table::num(mb / d_sec, 0)});
   }
   tbl.print(std::cout);
-  std::cout << "\nexpected shape: lzss ~2-4x on text, ~2x on the versioned "
-               "pair (second copy collapses to back-references), ~0.9x on "
-               "random; rle only wins on the zero-dominated input.\n";
+  std::cout << "\nexpected shape: ~1.5x on zipf text, >10x on sparse zeros, "
+               "~1.8x on the versioned pair (second copy collapses to "
+               "back-references), ~0.9x on random.\n";
   return 0;
 }

@@ -651,7 +651,8 @@ void Dfs::read_block_replicated(std::size_t client, const Block& b,
 
 template <typename StatePtr, typename DoneOne>
 void Dfs::read_block_ec(std::size_t client, const std::string& name,
-                        std::size_t bi, StatePtr st, DoneOne done_one) {
+                        std::size_t bi, StatePtr st, DoneOne done_one,
+                        std::optional<bool> replan_of) {
   Simulator& sim = comm_.simulator();
   const Block& b = files_.at(name).blocks[bi];
   const std::size_t k = cfg_.ec_data_shards;
@@ -686,10 +687,12 @@ void Dfs::read_block_ec(std::size_t client, const std::string& name,
                    });
   std::vector<std::size_t> chosen(live_slots.begin(),
                                   live_slots.begin() + static_cast<std::ptrdiff_t>(k));
-  ++stats_.blocks_read;
-  stats_.bytes_read += b.size;
+  if (!replan_of) {
+    ++stats_.blocks_read;
+    stats_.bytes_read += b.size;
+  }
   if (degraded) {
-    ++stats_.degraded_reads;
+    if (!replan_of.value_or(false)) ++stats_.degraded_reads;
     st->degraded = true;
   }
 
@@ -699,13 +702,24 @@ void Dfs::read_block_ec(std::size_t client, const std::string& name,
   auto br = std::make_shared<BlockRead>();
   br->remaining = chosen.size();
   const std::uint64_t sbytes = b.shard_size;
-  auto shard_done = [this, br, st, bi, name, chosen, done_one] {
+  auto shard_done = [this, br, st, client, bi, name, chosen, degraded, replan_of,
+                     done_one] {
     if (--br->remaining > 0) return;
     // All k shards at the client: reconstruct content-bearing blocks from
     // exactly the shards that were fetched (never a lost shard's stale
     // bytes) — the bit-identity guarantee degraded-read tests assert.
     if (!st->data.empty()) {
       const Block& blk = files_.at(name).blocks[bi];
+      // A chosen shard lost while its fetch was in flight has no bytes to
+      // decode from: re-plan the block from the slots live now, which
+      // resolves kUnavailable below k.
+      if (std::any_of(chosen.begin(), chosen.end(), [&blk](std::size_t slot) {
+            return blk.shard_data[slot].size() != blk.shard_size;
+          })) {
+        read_block_ec(client, name, bi, st, done_one,
+                      degraded || replan_of.value_or(false));
+        return;
+      }
       rs_.reconstruct(survivors(blk.shard_data, blk.shard_size, chosen), blk.shard_size,
                       st->data.data() + bi * cfg_.block_size, blk.size);
     }
@@ -844,7 +858,7 @@ void Dfs::plan_ec_repair(const std::string& name, std::size_t bi, StatePtr st,
   const std::size_t k = cfg_.ec_data_shards;
 
   // Trim over-repaired slots first: a recovered node brought its shard
-  // back after repair already re-encoded it elsewhere. Keep the head-most
+  // back after repair already rebuilt it elsewhere. Keep the head-most
   // live holder (the original placement), drop the rest.
   for (auto& holders : block.shards) {
     std::size_t live_seen = 0;
@@ -875,23 +889,21 @@ void Dfs::plan_ec_repair(const std::string& name, std::size_t bi, StatePtr st,
   const auto targets = place_shards(name, bi, lost_slots.size(), exclude);
   if (targets.empty()) return;  // no anti-affine capacity right now
 
-  // Re-encode lost content shards up front (pure metadata: the new holders
+  // Rebuild only the lost content shards, up front: one dot product over k
+  // survivors per lost slot, data or parity (pure metadata: the new holders
   // are only published when their disk writes land, so a concurrent
   // degraded read still reconstructs from survivors).
   if (file.has_content && !block.shard_data.empty()) {
-    std::vector<std::uint8_t> blob(k * block.shard_size);
-    rs_.reconstruct(survivors(block.shard_data, block.shard_size, survivor_slots),
-                    block.shard_size, blob.data(), blob.size());
-    auto data = storage::ReedSolomon::split(blob, k);
-    std::vector<storage::Shard> parity;  // encoded once, if a parity slot is lost
-    if (lost_slots.back() >= k) parity = rs_.encode(data);
-    for (auto slot : lost_slots) {
-      block.shard_data[slot] = slot < k ? std::move(data[slot]) : std::move(parity[slot - k]);
+    auto rebuilt =
+        rs_.repair(survivors(block.shard_data, block.shard_size, survivor_slots),
+                   block.shard_size, lost_slots);
+    for (std::size_t i = 0; i < lost_slots.size(); ++i) {
+      block.shard_data[lost_slots[i]] = std::move(rebuilt[i]);
     }
   }
 
   // Repair flow: k survivor shards stream to the first target (the repair
-  // worker), which re-encodes and distributes the rebuilt shards.
+  // worker), which rebuilds and distributes the lost shards.
   const std::uint64_t sbytes = block.shard_size;
   const std::size_t t0 = targets[0];
   struct StripeState {

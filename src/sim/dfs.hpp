@@ -24,12 +24,12 @@
 //     DEGRADE: any k survivors are fetched and the block is reconstructed
 //     (storage::ReedSolomon) instead of failing — the typed kUnavailable
 //     error fires only below k survivors, never a hang,
-//   * repair re-encodes lost shards from k survivors onto fresh
+//   * repair rebuilds only the lost shards from k survivors onto fresh
 //     anti-affine nodes, charging k reads + per-lost-shard writes of
 //     repair traffic, optionally paced by a repair-bandwidth throttle.
 //
 // re_replicate() is the policy-dispatching repair planner: replicated blocks
-// re-copy and trim exactly as before; EC stripes re-encode and trim
+// re-copy and trim exactly as before; EC stripes rebuild lost shards and trim
 // over-repaired shards. With auto_repair_delay set, damage (node failure,
 // replica/shard loss) arms a one-shot background repair pass — the
 // "namenode repair loop" — which re-arms while damage remains.
@@ -147,7 +147,7 @@ struct DfsStats {
   std::uint64_t shards_repaired = 0;
   std::uint64_t shards_trimmed = 0;    // over-repaired copies dropped
   std::uint64_t repair_bytes_read = 0;     // survivor shards fetched by repair
-  std::uint64_t repair_bytes_written = 0;  // re-encoded shards written out
+  std::uint64_t repair_bytes_written = 0;  // rebuilt shards written out
   std::uint64_t repair_passes = 0;     // re_replicate() planner invocations
 };
 
@@ -225,7 +225,7 @@ class Dfs {
   /// Policy-dispatching repair planner. Replicated blocks: copy from a
   /// surviving replica to a new node until the factor is restored; trim
   /// over-replication after recoveries. EC stripes: fetch k survivor
-  /// shards, re-encode, write lost shards to fresh anti-affine nodes; trim
+  /// shards, rebuild the lost ones, write them to fresh anti-affine nodes; trim
   /// over-repaired shards. cb fires when all transfers finish (immediately
   /// if nothing is damaged).
   void re_replicate(std::function<void()> cb);
@@ -301,9 +301,14 @@ class Dfs {
                       std::size_t bi, StatePtr st);
   template <typename DoneOne>
   void read_block_replicated(std::size_t client, const Block& b, DoneOne done_one);
+  /// `replan_of` is set when an earlier attempt at this block lost a chosen
+  /// shard mid-fetch: it holds whether the block already counted as
+  /// degraded, and the re-plan counts neither the block read nor a second
+  /// degrade.
   template <typename StatePtr, typename DoneOne>
   void read_block_ec(std::size_t client, const std::string& name, std::size_t bi,
-                     StatePtr st, DoneOne done_one);
+                     StatePtr st, DoneOne done_one,
+                     std::optional<bool> replan_of = std::nullopt);
   void arm_auto_repair();
   /// Pace `bytes` through the repair throttle; cb fires when the transfer
   /// may start (immediately when unthrottled).

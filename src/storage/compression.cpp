@@ -5,34 +5,6 @@
 
 namespace hpbdc::storage {
 
-// ---- RLE --------------------------------------------------------------------
-// Format: (count: u8 >= 1, byte) pairs.
-
-ByteVec Rle::compress(std::span<const std::uint8_t> in) {
-  ByteVec out;
-  out.reserve(in.size() / 2 + 8);
-  std::size_t i = 0;
-  while (i < in.size()) {
-    std::size_t run = 1;
-    while (i + run < in.size() && in[i + run] == in[i] && run < 255) ++run;
-    out.push_back(static_cast<std::uint8_t>(run));
-    out.push_back(in[i]);
-    i += run;
-  }
-  return out;
-}
-
-ByteVec Rle::decompress(std::span<const std::uint8_t> in) {
-  if (in.size() % 2 != 0) throw std::runtime_error("Rle: truncated input");
-  ByteVec out;
-  for (std::size_t i = 0; i < in.size(); i += 2) {
-    const std::size_t run = in[i];
-    if (run == 0) throw std::runtime_error("Rle: zero-length run");
-    out.insert(out.end(), run, in[i + 1]);
-  }
-  return out;
-}
-
 // ---- LZSS -------------------------------------------------------------------
 // Stream: [flags u8][8 items...] repeated. Flag bit i (LSB first) describes
 // item i: 0 = literal byte, 1 = match (offset u16 little-endian, len u8 with

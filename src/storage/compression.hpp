@@ -1,11 +1,10 @@
 #pragma once
-// Byte-oriented compression codecs for the storage substrate:
-//   Rle  — run-length encoding; trivial, wins only on long byte runs.
+// Byte-oriented compression codec for the storage substrate:
 //   Lzss — LZ77-family codec with a 64 KiB window and a hash-chain match
 //          finder (greedy). The format is flag-grouped: every control byte
 //          covers 8 items, each item a literal byte or an
 //          (offset: u16, length: u8) back-reference of 4..258 bytes.
-// Both decompress bit-exactly and reject corrupt input with exceptions.
+// It decompresses bit-exactly and rejects corrupt input with exceptions.
 
 #include <cstdint>
 #include <span>
@@ -23,12 +22,6 @@ struct CompressionStats {
                              : static_cast<double>(input_bytes) /
                                    static_cast<double>(output_bytes);
   }
-};
-
-class Rle {
- public:
-  static ByteVec compress(std::span<const std::uint8_t> in);
-  static ByteVec decompress(std::span<const std::uint8_t> in);
 };
 
 class Lzss {

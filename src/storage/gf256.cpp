@@ -1,58 +1,115 @@
 #include "storage/gf256.hpp"
 
 #if defined(__x86_64__) && (defined(__GNUC__) || defined(__clang__))
-#define HPBDC_GF256_SSSE3 1
-#include <tmmintrin.h>
+#define HPBDC_GF256_AVX2 1
+#include <immintrin.h>
 #endif
 
 namespace hpbdc::storage {
 namespace {
 
-using Kernel = void (*)(const std::uint8_t*, const std::uint8_t*, std::uint8_t*,
-                        std::size_t) noexcept;
-
-void mul_add_scalar(const std::uint8_t* tbl, const std::uint8_t* src,
-                    std::uint8_t* dst, std::size_t len) noexcept {
-  for (std::size_t i = 0; i < len; ++i) {
-    dst[i] ^= static_cast<std::uint8_t>(tbl[src[i] & 0x0f] ^ tbl[16 + (src[i] >> 4)]);
+/// dst[i] for begin <= i < end, one byte at a time.
+void dot_scalar_range(const MulTable* coeffs, const std::uint8_t* const* srcs,
+                      std::size_t n, std::uint8_t* dst, std::size_t begin,
+                      std::size_t end) noexcept {
+  for (std::size_t i = begin; i < end; ++i) {
+    std::uint8_t acc = 0;
+    for (std::size_t r = 0; r < n; ++r) {
+      const std::uint8_t s = srcs[r][i];
+      const auto& t = coeffs[r].t;
+      acc ^= static_cast<std::uint8_t>(t[s & 0x0f] ^ t[16 + (s >> 4)]);
+    }
+    dst[i] = acc;
   }
 }
 
-#ifdef HPBDC_GF256_SSSE3
-__attribute__((target("ssse3"))) void mul_add_ssse3(const std::uint8_t* tbl,
-                                                    const std::uint8_t* src,
-                                                    std::uint8_t* dst,
-                                                    std::size_t len) noexcept {
-  const __m128i lo = _mm_loadu_si128(reinterpret_cast<const __m128i*>(tbl));
-  const __m128i hi = _mm_loadu_si128(reinterpret_cast<const __m128i*>(tbl + 16));
-  const __m128i mask = _mm_set1_epi8(0x0f);
+void dot_scalar(const MulTable* coeffs, const std::uint8_t* const* srcs, std::size_t n,
+                std::uint8_t* dst, std::size_t len) noexcept {
+  dot_scalar_range(coeffs, srcs, n, dst, 0, len);
+}
+
+#ifdef HPBDC_GF256_AVX2
+__attribute__((target("avx2"))) inline __m256i load(const std::uint8_t* p) noexcept {
+  return _mm256_loadu_si256(reinterpret_cast<const __m256i*>(p));
+}
+
+/// One coefficient's table pair, each half broadcast to both 128-bit lanes.
+struct Tables32 {
+  __m256i lo, hi;
+};
+
+__attribute__((target("avx2"))) inline Tables32 broadcast(const MulTable& c) noexcept {
+  const auto* t = reinterpret_cast<const __m128i*>(c.t.data());
+  return {_mm256_broadcastsi128_si256(_mm_loadu_si128(t)),
+          _mm256_broadcastsi128_si256(_mm_loadu_si128(t + 1))};
+}
+
+/// c * s for 32 bytes.
+__attribute__((target("avx2"))) inline __m256i mul32(Tables32 c, __m256i s,
+                                                     __m256i mask) noexcept {
+  return _mm256_xor_si256(
+      _mm256_shuffle_epi8(c.lo, _mm256_and_si256(s, mask)),
+      _mm256_shuffle_epi8(c.hi, _mm256_and_si256(_mm256_srli_epi64(s, 4), mask)));
+}
+
+__attribute__((target("avx2"))) void dot_avx2(const MulTable* coeffs,
+                                              const std::uint8_t* const* srcs,
+                                              std::size_t n, std::uint8_t* dst,
+                                              std::size_t len) noexcept {
+  const __m256i mask = _mm256_set1_epi8(0x0f);
   std::size_t i = 0;
-  for (; i + 16 <= len; i += 16) {
-    const __m128i s = _mm_loadu_si128(reinterpret_cast<const __m128i*>(src + i));
-    const __m128i p = _mm_xor_si128(
-        _mm_shuffle_epi8(lo, _mm_and_si128(s, mask)),
-        _mm_shuffle_epi8(hi, _mm_and_si128(_mm_srli_epi64(s, 4), mask)));
-    __m128i* d = reinterpret_cast<__m128i*>(dst + i);
-    _mm_storeu_si128(d, _mm_xor_si128(_mm_loadu_si128(d), p));
+  // 64 bytes per step in two accumulators, so each table pair is loaded
+  // once per two vectors.
+  for (; i + 64 <= len; i += 64) {
+    __m256i a0 = _mm256_setzero_si256();
+    __m256i a1 = _mm256_setzero_si256();
+    for (std::size_t r = 0; r < n; ++r) {
+      const Tables32 c = broadcast(coeffs[r]);
+      const std::uint8_t* s = srcs[r] + i;
+      a0 = _mm256_xor_si256(a0, mul32(c, load(s), mask));
+      a1 = _mm256_xor_si256(a1, mul32(c, load(s + 32), mask));
+    }
+    _mm256_storeu_si256(reinterpret_cast<__m256i*>(dst + i), a0);
+    _mm256_storeu_si256(reinterpret_cast<__m256i*>(dst + i + 32), a1);
   }
-  mul_add_scalar(tbl, src + i, dst + i, len - i);
+  for (; i + 32 <= len; i += 32) {
+    __m256i a = _mm256_setzero_si256();
+    for (std::size_t r = 0; r < n; ++r) {
+      a = _mm256_xor_si256(a, mul32(broadcast(coeffs[r]), load(srcs[r] + i), mask));
+    }
+    _mm256_storeu_si256(reinterpret_cast<__m256i*>(dst + i), a);
+  }
+  dot_scalar_range(coeffs, srcs, n, dst, i, len);
 }
 #endif
 
-Kernel pick_kernel() noexcept {
-#ifdef HPBDC_GF256_SSSE3
+bool has_avx2() noexcept {
+#ifdef HPBDC_GF256_AVX2
   __builtin_cpu_init();
-  if (__builtin_cpu_supports("ssse3")) return mul_add_ssse3;
+  return __builtin_cpu_supports("avx2");
+#else
+  return false;
 #endif
-  return mul_add_scalar;
 }
 
 }  // namespace
 
-void mul_add(const MulTable& c, const std::uint8_t* src, std::uint8_t* dst,
-             std::size_t len) noexcept {
-  static const Kernel kernel = pick_kernel();
-  kernel(c.t.data(), src, dst, len);
+void dot(const MulTable* coeffs, const std::uint8_t* const* srcs, std::size_t n,
+         std::uint8_t* dst, std::size_t len) noexcept {
+#ifdef HPBDC_GF256_AVX2
+  static const detail::DotBody body = has_avx2() ? dot_avx2 : dot_scalar;
+#else
+  static const detail::DotBody body = dot_scalar;
+#endif
+  body(coeffs, srcs, n, dst, len);
+}
+
+std::vector<detail::NamedDotBody> detail::dot_bodies() {
+  std::vector<NamedDotBody> out{{"scalar", dot_scalar}};
+#ifdef HPBDC_GF256_AVX2
+  if (has_avx2()) out.push_back({"avx2", dot_avx2});
+#endif
+  return out;
 }
 
 }  // namespace hpbdc::storage

@@ -3,14 +3,16 @@
 // x^8 + x^4 + x^3 + x^2 + 1 (0x11d). Single products (mul/div/inv) use
 // exp/log tables, built once at static-init time.
 //
-// Bulk coding goes through one kernel, mul_add: dst[i] ^= c * src[i] over a
-// whole shard. Multiplying by c is linear over GF(2), so
-// c*x = c*(x & 0x0f) ^ c*(x & 0xf0), and two 16-entry tables hold every
-// product: ISA-L's split-nibble gftbl layout (MulTable). On x86-64 CPUs with
-// SSSE3 each table fits one register and _mm_shuffle_epi8 looks up 16 bytes
-// per step; elsewhere, and for every tail shorter than 16 bytes, a scalar
-// loop indexes the same tables. The kernel is picked once per process from
-// the CPU's features, not from any option, and both paths give equal bytes.
+// Bulk coding goes through one kernel, dot: dst[i] = sum_r c_r * src_r[i]
+// over a whole shard, each dst byte written once (ISA-L's gf_vect_dot_prod).
+// Multiplying by c is linear over GF(2), so c*x = c*(x & 0x0f) ^ c*(x & 0xf0),
+// and two 16-entry tables hold every product: ISA-L's split-nibble gftbl
+// layout (MulTable). On x86-64 CPUs with AVX2 both tables are broadcast to the
+// two 128-bit lanes of a register and _mm256_shuffle_epi8 looks up 32 bytes
+// per step; every tail shorter than 32 bytes, and every CPU without AVX2,
+// takes the scalar loop over the same tables (correct, only slower). The
+// body is picked once per process from the CPU's features, not from any
+// option, and both bodies give equal bytes.
 
 #include <array>
 #include <cstddef>
@@ -79,10 +81,27 @@ struct MulTable {
   }
 };
 
-/// dst[i] ^= c * src[i] for i < len, c given by its table. Unaligned
-/// pointers are fine; src and dst must not overlap.
-void mul_add(const MulTable& c, const std::uint8_t* src, std::uint8_t* dst,
-             std::size_t len) noexcept;
+/// dst[i] = sum_r coeffs[r] * srcs[r][i] for i < len: a dot product over n
+/// sources, coefficient r given by its table. n = 0 zeroes dst. Unaligned
+/// pointers are fine; no source may overlap dst.
+void dot(const MulTable* coeffs, const std::uint8_t* const* srcs, std::size_t n,
+         std::uint8_t* dst, std::size_t len) noexcept;
+
+namespace detail {
+
+using DotBody = void (*)(const MulTable*, const std::uint8_t* const*, std::size_t,
+                         std::uint8_t*, std::size_t) noexcept;
+
+struct NamedDotBody {
+  const char* name;
+  DotBody body;
+};
+
+/// Every dot body compiled in that this CPU can run, scalar first. For tests
+/// that check each body, not only the one dot picks.
+std::vector<NamedDotBody> dot_bodies();
+
+}  // namespace detail
 
 /// Dense matrix over GF(2^8); just enough linear algebra for RS coding.
 class GFMatrix {

@@ -25,14 +25,14 @@ ReedSolomon::ReedSolomon(std::size_t k, std::size_t m)
 std::vector<Shard> ReedSolomon::encode(const std::vector<Shard>& data) const {
   if (data.size() != k_) throw std::invalid_argument("ReedSolomon: need k data shards");
   const std::size_t len = data.empty() ? 0 : data[0].size();
-  for (const auto& s : data) {
-    if (s.size() != len) throw std::invalid_argument("ReedSolomon: ragged shards");
+  std::vector<const std::uint8_t*> srcs(k_);
+  for (std::size_t j = 0; j < k_; ++j) {
+    if (data[j].size() != len) throw std::invalid_argument("ReedSolomon: ragged shards");
+    srcs[j] = data[j].data();
   }
-  std::vector<Shard> parity(m_, Shard(len, 0));
+  std::vector<Shard> parity(m_, Shard(len));
   for (std::size_t i = 0; i < m_; ++i) {
-    for (std::size_t j = 0; j < k_; ++j) {
-      mul_add(parity_tables_[i * k_ + j], data[j].data(), parity[i].data(), len);
-    }
+    dot(&parity_tables_[i * k_], srcs.data(), k_, parity[i].data(), len);
   }
   return parity;
 }
@@ -44,7 +44,7 @@ std::vector<Shard> ReedSolomon::decode(
   }
   // The basis is the first k survivors; their lengths must agree whether
   // or not any data shard is lost.
-  std::vector<const std::uint8_t*> basis(k_ + m_, nullptr);
+  std::vector<const std::uint8_t*> ptrs(k_ + m_, nullptr);
   std::size_t len = 0;
   std::size_t found = 0;
   for (std::size_t i = 0; i < shards.size() && found < k_; ++i) {
@@ -54,14 +54,14 @@ std::vector<Shard> ReedSolomon::decode(
     } else if (shards[i]->size() != len) {
       throw std::invalid_argument("ReedSolomon: ragged shards");
     }
-    basis[i] = shards[i]->data();
+    ptrs[i] = shards[i]->data();
   }
   if (found < k_) throw std::invalid_argument("ReedSolomon: fewer than k shards survive");
   std::vector<Shard> out(k_, Shard(len));
   if (len == 0) return out;  // empty shards have no bytes to point at
   std::vector<std::uint8_t*> dst(k_);
   for (std::size_t j = 0; j < k_; ++j) dst[j] = out[j].data();
-  rebuild(basis, len, dst, k_ * len);
+  rebuild(ptrs, len, dst, k_ * len);
   return out;
 }
 
@@ -73,16 +73,36 @@ void ReedSolomon::reconstruct(std::span<const std::uint8_t* const> shards,
   rebuild(shards, shard_len, dst, n);
 }
 
-void ReedSolomon::rebuild(std::span<const std::uint8_t* const> shards,
-                          std::size_t shard_len, std::span<std::uint8_t* const> out,
-                          std::size_t n) const {
+std::vector<Shard> ReedSolomon::repair(std::span<const std::uint8_t* const> shards,
+                                       std::size_t shard_len,
+                                       std::span<const std::size_t> lost) const {
+  const auto rows = basis(shards);
+  // Lost slot s is row s of [I_k ; C] times the data, and the data is the
+  // inverse times the survivors: so its coefficients over the survivors
+  // are that row times the inverse.
+  GFMatrix lost_rows(lost.size(), k_);
+  for (std::size_t i = 0; i < lost.size(); ++i) {
+    const std::size_t slot = lost[i];
+    if (slot >= k_ + m_) throw std::invalid_argument("ReedSolomon: no such slot");
+    for (std::size_t c = 0; c < k_; ++c) {
+      lost_rows.at(i, c) = slot < k_ ? static_cast<std::uint8_t>(slot == c ? 1 : 0)
+                                     : parity_rows_.at(slot - k_, c);
+    }
+  }
+  const GFMatrix coeffs = lost_rows.mul(decode_matrix(rows));
+  std::vector<Shard> out(lost.size(), Shard(shard_len));
+  for (std::size_t i = 0; i < lost.size(); ++i) {
+    dot_row(coeffs, i, rows, shards, out[i].data(), shard_len);
+  }
+  return out;
+}
+
+std::vector<std::size_t> ReedSolomon::basis(
+    std::span<const std::uint8_t* const> shards) const {
   if (shards.size() != k_ + m_) {
     throw std::invalid_argument("ReedSolomon: expected k+m shard slots");
   }
-  if (n > k_ * shard_len) {
-    throw std::invalid_argument("ReedSolomon: n exceeds k * shard_len");
-  }
-  std::vector<std::size_t> rows;  // slots of the first k survivors
+  std::vector<std::size_t> rows;
   rows.reserve(k_);
   for (std::size_t i = 0; i < k_ + m_ && rows.size() < k_; ++i) {
     if (shards[i] != nullptr) rows.push_back(i);
@@ -90,9 +110,48 @@ void ReedSolomon::rebuild(std::span<const std::uint8_t* const> shards,
   if (rows.size() < k_) {
     throw std::invalid_argument("ReedSolomon: fewer than k shards survive");
   }
+  return rows;
+}
+
+GFMatrix ReedSolomon::decode_matrix(const std::vector<std::size_t>& rows) const {
+  GFMatrix sub(k_, k_);
+  for (std::size_t r = 0; r < k_; ++r) {
+    const std::size_t src = rows[r];
+    for (std::size_t c = 0; c < k_; ++c) {
+      sub.at(r, c) = src < k_ ? static_cast<std::uint8_t>(src == c ? 1 : 0)
+                              : parity_rows_.at(src - k_, c);
+    }
+  }
+  return sub.inverse();
+}
+
+void ReedSolomon::dot_row(const GFMatrix& coeffs, std::size_t row,
+                          const std::vector<std::size_t>& rows,
+                          std::span<const std::uint8_t* const> shards, std::uint8_t* dst,
+                          std::size_t len) const {
+  std::vector<MulTable> tables;
+  std::vector<const std::uint8_t*> srcs;
+  tables.reserve(k_);
+  srcs.reserve(k_);
+  for (std::size_t r = 0; r < k_; ++r) {
+    const std::uint8_t c = coeffs.at(row, r);
+    if (c == 0) continue;
+    tables.emplace_back(c);
+    srcs.push_back(shards[rows[r]]);
+  }
+  dot(tables.data(), srcs.data(), srcs.size(), dst, len);
+}
+
+void ReedSolomon::rebuild(std::span<const std::uint8_t* const> shards,
+                          std::size_t shard_len, std::span<std::uint8_t* const> out,
+                          std::size_t n) const {
+  const auto rows = basis(shards);
+  if (n > k_ * shard_len) {
+    throw std::invalid_argument("ReedSolomon: n exceeds k * shard_len");
+  }
   // A surviving data shard is one of the basis rows, so its row of the
   // inverse is a unit vector: copy it. Only a lost one needs the inverse,
-  // data[j] = sum_r inv[j][r] * survivor[r].
+  // data[j] = sum_r inv[j][r] * survivor[r], one dot product.
   std::optional<GFMatrix> inv;
   for (std::size_t j = 0; j < k_ && j * shard_len < n; ++j) {
     const std::size_t len = std::min(shard_len, n - j * shard_len);
@@ -100,22 +159,8 @@ void ReedSolomon::rebuild(std::span<const std::uint8_t* const> shards,
       std::memcpy(out[j], shards[j], len);
       continue;
     }
-    if (!inv) {
-      GFMatrix sub(k_, k_);
-      for (std::size_t r = 0; r < k_; ++r) {
-        const std::size_t src = rows[r];
-        for (std::size_t c = 0; c < k_; ++c) {
-          sub.at(r, c) = src < k_ ? static_cast<std::uint8_t>(src == c ? 1 : 0)
-                                  : parity_rows_.at(src - k_, c);
-        }
-      }
-      inv = sub.inverse();
-    }
-    std::memset(out[j], 0, len);
-    for (std::size_t r = 0; r < k_; ++r) {
-      const std::uint8_t c = inv->at(j, r);
-      if (c != 0) mul_add(MulTable(c), shards[rows[r]], out[j], len);
-    }
+    if (!inv) inv = decode_matrix(rows);
+    dot_row(*inv, j, rows, shards, out[j], len);
   }
 }
 
@@ -123,12 +168,14 @@ std::vector<Shard> ReedSolomon::split(std::span<const std::uint8_t> blob,
                                       std::size_t k) {
   if (k == 0) throw std::invalid_argument("ReedSolomon::split: k must be >= 1");
   const std::size_t shard_len = (blob.size() + k - 1) / k;
-  std::vector<Shard> out(k, Shard(shard_len, 0));
+  std::vector<Shard> out(k);
   for (std::size_t i = 0; i < k; ++i) {
-    const std::size_t lo = i * shard_len;
-    if (lo >= blob.size()) break;
+    const std::size_t lo = std::min(i * shard_len, blob.size());
     const std::size_t n = std::min(shard_len, blob.size() - lo);
-    std::memcpy(out[i].data(), blob.data() + lo, n);
+    out[i].reserve(shard_len);
+    out[i].assign(blob.begin() + static_cast<std::ptrdiff_t>(lo),
+                  blob.begin() + static_cast<std::ptrdiff_t>(lo + n));
+    out[i].resize(shard_len);  // zero-pads the tail only
   }
   return out;
 }

@@ -3,8 +3,11 @@
 // shards, any k of the k+m suffice to reconstruct. The encoding matrix is
 // [ I_k ; C ] with C an m×k Cauchy matrix, whose every square submatrix is
 // nonsingular — the standard MDS construction (as in Jerasure). Used for
-// experiment T4 and by the block store. Every shard byte goes through the
-// GF256 mul_add kernel; the parity coefficients' tables are built once.
+// experiment T4 and by the block store. Every output shard is one GF(2^8)
+// dot product (storage::dot) over k source shards, each output byte written
+// once: a parity shard over the data, with tables built once per codec; a
+// lost shard over the first k survivors, with coefficients from the
+// survivor matrix's inverse (k^3 work per stripe, rebuilt per call).
 
 #include <cstdint>
 #include <optional>
@@ -39,7 +42,18 @@ class ReedSolomon {
   void reconstruct(std::span<const std::uint8_t* const> shards,
                    std::size_t shard_len, std::uint8_t* out, std::size_t n) const;
 
-  /// Split a byte blob into k padded data shards (shard_len = ceil(n/k)).
+  /// Rebuild the shards of the `lost` slots (data or parity, any order)
+  /// from the first k survivors in slot order, one shard_len-byte shard per
+  /// entry of `lost`. `shards` is as in reconstruct(). Data slot j is row j
+  /// of the survivor matrix's inverse; parity slot p is Cauchy row p times
+  /// that inverse; either way one dot product over the k survivors. Throws
+  /// std::invalid_argument if fewer than k survive or a slot is out of range.
+  std::vector<Shard> repair(std::span<const std::uint8_t* const> shards,
+                            std::size_t shard_len,
+                            std::span<const std::size_t> lost) const;
+
+  /// Split a byte blob into k data shards of shard_len = ceil(n/k) bytes;
+  /// only the bytes past the blob's end are zero-padded.
   static std::vector<Shard> split(std::span<const std::uint8_t> blob, std::size_t k);
 
   /// Inverse of split: reassemble the first `original_size` bytes.
@@ -51,6 +65,20 @@ class ReedSolomon {
   /// bytes go to out[j], for every j with j * shard_len < n.
   void rebuild(std::span<const std::uint8_t* const> shards, std::size_t shard_len,
                std::span<std::uint8_t* const> out, std::size_t n) const;
+
+  /// Slots of the first k survivors (non-null entries). Throws
+  /// std::invalid_argument unless there are k + m slots and k survivors.
+  std::vector<std::size_t> basis(std::span<const std::uint8_t* const> shards) const;
+
+  /// Inverse of the k rows of [I_k ; C] named by `rows`.
+  GFMatrix decode_matrix(const std::vector<std::size_t>& rows) const;
+
+  /// dst = sum_r coeffs(row, r) * shards[rows[r]] over len bytes, zero
+  /// coefficients skipped.
+  void dot_row(const GFMatrix& coeffs, std::size_t row,
+               const std::vector<std::size_t>& rows,
+               std::span<const std::uint8_t* const> shards, std::uint8_t* dst,
+               std::size_t len) const;
 
   std::size_t k_, m_;
   GFMatrix parity_rows_;                // m x k Cauchy block

@@ -1,5 +1,5 @@
-// Tests for the compression codecs: bit-exact round trips on varied data
-// shapes, corruption rejection, and compressibility ordering.
+// Tests for the LZSS codec: bit-exact round trips on varied data shapes,
+// corruption rejection, and compressibility of structured input.
 
 #include <gtest/gtest.h>
 
@@ -23,38 +23,6 @@ ByteVec repetitive_text(std::size_t approx) {
   ByteVec v;
   while (v.size() < approx) v.insert(v.end(), phrase.begin(), phrase.end());
   return v;
-}
-
-// ---- RLE -------------------------------------------------------------------------
-
-TEST(Rle, RoundTripRuns) {
-  ByteVec in;
-  for (int i = 0; i < 10; ++i) in.insert(in.end(), 100, static_cast<std::uint8_t>(i));
-  auto c = Rle::compress(in);
-  EXPECT_LT(c.size(), in.size() / 10);
-  EXPECT_EQ(Rle::decompress(c), in);
-}
-
-TEST(Rle, RoundTripRandom) {
-  auto in = random_bytes(10000, 1);
-  EXPECT_EQ(Rle::decompress(Rle::compress(in)), in);
-}
-
-TEST(Rle, EmptyInput) {
-  EXPECT_TRUE(Rle::compress({}).empty());
-  EXPECT_TRUE(Rle::decompress({}).empty());
-}
-
-TEST(Rle, LongRunSplitsAt255) {
-  ByteVec in(1000, 0x7f);
-  auto c = Rle::compress(in);
-  EXPECT_EQ(c.size(), 8u);  // ceil(1000/255) = 4 pairs
-  EXPECT_EQ(Rle::decompress(c), in);
-}
-
-TEST(Rle, CorruptInputThrows) {
-  EXPECT_THROW(Rle::decompress(ByteVec{5}), std::runtime_error);        // odd length
-  EXPECT_THROW(Rle::decompress(ByteVec{0, 42}), std::runtime_error);    // zero run
 }
 
 // ---- LZSS -------------------------------------------------------------------------
@@ -126,11 +94,6 @@ TEST(Lzss, RoundTripMultiMegabyteText) {
   // Multi-MiB repetitive input reliably exercises the window boundary.
   auto in = repetitive_text(4 << 20);
   EXPECT_EQ(Lzss::decompress(Lzss::compress(in)), in);
-}
-
-TEST(Lzss, CompressionBeatsRleOnText) {
-  auto in = repetitive_text(100000);
-  EXPECT_LT(Lzss::compress(in).size(), Rle::compress(in).size());
 }
 
 }  // namespace

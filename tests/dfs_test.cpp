@@ -425,10 +425,10 @@ TEST(DfsEc, DegradedReadDuringInFlightRepairIsBitIdentical) {
   EXPECT_GE(f.dfs.stats().shards_repaired, 2u);
 }
 
-// Repair rebuilds a lost data slot and a lost parity slot of one stripe
-// from one decode and one encode. Killing two original survivors afterwards
-// leaves exactly k live slots, both rebuilt shards among them, so the read
-// must decode from the rebuilt bytes.
+// Repair rebuilds a lost data slot and a lost parity slot of one stripe,
+// each as one dot product over k survivors. Killing two original survivors
+// afterwards leaves exactly k live slots, both rebuilt shards among them, so
+// the read must decode from the rebuilt bytes.
 TEST(DfsEc, RebuiltDataAndParityShardsReadBitIdentical) {
   DfsConfig cfg;
   cfg.block_size = MiB;
@@ -508,6 +508,64 @@ TEST(DfsEc, ExactlyMKillsStayReadableMPlusOneFailsTyped) {
   EXPECT_TRUE(got.empty());
   EXPECT_EQ(f.dfs.stats().failed_reads, failed_before + 1);
   EXPECT_LT(f.sim.now() - t0, 0.05);  // metadata latency, not a shard fetch
+}
+
+// A shard lost after read_block_ec chose it but before the block's fetches
+// land has no bytes to decode from. The block re-plans from the slots live
+// now: bit-identical while k survive, a typed kUnavailable below k, never a
+// throw out of the simulator. One flat rack, so the chosen slots are the
+// data slots 0..k-1 and every loss below hits a chosen slot.
+TEST(DfsEc, ShardLostMidReadResolvesTyped) {
+  struct Case {
+    std::vector<std::size_t> lose;
+    ReadStatus want;
+  };
+  for (const Case& c : {Case{{0}, ReadStatus::kDegraded},
+                        Case{{0, 1, 2, 3}, ReadStatus::kUnavailable}}) {
+    SCOPED_TRACE("slots lost: " + std::to_string(c.lose.size()));
+    DfsConfig cfg;
+    cfg.block_size = MiB;
+    NetworkConfig nc;
+    nc.nodes = 16;
+    DfsFixture f(cfg, nc);
+    const auto content = pattern_bytes(MiB - 99, 0x9d);  // single stripe
+    f.dfs.put(0, "/ec", content, StoragePolicy::kErasureCoded, [](bool) {});
+    f.sim.run();
+    const auto before = f.dfs.stats();
+
+    bool resolved = false;
+    ReadStatus status{};
+    std::vector<std::uint8_t> got;
+    f.dfs.read_ex(0, "/ec", [&](ReadStatus s, const std::vector<std::uint8_t>& d) {
+      resolved = true;
+      status = s;
+      got = d;
+    });
+    bool lost_mid_read = false;
+    f.sim.schedule_after(1e-4, [&] {
+      // The premise: the block's shards are chosen and still in flight.
+      lost_mid_read = !resolved && f.dfs.stats().blocks_read == before.blocks_read + 1;
+      for (auto slot : c.lose) ASSERT_TRUE(f.dfs.lose_shard("/ec", 0, slot));
+    });
+    ASSERT_NO_THROW(f.sim.run());
+    ASSERT_TRUE(lost_mid_read);
+    ASSERT_TRUE(resolved);
+    EXPECT_EQ(status, c.want);
+    const auto& st = f.dfs.stats();
+    EXPECT_EQ(st.blocks_read, before.blocks_read + 1);  // a re-plan is not a new read
+    const auto shard_reads = [](const DfsStats& s) {
+      return s.ec_shard_reads_same_rack + s.ec_shard_reads_cross_rack;
+    };
+    if (c.want == ReadStatus::kDegraded) {
+      EXPECT_EQ(got, content);
+      EXPECT_EQ(st.degraded_reads, before.degraded_reads + 1);
+      EXPECT_EQ(shard_reads(st), shard_reads(before) + 2 * cfg.ec_data_shards);
+    } else {
+      EXPECT_TRUE(got.empty());
+      EXPECT_EQ(st.failed_reads, before.failed_reads + 1);
+      EXPECT_EQ(shard_reads(st), shard_reads(before) + cfg.ec_data_shards);
+    }
+  }
 }
 
 // ISSUE-named regression: repair re-encodes a lost shard onto a new node;

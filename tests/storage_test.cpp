@@ -312,11 +312,11 @@ TEST(ReedSolomon, RaggedShardsThrowOnEveryPath) {
   EXPECT_EQ(out, ReedSolomon::join(data, 64));
 }
 
-// ---- The mul_add kernel against the per-byte codec -------------------------------
+// ---- The dot kernel against the per-byte codec -----------------------------------
 
-/// The codec as it was before the mul_add kernel: one GF256::mul per byte,
-/// over the same Cauchy block. (Its all-data-present shortcut returned the
-/// survivors themselves, which the general path below reproduces.)
+/// The codec as it was before the split-nibble kernel: one GF256::mul per
+/// byte, over the same Cauchy block. (Its all-data-present shortcut returned
+/// the survivors themselves, which the general path below reproduces.)
 class PerByteRs {
  public:
   PerByteRs(std::size_t k, std::size_t m) : k_(k), m_(m), rows_(m, k) {
@@ -381,29 +381,53 @@ std::vector<std::uint32_t> erasure_patterns(std::size_t k, std::size_t m, Rng& r
   return out;
 }
 
-// The split-nibble kernel (SSSE3 body where the CPU has it, the scalar loop
-// for every tail) must reproduce the per-byte codec exactly: parity, decoded
-// data and reconstructed blobs, at lengths around the 16-byte step and from
+// Every compiled dot body (the scalar loop always, AVX2 where the CPU has
+// it) must reproduce the per-byte sum, and the codec over the picked body
+// must reproduce the per-byte codec exactly: parity, decoded data and
+// reconstructed blobs, at lengths around the 32-byte step and from
 // unaligned slices.
 TEST(ReedSolomon, KernelEqualsPerByteReference) {
   Rng rng(0x4e1b);
   const std::size_t lengths[] = {0, 1, 15, 16, 17, 31, 33, 1023, 65543};
 
-  // The kernel alone: every coefficient, every src/dst offset mod 16.
-  std::vector<std::uint8_t> src(1100), dst(1100), want(1100);
-  for (auto& b : src) b = static_cast<std::uint8_t>(rng());
-  for (unsigned c = 0; c < 256; ++c) {
-    const std::size_t so = c % 16, doff = (c / 16 + c) % 16;
-    for (std::size_t len : {std::size_t{0}, std::size_t{1}, std::size_t{15},
-                            std::size_t{17}, std::size_t{33}, std::size_t{1023}}) {
-      for (auto& b : dst) b = static_cast<std::uint8_t>(rng());
-      want = dst;
-      for (std::size_t i = 0; i < len; ++i) {
-        want[doff + i] ^= GF256::mul(static_cast<std::uint8_t>(c), src[so + i]);
+  // The kernel alone, per body: n = 0..10 sources, every coefficient in
+  // every source position, every src and dst offset mod 32.
+  constexpr std::size_t kMaxSources = 10, kPad = 32, kMaxLen = 1023;
+  std::vector<std::vector<std::uint8_t>> src(kMaxSources,
+                                             std::vector<std::uint8_t>(kMaxLen + kPad));
+  for (auto& s : src) {
+    for (auto& b : s) b = static_cast<std::uint8_t>(rng());
+  }
+  std::vector<std::uint8_t> dst(kMaxLen + kPad), want(kMaxLen + kPad);
+  const auto bodies = detail::dot_bodies();
+  ASSERT_FALSE(bodies.empty());
+  EXPECT_STREQ(bodies[0].name, "scalar");
+  for (const auto& [name, body] : bodies) {
+    for (std::size_t n = 0; n <= kMaxSources; ++n) {
+      for (unsigned c = 0; c < 256; ++c) {
+        std::vector<MulTable> tables;
+        std::vector<std::uint8_t> coeff;
+        std::vector<const std::uint8_t*> srcs;
+        for (std::size_t r = 0; r < n; ++r) {
+          coeff.push_back(static_cast<std::uint8_t>(c + 37 * r));
+          tables.emplace_back(coeff.back());
+          srcs.push_back(src[r].data() + (c + 5 * r) % kPad);
+        }
+        const std::size_t doff = (c / kPad + c) % kPad;
+        for (std::size_t len : {std::size_t{0}, std::size_t{1}, std::size_t{31},
+                                std::size_t{32}, std::size_t{33}, std::size_t{63},
+                                std::size_t{65}, kMaxLen}) {
+          for (auto& b : dst) b = static_cast<std::uint8_t>(rng());
+          want = dst;
+          for (std::size_t i = 0; i < len; ++i) {
+            std::uint8_t acc = 0;
+            for (std::size_t r = 0; r < n; ++r) acc ^= GF256::mul(coeff[r], srcs[r][i]);
+            want[doff + i] = acc;
+          }
+          body(tables.data(), srcs.data(), n, dst.data() + doff, len);
+          ASSERT_EQ(dst, want) << name << " n=" << n << " c=" << c << " len=" << len;
+        }
       }
-      mul_add(MulTable(static_cast<std::uint8_t>(c)), src.data() + so, dst.data() + doff,
-              len);
-      ASSERT_EQ(dst, want) << "c=" << c << " len=" << len;
     }
   }
 
@@ -493,6 +517,52 @@ TEST(ReedSolomon, KernelEqualsPerByteReference) {
                                 [](std::uint8_t b) { return b == 0xee; }))
             << "wrote past n=" << n;
       }
+    }
+  }
+}
+
+// repair() rebuilds exactly the lost slots, data or parity, byte for byte,
+// for every erasure pattern the codec survives; below k survivors it throws.
+TEST(ReedSolomon, RepairRebuildsEveryLostSlot) {
+  Rng rng(0x5e9a);
+  struct Code {
+    std::size_t k, m;
+  };
+  for (const Code code : {Code{4, 2}, Code{6, 3}, Code{10, 4}}) {
+    const std::size_t k = code.k, m = code.m, total = k + m;
+    const ReedSolomon rs(k, m);
+    const auto patterns = erasure_patterns(k, m, rng);
+    for (std::size_t len : {std::size_t{1}, std::size_t{33}, std::size_t{1023}}) {
+      SCOPED_TRACE("RS(" + std::to_string(k) + "," + std::to_string(m) +
+                   ") len=" + std::to_string(len));
+      std::vector<Shard> shards(k, Shard(len));
+      for (auto& s : shards) {
+        for (auto& b : s) b = static_cast<std::uint8_t>(rng());
+      }
+      auto parity = rs.encode(shards);
+      shards.insert(shards.end(), parity.begin(), parity.end());
+      for (const std::uint32_t bits : patterns) {
+        std::vector<const std::uint8_t*> ptrs(total, nullptr);
+        std::vector<std::size_t> lost;
+        for (std::size_t i = 0; i < total; ++i) {
+          if (bits & (1u << i)) {
+            lost.push_back(i);
+          } else {
+            ptrs[i] = shards[i].data();
+          }
+        }
+        const auto rebuilt = rs.repair(ptrs, len, lost);
+        ASSERT_EQ(rebuilt.size(), lost.size());
+        for (std::size_t i = 0; i < lost.size(); ++i) {
+          ASSERT_EQ(rebuilt[i], shards[lost[i]])
+              << "slot " << lost[i] << " of lost 0x" << std::hex << bits;
+        }
+      }
+      // m + 1 losses leave k - 1 survivors.
+      std::vector<const std::uint8_t*> ptrs(total, nullptr);
+      for (std::size_t i = m + 1; i < total; ++i) ptrs[i] = shards[i].data();
+      const std::vector<std::size_t> lost{0};
+      EXPECT_THROW(rs.repair(ptrs, len, lost), std::invalid_argument);
     }
   }
 }
