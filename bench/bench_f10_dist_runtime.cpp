@@ -21,7 +21,7 @@
 
 #include "bench_json.hpp"
 #include "common/stats.hpp"
-#include "dist/jobs.hpp"
+#include "dist/job.hpp"
 #include "dist/runtime.hpp"
 #include "obs/trace.hpp"
 #include "sim/fault.hpp"

@@ -1,8 +1,9 @@
 // F13 — Push-based flow shuffle vs pull-based fetch (DESIGN.md, src/dist/flow):
 // the same broadcast-join and all-to-all jobs run under both ShuffleTransport
-// implementations on one simulated cluster. Reported per transport: total
-// makespan, the shuffle-bound join stage's span (JobResult::stages), and
-// bytes on the wire (sim::NetworkStats). Expected shape: push overlaps
+// implementations on one simulated cluster. The join is a one-dimension star
+// query lowered with its dimension as the broadcast build side. Reported per
+// transport: total makespan, the shuffle-bound join stage's span
+// (JobResult::stages), and bytes on the wire (sim::NetworkStats). Expected shape: push overlaps
 // transfer with upstream compute and moves the replicated build side as ONE
 // multicast stream per producer instead of a copy per child, so the join
 // stage shrinks (>= 1.3x on the broadcast join) and wire bytes drop
@@ -16,8 +17,9 @@
 
 #include "bench_json.hpp"
 #include "common/stats.hpp"
-#include "dist/jobs.hpp"
 #include "dist/runtime.hpp"
+#include "plan/bigbench.hpp"
+#include "plan/lower.hpp"
 
 namespace {
 
@@ -73,10 +75,18 @@ int main(int argc, char** argv) {
             << "-node star, seed 42\n\n";
 
   // ---- broadcast join: multicast build side + transfer/compute overlap ----
-  const JobSpec bj =
-      broadcast_join_job(2048, 1 << 16, kTasks, 42, 8 * MiB, 512 * 1024);
-  const auto bj_pull = run_job(bj, TransportKind::kPull, "bj-join", kNodes);
-  const auto bj_push = run_job(bj, TransportKind::kPush, "bj-join", kNodes);
+  // Every fact row matches one of the 2048 dimension keys. Lowered stages:
+  // n0 fact scan (probe), n1 dimension (broadcast build), n2 join, collect.
+  const plan::LogicalPlan join = plan::star_query(
+      {.fact_salt = 42, .fact_rows = 1 << 16, .fact_domain = 2048,
+       .dims = {{.salt = 43, .rows = 2048, .domain = 2048}},
+       .udf_stages = 0, .final_reduce = false},
+      {0});
+  JobSpec bj = plan::lower_dist(join, kTasks, {.broadcast_join_rows = 2048});
+  bj.stages[0].sim_out_bytes = [](std::size_t, std::size_t) { return MiB / 2; };
+  bj.stages[1].sim_out_bytes = [](std::size_t, std::size_t) { return 8 * MiB; };
+  const auto bj_pull = run_job(bj, TransportKind::kPull, "n2", kNodes);
+  const auto bj_push = run_job(bj, TransportKind::kPush, "n2", kNodes);
 
   std::cout << "Table 1: broadcast join (8 MiB replicated build blocks, "
             << kTasks << " tasks)\n";

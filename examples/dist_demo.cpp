@@ -1,26 +1,26 @@
-// Distributed dataflow demo: WordCount and TeraSort scheduled as stage DAGs
-// across a simulated 16-node fat-tree cluster — DFS-backed input with
-// locality-aware placement, shuffle over the simulated network, then the same
-// WordCount again with a mid-job node kill recovered through lineage
-// recomputation. The clean run's counters are exported into an obs metrics
+// Distributed dataflow demo: the WordCount and TeraSort plans lowered to
+// stage DAGs (plan::lower_dist) and scheduled across a simulated 16-node
+// fat-tree cluster — DFS-backed input with locality-aware placement, shuffle
+// over the simulated network, then the same WordCount again with a mid-job
+// node kill recovered through lineage recomputation. Every result is checked
+// against the plan on the shared-memory engine (lower_local), and any failed
+// check exits 1. The clean run's counters are exported into an obs metrics
 // registry afterwards; `--trace=FILE` writes a Chrome trace of the failure
 // run in simulated time.
 //
 //   $ ./dist_demo [--trace=FILE]
 
+#include <algorithm>
 #include <cstring>
 #include <iostream>
 #include <string>
 
-#include <algorithm>
-#include <memory>
-
-#include "algos/textgen.hpp"
-#include "common/rng.hpp"
-#include "dist/jobs.hpp"
 #include "dist/runtime.hpp"
+#include "exec/thread_pool.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
+#include "plan/jobs.hpp"
+#include "plan/lower.hpp"
 
 namespace {
 
@@ -66,13 +66,16 @@ struct Cluster {
   }
 };
 
-std::vector<std::vector<std::string>> partition_lines(
-    const std::vector<std::string>& lines, std::size_t nparts) {
-  std::vector<std::vector<std::string>> parts(nparts);
-  for (std::size_t i = 0; i < lines.size(); ++i) {
-    parts[i % nparts].push_back(lines[i]);
-  }
-  return parts;
+/// Rows sorted into one canonical order, so runs compare byte for byte.
+Bytes canonical(std::vector<plan::Row> rows) {
+  std::sort(rows.begin(), rows.end());
+  return to_bytes(rows);
+}
+
+Bytes local_bytes(const plan::LogicalPlan& p) {
+  ThreadPool pool{2};
+  dataflow::Context ctx{pool};
+  return canonical(plan::lower_local(p, ctx));
 }
 
 }  // namespace
@@ -83,88 +86,86 @@ int main(int argc, char** argv) {
     if (std::strncmp(argv[i], "--trace=", 8) == 0) trace_path = argv[i] + 8;
   }
 
+  bool all_ok = true;
+  auto check = [&all_ok](bool ok) {
+    all_ok = all_ok && ok;
+    return ok ? "yes" : "NO";
+  };
+
   // ---- WordCount over a DFS-resident corpus ------------------------------
-  Rng rng(11);
-  algos::TextGenConfig tg;
-  const auto lines = algos::generate_text(tg, 4000, rng);
-  const std::size_t nmap = 16, nreduce = 4;
+  const plan::LogicalPlan wc_plan = plan::wordcount_plan(4000);
+  const std::size_t ntasks = 16;
+  // Source task t scans block t of /corpus: 64 MiB simulated per task.
+  auto wc_job = [&] {
+    JobSpec job = plan::lower_dist(wc_plan, ntasks);
+    job.stages[0].input_file = "/corpus";
+    job.stages[0].input_bytes_per_task = 64 * MiB;
+    return job;
+  };
 
   Cluster wc;
 
-  // Stage the corpus into the DFS first so map tasks can chase block replicas.
+  // Stage the corpus into the DFS first so source tasks can chase block
+  // replicas.
   bool staged = false;
-  wc.dfs.write(0, "/corpus", nmap * 64 * MiB, [&](bool ok) { staged = ok; });
+  wc.dfs.write(0, "/corpus", ntasks * 64 * MiB, [&](bool ok) { staged = ok; });
   wc.sim.run();
+  check(staged);
   std::cout << "staged /corpus into the DFS: " << (staged ? "ok" : "FAILED")
-            << " (" << nmap << " blocks x 64 MiB, 3-way replicated)\n";
+            << " (" << ntasks << " blocks x 64 MiB, 3-way replicated)\n";
 
-  auto parts = std::make_shared<std::vector<std::vector<std::string>>>(
-      partition_lines(lines, nmap));
-  const auto wc_res = wc.run(wordcount_job(parts, nreduce, "/corpus", 64 * MiB));
-  std::cout << "wordcount: ok=" << wc_res.ok << " makespan="
-            << wc_res.makespan << "s\n";
+  const auto wc_res = wc.run(wc_job());
+  const auto wc_rows = plan::rows_from_result(wc_res);
+  std::cout << "wordcount: ok=" << wc_res.ok << " makespan=" << wc_res.makespan
+            << "s keys=" << wc_rows.size() << " matches lower_local: "
+            << check(wc_res.ok && canonical(wc_rows) == local_bytes(wc_plan))
+            << "\n";
   obs::MetricsRegistry reg;
   wc.rt.export_metrics(reg);
   wc.net.export_metrics(reg);
   std::cout << "  locality: " << reg.gauge("dist.locality_hits").value()
-            << " map tasks on a block replica, "
+            << " source tasks on a block replica, "
             << reg.gauge("dist.locality_misses").value() << " misses\n";
   std::cout << "  shuffle:  " << reg.gauge("dist.shuffle_bytes").value()
             << " simulated bytes, net sent "
-            << reg.gauge("net.msgs_sent").value() << " msgs\n";
-  auto rows = wordcount_collect(wc_res);
-  std::sort(rows.begin(), rows.end(), [](const auto& a, const auto& b) {
-    return a.second > b.second || (a.second == b.second && a.first < b.first);
-  });
-  std::cout << "  top words:";
-  for (std::size_t i = 0; i < 5 && i < rows.size(); ++i) {
-    std::cout << " " << rows[i].first << "(" << rows[i].second << ")";
-  }
-  std::cout << "\n\n";
+            << reg.gauge("net.msgs_sent").value() << " msgs\n\n";
 
   // ---- TeraSort ----------------------------------------------------------
   Cluster ts;
-  Rng trng(99);
-  const auto records = algos::generate_tera_records(20000, trng);
-  auto rparts = std::make_shared<std::vector<std::vector<algos::TeraRecord>>>();
-  rparts->resize(8);
-  for (std::size_t i = 0; i < records.size(); ++i) {
-    (*rparts)[i % 8].push_back(records[i]);
-  }
-  const auto ts_res = ts.run(terasort_job(rparts, 4));
-  auto sorted = terasort_collect(ts_res);
-  const bool is_sorted =
-      std::is_sorted(sorted.begin(), sorted.end(), tera_less);
+  const plan::LogicalPlan ts_plan = plan::terasort_plan(20000);
+  const auto ts_res = ts.run(plan::lower_dist(ts_plan, 8));
+  const auto ts_rows = plan::rows_from_result(ts_res);
   std::cout << "terasort: ok=" << ts_res.ok << " makespan=" << ts_res.makespan
-            << "s records=" << sorted.size()
-            << " sorted=" << (is_sorted ? "yes" : "NO") << "\n\n";
+            << "s records=" << ts_rows.size() << " matches lower_local: "
+            << check(ts_res.ok && canonical(ts_rows) == local_bytes(ts_plan))
+            << "\n\n";
 
   // ---- the same WordCount with a mid-job node kill -----------------------
   Cluster fail;
   obs::TraceSession trace;
   if (!trace_path.empty()) fail.rt.bind_trace(trace);
   bool restaged = false;
-  fail.dfs.write(0, "/corpus", nmap * 64 * MiB, [&](bool ok) { restaged = ok; });
+  fail.dfs.write(0, "/corpus", ntasks * 64 * MiB, [&](bool ok) { restaged = ok; });
   fail.sim.run();
-  // Kill both non-writer replicas of block 3 partway through the map stage:
-  // whichever of them took task 3 dies with the work in flight, and the
-  // recompute has to fall back to the writer's copy of the block.
+  check(restaged);
+  // Kill both non-writer replicas of block 3 partway through the source
+  // stage: whichever of them took task 3 dies with the work in flight, and
+  // the recompute has to fall back to the writer's copy of the block.
   const auto locs = fail.dfs.block_locations("/corpus", 3);
   const sim::SimTime kill_t = fail.sim.now() + wc_res.makespan * 0.4;
   fail.rt.kill_node_at(locs[1], kill_t);
   fail.rt.kill_node_at(locs[2], kill_t);
-  const auto fr = fail.run(wordcount_job(parts, nreduce, "/corpus", 64 * MiB));
+  const auto fr = fail.run(wc_job());
   const auto& fs = fail.rt.stats();
   std::cout << "wordcount with nodes " << locs[1] << "," << locs[2]
-            << " killed mid-map: ok=" << fr.ok << " makespan=" << fr.makespan
+            << " killed mid-scan: ok=" << fr.ok << " makespan=" << fr.makespan
             << "s (clean was " << wc_res.makespan << "s)\n";
   std::cout << "  declared dead: " << fs.executors_declared_dead
             << ", recomputed: " << fs.tasks_recomputed
             << ", retries: " << fs.task_retries
             << ", fetch failures: " << fs.fetch_failures << "\n";
-  const bool same =
-      to_bytes(wordcount_collect(fr)) == to_bytes(wordcount_collect(wc_res));
-  std::cout << "  result identical to the clean run: " << (same ? "yes" : "NO")
+  std::cout << "  result identical to the clean run: "
+            << check(fr.ok && plan::rows_from_result(fr) == wc_rows)
             << "\n";
 
   if (!trace_path.empty()) {
@@ -176,5 +177,5 @@ int main(int argc, char** argv) {
       return 1;
     }
   }
-  return 0;
+  return all_ok ? 0 : 1;
 }

@@ -12,7 +12,8 @@
 //      the affected tasks and every admitted job still gets exactly one
 //      terminal callback.
 //
-// Ends with the serve.* metrics registry. Everything is deterministic:
+// Ends with the serve.* metrics registry and the exactly-once ledger, and
+// exits 1 when the ledger does not balance. Everything is deterministic:
 // rerunning prints byte-identical output.
 //
 //   $ ./job_service_demo
@@ -145,10 +146,10 @@ int main() {
   reg.print(std::cout);
 
   const serve::ServeStats& st = svc.stats();
+  const bool balanced = st.completed + st.shed == st.submitted;
   std::cout << "\nexactly-once ledger: submitted=" << st.submitted
             << " completed=" << st.completed << " shed=" << st.shed
             << " failed=" << st.failed << " (completed + shed == submitted: "
-            << (st.completed + st.shed == st.submitted ? "yes" : "NO")
-            << ")\n";
-  return 0;
+            << (balanced ? "yes" : "NO") << ")\n";
+  return balanced ? 0 : 1;
 }

@@ -17,7 +17,8 @@
 //      catches the silent event loss the oracle exists for.
 //
 // Ends with the dstream.* metrics registry. Everything runs on the
-// deterministic simulator: rerunning prints byte-identical output.
+// deterministic simulator: rerunning prints byte-identical output. Exits 1
+// when any check above prints NO.
 //
 //   $ ./streaming_demo
 
@@ -98,6 +99,11 @@ int main() {
   const dstream::StreamJobSpec spec = dstream::lower_streaming(plan, opts);
   const Bytes reference =
       dstream::canonical_stream_bytes(dstream::reference_streaming(spec));
+  bool all_ok = true;
+  auto check = [&all_ok](bool ok, const char* yes = "yes") {
+    all_ok = all_ok && ok;
+    return ok ? yes : "NO";
+  };
 
   std::cout << "Act 1: windowed aggregation, aligned-barrier epochs, "
                "exactly-once sink\n";
@@ -113,7 +119,7 @@ int main() {
             << c1.rt.stats().epochs_completed << " epochs in "
             << Table::num(r1.makespan, 3) << "s simulated\n"
             << "  bit-identical to the local reference: "
-            << (canonical(r1) == reference ? "yes" : "NO") << "\n";
+            << check(canonical(r1) == reference) << "\n";
   obs::MetricsRegistry reg;
   c1.rt.export_metrics(reg);
 
@@ -138,10 +144,8 @@ int main() {
               << st.backpressure_pauses
               << (st.backpressure_pauses > 0 ? "  <- backpressured" : "")
               << ", output identical: "
-              << (canonical(r) == dstream::canonical_stream_bytes(
-                                      dstream::reference_streaming(ramped))
-                      ? "yes"
-                      : "NO")
+              << check(canonical(r) == dstream::canonical_stream_bytes(
+                                             dstream::reference_streaming(ramped)))
               << "\n";
   }
 
@@ -156,7 +160,7 @@ int main() {
             << s3.checkpoints_written << ", stale messages fenced "
             << s3.stale_dropped << "\n"
             << "  committed output bit-identical to the fault-free run: "
-            << (canonical(r3) == canonical(r1) ? "yes" : "NO") << "\n";
+            << check(canonical(r3) == canonical(r1)) << "\n";
 
   std::cout << "\nAct 4: same kill, seeded restore bug armed (offset "
                "off-by-one)\n";
@@ -167,11 +171,11 @@ int main() {
   c4.rt.recover_node_at(2, 3.5);
   const auto r4 = run_job(c4, spec, push_opts());
   std::cout << "  output differs from the reference: "
-            << (canonical(r4) != reference ? "yes (bug caught)" : "NO")
+            << check(canonical(r4) != reference, "yes (bug caught)")
             << "  (chaos_demo --streaming --bug shrinks this to a one-line "
                "replay)\n";
 
   std::cout << "\ndstream.* metrics from Act 1:\n";
   reg.print(std::cout);
-  return 0;
+  return all_ok ? 0 : 1;
 }

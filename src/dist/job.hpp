@@ -9,13 +9,16 @@
 // compared bit-for-bit against the shared-memory engine — while the
 // *simulated* size of a block may be overridden so benches can model
 // multi-GiB shuffles without allocating them (the Comm::send_sized
-// convention).
+// convention). Queries reach the runtime through plan::lower_dist;
+// synthetic_job below is the runtime's own test fake, built on that
+// convention.
 
 #include <cstdint>
 #include <functional>
 #include <string>
 #include <vector>
 
+#include "common/hash.hpp"
 #include "common/serialize.hpp"
 #include "sim/time.hpp"
 
@@ -83,5 +86,54 @@ struct JobResult {
   };
   std::vector<StageSpan> stages;
 };
+
+/// Linear chain of `nstages` all-to-all shuffles with `ntasks` tasks each.
+/// Real blocks are 8-byte lineage fingerprints (hash of everything consumed,
+/// so recomputation correctness is content-checkable); the simulated shuffle
+/// volume is `block_sim_bytes` per block. `checkpoint_every` > 0 checkpoints
+/// every k-th stage. The final stage emits one block per task.
+inline JobSpec synthetic_job(std::size_t nstages, std::size_t ntasks,
+                             std::uint64_t block_sim_bytes,
+                             std::size_t checkpoint_every = 0,
+                             std::uint64_t input_bytes_per_task = 0,
+                             std::string input_file = {}) {
+  JobSpec job;
+  job.name = "synthetic";
+  for (std::size_t s = 0; s < nstages; ++s) {
+    StageSpec st;
+    st.name = "s" + std::to_string(s);
+    st.ntasks = ntasks;
+    if (s == 0) {
+      st.input_bytes_per_task =
+          input_bytes_per_task ? input_bytes_per_task : block_sim_bytes;
+      st.input_file = input_file;
+    } else {
+      st.parents = {s - 1};
+    }
+    st.checkpoint = checkpoint_every > 0 && s + 1 < nstages &&
+                    (s + 1) % checkpoint_every == 0;
+    const bool last = s + 1 == nstages;
+    st.run = [s, ntasks, last](std::size_t task,
+                               const std::vector<std::vector<Bytes>>& inputs) {
+      std::uint64_t acc = hash_combine(hash_u64(s), hash_u64(task));
+      for (const auto& parent : inputs) {
+        for (const auto& block : parent) {
+          acc = hash_combine(acc, from_bytes<std::uint64_t>(block));
+        }
+      }
+      const std::size_t nout = last ? 1 : ntasks;
+      std::vector<Bytes> out(nout);
+      for (std::size_t c = 0; c < nout; ++c) {
+        out[c] = to_bytes(hash_combine(acc, hash_u64(c)));
+      }
+      return out;
+    };
+    st.sim_out_bytes = [block_sim_bytes](std::size_t, std::size_t) {
+      return block_sim_bytes;
+    };
+    job.stages.push_back(std::move(st));
+  }
+  return job;
+}
 
 }  // namespace hpbdc::dist

@@ -1,7 +1,8 @@
 #pragma once
-// Named-job plan builders: the wordcount/terasort shapes from dist/jobs.hpp
-// expressed in the plan IR, so the optimizer can be measured on recognizable
-// workloads (bench_t11) and not just on generated chaos DAGs.
+// Named-job plan builders: WordCount and TeraSort shapes in the plan IR, so
+// the optimizer can be measured on recognizable workloads (bench_t11) and
+// not just on generated chaos DAGs, and the dist runtime's tests and demo
+// run them through lower_dist.
 //
 //   wordcount_plan : source → flat_map (tokenize) → reduce_by_key (count).
 //                    The optimizer fuses source+flat_map into one stage and

@@ -322,10 +322,6 @@ std::vector<Row> lower_local(const LogicalPlan& plan, dataflow::Context& ctx) {
   return out.collect();
 }
 
-dist::JobSpec lower_dist(const LogicalPlan& plan, std::size_t ntasks) {
-  return lower_dist(plan, ntasks, LowerDistOptions{});
-}
-
 dist::JobSpec lower_dist(const LogicalPlan& plan, std::size_t ntasks,
                          const LowerDistOptions& opts) {
   dist::JobSpec job;

@@ -58,9 +58,8 @@ struct LowerDistOptions {
 /// sinks. Every stage hash-partitions its output by key with a fixed task
 /// count, so the key-based operators (reduce, join, distinct) are exact
 /// per-partition.
-dist::JobSpec lower_dist(const LogicalPlan& plan, std::size_t ntasks);
 dist::JobSpec lower_dist(const LogicalPlan& plan, std::size_t ntasks,
-                         const LowerDistOptions& opts);
+                         const LowerDistOptions& opts = {});
 
 /// Final rows of a dist run of lower_dist (unsorted).
 std::vector<Row> rows_from_result(const dist::JobResult& res);

@@ -14,16 +14,6 @@ namespace hpbdc::storage {
 
 using ByteVec = std::vector<std::uint8_t>;
 
-struct CompressionStats {
-  std::size_t input_bytes = 0;
-  std::size_t output_bytes = 0;
-  double ratio() const noexcept {
-    return output_bytes == 0 ? 1.0
-                             : static_cast<double>(input_bytes) /
-                                   static_cast<double>(output_bytes);
-  }
-};
-
 class Lzss {
  public:
   static ByteVec compress(std::span<const std::uint8_t> in);

@@ -1,23 +1,22 @@
-// Tests for the distributed dataflow runtime (src/dist): parity with the
-// shared-memory dataflow engine (bit-for-bit), lineage-based recovery from a
-// mid-job node kill, checkpoint-truncated recomputation, straggler
-// speculation, DFS-block locality, whole-run determinism under a fixed
-// seed, and a JobSlotPool's one membership service shared by every slot.
+// Tests for the distributed dataflow runtime (src/dist): lowered WordCount
+// and TeraSort plans matching lower_local on the shared-memory engine, the
+// erasure-coded job sink, lineage-based recovery from a mid-job node kill,
+// checkpoint-truncated recomputation, straggler speculation, DFS-block
+// locality, whole-run determinism under a fixed seed, and a JobSlotPool's
+// one membership service shared by every slot.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <memory>
 #include <vector>
 
-#include "algos/terasort.hpp"
-#include "algos/textgen.hpp"
-#include "algos/wordcount.hpp"
-#include "dist/jobs.hpp"
 #include "dist/runtime.hpp"
 #include "dist/slots.hpp"
 #include "exec/thread_pool.hpp"
 #include "obs/trace.hpp"
+#include "plan/jobs.hpp"
+#include "plan/lower.hpp"
+#include "plan/optimizer.hpp"
 #include "sim/fault.hpp"
 
 namespace hpbdc::dist {
@@ -62,82 +61,70 @@ struct Cluster {
   }
 };
 
-std::vector<std::vector<std::string>> partition_lines(
-    const std::vector<std::string>& lines, std::size_t nparts) {
-  std::vector<std::vector<std::string>> parts(nparts);
-  for (std::size_t i = 0; i < lines.size(); ++i) {
-    parts[i % nparts].push_back(lines[i]);
-  }
-  return parts;
+/// The plan's rows on the shared-memory engine, sorted: the reference every
+/// lowered job is compared against.
+Bytes local_bytes(const plan::LogicalPlan& p) {
+  ThreadPool pool{4};
+  dataflow::Context ctx{pool};
+  auto rows = plan::lower_local(p, ctx);
+  std::sort(rows.begin(), rows.end());
+  return to_bytes(rows);
+}
+
+Bytes sorted_bytes(const JobResult& res) {
+  auto rows = plan::rows_from_result(res);
+  std::sort(rows.begin(), rows.end());
+  return to_bytes(rows);
 }
 
 // ---- parity with the shared-memory engine ----------------------------------------
 
 TEST(DistRuntime, WordCountMatchesDataflowBitForBit) {
-  Rng rng(7);
-  algos::TextGenConfig tc;
-  tc.vocabulary = 300;
-  const auto lines = algos::generate_text(tc, 400, rng);
-  auto parts = std::make_shared<std::vector<std::vector<std::string>>>(
-      partition_lines(lines, 8));
+  const plan::LogicalPlan raw = plan::wordcount_plan(2000);
+  const Bytes reference = local_bytes(raw);
+  // Raw: source, tokenize, count and collect stages. Optimized: the fused
+  // source+tokenize with its map-side combine, count, collect.
+  for (const auto& [p, nstages] :
+       {std::pair{raw, std::size_t{4}}, {plan::optimize(raw), std::size_t{3}}}) {
+    DistConfig dc;
+    dc.seed = 42;
+    Cluster cl(star(8), dc);
+    obs::TraceSession trace;
+    cl.rt.bind_trace(trace);
+    const auto res = cl.run(plan::lower_dist(p, 5));
+    ASSERT_TRUE(res.ok);
+    EXPECT_GT(res.makespan, 0.0);
+    const auto& st = cl.rt.stats();
+    EXPECT_EQ(st.task_retries, 0u);
+    EXPECT_EQ(st.tasks_recomputed, 0u);
+    EXPECT_EQ(st.executors_declared_dead, 0u);
+    EXPECT_EQ(st.tasks_completed, 5 * nstages);
 
-  DistConfig dc;
-  dc.seed = 42;
-  Cluster cl(star(8), dc);
-  obs::TraceSession trace;
-  cl.rt.bind_trace(trace);
-  const auto res = cl.run(wordcount_job(parts, 5));
-  ASSERT_TRUE(res.ok);
-  EXPECT_GT(res.makespan, 0.0);
-  const auto& st = cl.rt.stats();
-  EXPECT_EQ(st.task_retries, 0u);
-  EXPECT_EQ(st.tasks_recomputed, 0u);
-  EXPECT_EQ(st.executors_declared_dead, 0u);
-  EXPECT_EQ(st.tasks_completed, 13u);  // 8 map + 5 reduce
+    // The trace holds per-task and per-stage spans.
+    std::size_t task_spans = 0, stage_spans = 0;
+    for (const auto& ev : trace.events()) {
+      task_spans += ev.category == "task" ? 1 : 0;
+      stage_spans += ev.category == "stage" ? 1 : 0;
+    }
+    EXPECT_EQ(task_spans, 5 * nstages);
+    EXPECT_EQ(stage_spans, nstages);
 
-  // The trace holds per-task and per-stage spans.
-  std::size_t task_spans = 0, stage_spans = 0;
-  for (const auto& ev : trace.events()) {
-    task_spans += ev.category == "task" ? 1 : 0;
-    stage_spans += ev.category == "stage" ? 1 : 0;
+    EXPECT_EQ(sorted_bytes(res), reference);
   }
-  EXPECT_EQ(task_spans, 13u);
-  EXPECT_EQ(stage_spans, 2u);
-
-  // Same computation on the shared-memory engine.
-  ThreadPool pool{4};
-  dataflow::Context ctx{pool};
-  auto ds = dataflow::Dataset<std::string>::parallelize(ctx, lines, 8);
-  auto engine_rows = algos::word_count(ds, 5).collect();
-  std::sort(engine_rows.begin(), engine_rows.end());
-
-  EXPECT_EQ(to_bytes(wordcount_collect(res)), to_bytes(engine_rows));
 }
 
 TEST(DistRuntime, TeraSortMatchesDataflowBitForBit) {
-  Rng rng(11);
-  auto records = algos::generate_tera_records(3000, rng);
-  auto parts = std::make_shared<std::vector<std::vector<algos::TeraRecord>>>();
-  parts->resize(6);
-  for (std::size_t i = 0; i < records.size(); ++i) {
-    (*parts)[i % 6].push_back(records[i]);
+  const plan::LogicalPlan raw = plan::terasort_plan(3000);
+  const Bytes reference = local_bytes(raw);
+  for (const plan::LogicalPlan& p : {raw, plan::optimize(raw)}) {
+    DistConfig dc;
+    dc.seed = 5;
+    Cluster cl(star(8), dc);
+    const auto res = cl.run(plan::lower_dist(p, 4));
+    ASSERT_TRUE(res.ok);
+    EXPECT_EQ(plan::rows_from_result(res).size(), 3000u);
+    EXPECT_EQ(sorted_bytes(res), reference);
   }
-
-  DistConfig dc;
-  dc.seed = 5;
-  Cluster cl(star(8), dc);
-  const auto res = cl.run(terasort_job(parts, 4));
-  ASSERT_TRUE(res.ok);
-  auto got = terasort_collect(res);
-  ASSERT_EQ(got.size(), records.size());
-  EXPECT_TRUE(std::is_sorted(got.begin(), got.end(), tera_less));
-
-  ThreadPool pool{4};
-  dataflow::Context ctx{pool};
-  auto engine = algos::terasort(ctx, records, 4).collect();
-  std::sort(engine.begin(), engine.end(), tera_less);
-  std::sort(got.begin(), got.end(), tera_less);  // canonical order for ties
-  EXPECT_EQ(to_bytes(got), to_bytes(engine));
 }
 
 // ---- fault tolerance -------------------------------------------------------------
@@ -153,15 +140,14 @@ DistConfig fast_detect_config() {
 }
 
 TEST(DistRuntime, NodeKillRecoversViaLineageWithSameResult) {
-  Rng rng(3);
-  algos::TextGenConfig tc;
-  tc.vocabulary = 200;
-  const auto lines = algos::generate_text(tc, 200, rng);
-  auto parts = std::make_shared<std::vector<std::vector<std::string>>>(
-      partition_lines(lines, 16));
-  // 64 MiB simulated scan per map task stretches the job so the kill and
+  const plan::LogicalPlan p = plan::wordcount_plan(3000);
+  // 64 MiB simulated scan per source task stretches the job so the kill and
   // its detection land mid-flight.
-  auto make_job = [&] { return wordcount_job(parts, 32, {}, 64 * MiB); };
+  auto make_job = [&] {
+    JobSpec job = plan::lower_dist(p, 16);
+    job.stages[0].input_bytes_per_task = 64 * MiB;
+    return job;
+  };
 
   Cluster clean(star(8), fast_detect_config());
   const auto base = clean.run(make_job());
@@ -174,10 +160,12 @@ TEST(DistRuntime, NodeKillRecoversViaLineageWithSameResult) {
   ASSERT_TRUE(res.ok);
   const auto& st = faulty.rt.stats();
   EXPECT_GE(st.executors_declared_dead, 1u);
-  EXPECT_GE(st.tasks_recomputed, 1u);  // node 5's finished map outputs were lost
+  EXPECT_GE(st.tasks_recomputed, 1u);  // node 5's finished outputs were lost
   EXPECT_GT(res.makespan, base.makespan);
   // Bit-for-bit the same answer despite the recomputation.
-  EXPECT_EQ(to_bytes(wordcount_collect(res)), to_bytes(wordcount_collect(base)));
+  EXPECT_EQ(to_bytes(plan::rows_from_result(res)),
+            to_bytes(plan::rows_from_result(base)));
+  EXPECT_EQ(sorted_bytes(res), local_bytes(p));
 }
 
 TEST(DistRuntime, KilledNodeRecoversAndRejoins) {
@@ -491,17 +479,11 @@ TEST(DistRuntime, CheckpointChargesSimulatedNotRealBytes) {
 }
 
 TEST(DistRuntime, SinkFilePersistsErasureCodedAndReadsBackBitIdentical) {
-  Rng rng(11);
-  algos::TextGenConfig tc;
-  tc.vocabulary = 200;
-  const auto lines = algos::generate_text(tc, 300, rng);
-  auto parts = std::make_shared<std::vector<std::vector<std::string>>>(
-      partition_lines(lines, 6));
-
+  const plan::LogicalPlan p = plan::wordcount_plan(1500);
   DistConfig dc;
   dc.seed = 9;
   Cluster cl(star(8), dc);
-  JobSpec job = wordcount_job(parts, 4);
+  JobSpec job = plan::lower_dist(p, 6);
   job.sink_file = "/job/wc.out";
   RuntimeOptions opts;
   opts.sink_policy = sim::StoragePolicy::kErasureCoded;
@@ -509,6 +491,7 @@ TEST(DistRuntime, SinkFilePersistsErasureCodedAndReadsBackBitIdentical) {
   cl.rt.submit(std::move(job), opts, [&res](const JobResult& r) { res = r; });
   cl.sim.run();
   ASSERT_TRUE(res.ok);
+  EXPECT_EQ(sorted_bytes(res), local_bytes(p));
   EXPECT_TRUE(res.sink_ok);  // sink landed BEFORE the done callback fired
   EXPECT_EQ(cl.rt.stats().sink_writes, 1u);
   ASSERT_TRUE(cl.dfs.exists("/job/wc.out"));

@@ -15,7 +15,7 @@
 #include <vector>
 
 #include "chaos/plan_gen.hpp"
-#include "dist/jobs.hpp"
+#include "dist/job.hpp"
 #include "dist/runtime.hpp"
 #include "dist/slots.hpp"
 #include "dstream/runtime.hpp"

@@ -1,25 +1,28 @@
 // Tests for the push-based flow shuffle (src/dist/flow) behind the
 // ShuffleTransport seam: the shared CreditWindow's FIFO and credit rules,
-// credit exhaustion and resume under small windows,
-// multicast vs unicast bytes-on-wire for broadcast stages, readers blocking
-// ahead of in-flight streams (compute/transfer overlap), push/pull result
-// parity, lineage recovery after killing a node holding in-flight segments,
-// replay-spec round-tripping of the transport knob, and RuntimeOptions
-// threading through JobSlotPool and the serve layer.
+// credit exhaustion and resume under small windows, multicast vs unicast
+// bytes-on-wire for the broadcast stage of a lowered one-dimension star
+// join, readers blocking ahead of in-flight streams (compute/transfer
+// overlap), push/pull result parity against lower_local, lineage recovery
+// after killing a node holding in-flight segments, replay-spec
+// round-tripping of the transport knob, and RuntimeOptions threading
+// through JobSlotPool and the serve layer.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <string>
 #include <vector>
 
 #include "chaos/harness.hpp"
 #include "chaos/plan_gen.hpp"
 #include "dist/flow.hpp"
-#include "dist/jobs.hpp"
 #include "dist/runtime.hpp"
 #include "dist/slots.hpp"
 #include "exec/thread_pool.hpp"
 #include "obs/metrics.hpp"
+#include "plan/bigbench.hpp"
+#include "plan/lower.hpp"
 #include "serve/service.hpp"
 
 namespace hpbdc::dist {
@@ -245,38 +248,74 @@ TEST(Flow, ReaderAheadOfWriterBlocksUntilStreamCompletes) {
 
 // ---- broadcast / multicast -------------------------------------------------------
 
+/// A one-dimension star query: `nbuild` distinct-key dimension rows joined
+/// against `nprobe` fact rows keyed in the dimension's domain, so every
+/// probe row matches exactly once.
+plan::LogicalPlan join_plan(std::uint64_t nbuild, std::uint64_t nprobe,
+                            std::uint64_t salt) {
+  return plan::star_query(
+      {.fact_salt = salt, .fact_rows = nprobe, .fact_domain = nbuild,
+       .dims = {{.salt = salt + 1, .rows = nbuild, .domain = nbuild}},
+       .udf_stages = 0, .final_reduce = false},
+      {0});
+}
+
+/// The join lowered with its dimension as a broadcast build side.
+JobSpec broadcast_join(const plan::LogicalPlan& p, std::size_t ntasks) {
+  return plan::lower_dist(p, ntasks, {.broadcast_join_rows = p.nodes[1].rows});
+}
+
+/// Rows in one canonical order, so runs compare exactly.
+std::vector<plan::Row> sorted_rows(std::vector<plan::Row> rows) {
+  std::sort(rows.begin(), rows.end());
+  return rows;
+}
+
+std::vector<plan::Row> local_rows(const plan::LogicalPlan& p) {
+  ThreadPool pool{2};
+  dataflow::Context ctx{pool};
+  return sorted_rows(plan::lower_local(p, ctx));
+}
+
 TEST(Flow, MulticastMovesFewerBytesThanUnicastForBroadcastStage) {
-  auto bj = [] { return broadcast_join_job(512, 8192, 8, 99, 4 * MiB, 256 * 1024); };
+  const plan::LogicalPlan p = join_plan(512, 8192, 99);
+  const JobSpec bj = broadcast_join(p, 8);
+  ASSERT_EQ(std::count_if(bj.stages.begin(), bj.stages.end(),
+                          [](const StageSpec& st) { return st.broadcast; }),
+            1);
 
   Cluster uni(star(6));
-  JobSpec unicast = bj();
-  unicast.stages[0].broadcast = false;  // same replicated blocks, per-child copies
+  JobSpec unicast = bj;
+  for (StageSpec& st : unicast.stages) st.broadcast = false;  // per-child copies
   const auto ures = uni.run(unicast, push_opts());
   ASSERT_TRUE(ures.ok);
   EXPECT_EQ(uni.rt.flow_stats().multicast_segments, 0u);
 
   Cluster mc(star(6));
-  const auto mres = mc.run(bj(), push_opts());
+  const auto mres = mc.run(bj, push_opts());
   ASSERT_TRUE(mres.ok);
   EXPECT_GT(mc.rt.flow_stats().multicast_segments, 0u);
 
   // Identical join, strictly fewer bytes on the wire: the build side rides
   // one multicast stream per producer task instead of one copy per child.
-  EXPECT_EQ(broadcast_join_collect(mres), broadcast_join_collect(ures));
+  const auto rows = sorted_rows(plan::rows_from_result(mres));
+  EXPECT_EQ(rows, local_rows(p));
+  EXPECT_EQ(rows, sorted_rows(plan::rows_from_result(ures)));
   EXPECT_LT(mc.net.stats().bytes, uni.net.stats().bytes);
 }
 
 TEST(Flow, PushMatchesPullOnBroadcastJoin) {
-  auto bj = [] { return broadcast_join_job(256, 4096, 6, 7); };
+  const plan::LogicalPlan p = join_plan(256, 4096, 7);
   Cluster pull(star(5));
-  const auto pres = pull.run(bj());
+  const auto pres = pull.run(broadcast_join(p, 6));
   Cluster push(star(5));
-  const auto sres = push.run(bj(), push_opts());
+  const auto sres = push.run(broadcast_join(p, 6), push_opts());
   ASSERT_TRUE(pres.ok);
   ASSERT_TRUE(sres.ok);
-  const auto rows = broadcast_join_collect(sres);
+  const auto rows = sorted_rows(plan::rows_from_result(sres));
   EXPECT_EQ(rows.size(), 4096u);  // every probe row matches exactly once
-  EXPECT_EQ(rows, broadcast_join_collect(pres));
+  EXPECT_EQ(rows, sorted_rows(plan::rows_from_result(pres)));
+  EXPECT_EQ(rows, local_rows(p));
 }
 
 // ---- fault tolerance -------------------------------------------------------------
