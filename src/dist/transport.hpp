@@ -111,8 +111,6 @@ class ShuffleTransport {
   explicit ShuffleTransport(Env env);
   virtual ~ShuffleTransport() = default;
 
-  virtual const char* name() const noexcept = 0;
-
   /// Fence a new job epoch; `job` must outlive it. Drops all prior state.
   virtual void begin_job(const JobSpec* job, std::uint64_t epoch,
                          const RuntimeOptions& opts);
@@ -180,7 +178,6 @@ class ShuffleTransport {
 class PullTransport final : public ShuffleTransport {
  public:
   explicit PullTransport(Env env) : ShuffleTransport(std::move(env)) {}
-  const char* name() const noexcept override { return "pull"; }
   void collect(CollectRequest req) override;
 };
 
@@ -190,7 +187,6 @@ class PullTransport final : public ShuffleTransport {
 class PushTransport final : public ShuffleTransport {
  public:
   explicit PushTransport(Env env);
-  const char* name() const noexcept override { return "push"; }
   void begin_job(const JobSpec* job, std::uint64_t epoch,
                  const RuntimeOptions& opts) override;
   void publish(std::uint64_t attempt_id, std::size_t node, std::size_t stage,

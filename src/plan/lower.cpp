@@ -1,6 +1,7 @@
 #include "plan/lower.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <limits>
 
 #include "common/hash.hpp"
@@ -15,15 +16,39 @@ constexpr std::size_t kLocalParts = 4;
 // ---- dist-stage plumbing --------------------------------------------------
 
 /// Hash-partition rows by key into ntasks serialized blocks (the invariant
-/// every plan stage maintains at its output boundary).
-std::vector<Bytes> partition_rows(std::vector<Row> rows, std::size_t ntasks) {
-  std::vector<std::vector<Row>> parts(ntasks);
-  for (const Row& r : rows) {
-    parts[hash_u64(r.first) % ntasks].push_back(r);
+/// every plan stage maintains at its output boundary). A first pass picks
+/// and counts each row's child; a second writes every row straight into its
+/// child's block, allocated at its exact size. A block holds the bytes
+/// to_bytes gives the child's rows in input order: the varint count, then
+/// fixed-width rows.
+std::vector<Bytes> partition_rows(const std::vector<Row>& rows, std::size_t ntasks) {
+  using Codec = FixedWidth<Row>;
+  // Masking equals % for a power-of-two task count, and skips the divide.
+  const bool pow2 = std::has_single_bit(ntasks);
+  std::vector<std::uint32_t> child(rows.size());
+  std::vector<std::size_t> count(ntasks, 0);
+  for (std::size_t i = 0; i < rows.size(); ++i) {
+    const std::uint64_t h = hash_u64(rows[i].first);
+    child[i] = static_cast<std::uint32_t>(pow2 ? h & (ntasks - 1) : h % ntasks);
+    ++count[child[i]];
+  }
+  std::vector<BufWriter> blocks;
+  std::vector<std::byte*> at(ntasks);
+  blocks.reserve(ntasks);
+  for (std::size_t c = 0; c < ntasks; ++c) {
+    // 10 bytes hold the longest varint count.
+    BufWriter& w = blocks.emplace_back(10 + count[c] * Codec::width);
+    w.write_varint(count[c]);
+    at[c] = w.extend(count[c] * Codec::width);
+  }
+  for (std::size_t i = 0; i < rows.size(); ++i) {
+    std::byte*& p = at[child[i]];
+    Codec::store(p, rows[i]);
+    p += Codec::width;
   }
   std::vector<Bytes> out;
   out.reserve(ntasks);
-  for (auto& p : parts) out.push_back(to_bytes(p));
+  for (BufWriter& w : blocks) out.push_back(w.take());
   return out;
 }
 
@@ -163,18 +188,20 @@ std::vector<bool> pick_broadcast_nodes(const LogicalPlan& plan,
 }
 
 /// Concatenate parent `pi`'s blocks for this task, in parent-task order
-/// (deterministic regardless of fetch completion order). The first non-empty
-/// block is moved, not copied, so a single-block input costs one decode.
+/// (deterministic regardless of fetch completion order), into one vector
+/// sized up front: a block of k rows holds a varint of under 16 bytes and
+/// 16k bytes of rows, so its size / 16 is k.
 std::vector<Row> gather_rows(const std::vector<std::vector<Bytes>>& inputs,
                              std::size_t pi) {
+  const std::vector<Bytes>& blocks = inputs.at(pi);
+  if (blocks.size() == 1) return from_bytes<std::vector<Row>>(blocks.front());
+  std::size_t n = 0;
+  for (const Bytes& b : blocks) n += b.size() / FixedWidth<Row>::width;
   std::vector<Row> rows;
-  for (const Bytes& b : inputs.at(pi)) {
-    auto part = from_bytes<std::vector<Row>>(b);
-    if (rows.empty()) {
-      rows = std::move(part);
-    } else {
-      rows.insert(rows.end(), part.begin(), part.end());
-    }
+  rows.reserve(n);
+  for (const Bytes& b : blocks) {
+    const auto part = from_bytes<std::vector<Row>>(b);
+    rows.insert(rows.end(), part.begin(), part.end());
   }
   return rows;
 }
@@ -226,13 +253,47 @@ std::vector<Row> hash_join(const std::vector<Row>& lhs,
   return out;
 }
 
+/// hash_join for a join whose keys key_upper_bounds() proves below `bound`:
+/// the index is one head per key, indexed by the key itself, so there is no
+/// hash and no key compare. A row of either side at or above the bound holds
+/// a key the other side cannot, and is skipped with one compare. `next` is
+/// threaded back to front, so each key's chain runs in lhs order and the
+/// output order is hash_join's.
+template <typename Idx>
+std::vector<Row> dense_join(const std::vector<Row>& lhs, const std::vector<Row>& rhs,
+                            std::uint64_t bound) {
+  constexpr Idx kEnd = std::numeric_limits<Idx>::max();
+  std::vector<Idx> head(bound, kEnd);
+  std::vector<Idx> next(lhs.size());
+  for (std::size_t i = lhs.size(); i-- > 0;) {
+    const std::uint64_t k = lhs[i].first;
+    if (k >= bound) continue;
+    next[i] = head[k];
+    head[k] = static_cast<Idx>(i);
+  }
+  std::vector<Row> out;
+  out.reserve(rhs.size());  // exact when lhs keys are distinct, as a dimension's are
+  for (const Row& r : rhs) {
+    if (r.first >= bound) continue;
+    for (Idx i = head[r.first]; i != kEnd; i = next[i]) {
+      out.push_back(join_rows(r.first, lhs[i].second, r.second));
+    }
+  }
+  return out;
+}
+
+/// The join task's kernel: `bound` is the join's key bound when it is at
+/// most kDenseReduceMaxDomain (the dense index), 0 for the hashed one.
 std::vector<Row> local_join(const std::vector<Row>& lhs,
-                            const std::vector<Row>& rhs) {
+                            const std::vector<Row>& rhs, std::uint64_t bound) {
+  if (lhs.empty() || rhs.empty()) return {};
   // 32-bit row indices halve the index, as long as kEnd stays out of range.
   if (lhs.size() < std::numeric_limits<std::uint32_t>::max()) {
-    return hash_join<std::uint32_t>(lhs, rhs);
+    return bound != 0 ? dense_join<std::uint32_t>(lhs, rhs, bound)
+                      : hash_join<std::uint32_t>(lhs, rhs);
   }
-  return hash_join<std::uint64_t>(lhs, rhs);
+  return bound != 0 ? dense_join<std::uint64_t>(lhs, rhs, bound)
+                    : hash_join<std::uint64_t>(lhs, rhs);
 }
 
 }  // namespace
@@ -328,6 +389,7 @@ dist::JobSpec lower_dist(const LogicalPlan& plan, std::size_t ntasks,
   job.name = "plan";
   const std::vector<bool> bcast = pick_broadcast_nodes(plan, opts);
   const std::vector<SkewInfo> skew = pick_skew_roles(plan, bcast);
+  const std::vector<std::uint64_t> bounds = key_upper_bounds(plan);
   for (std::size_t i = 0; i < plan.nodes.size(); ++i) {
     const PlanNode& nd = plan.nodes[i];
     const std::uint64_t salt = nd.salt;
@@ -344,7 +406,7 @@ dist::JobSpec lower_dist(const LogicalPlan& plan, std::size_t ntasks,
       if (si.role != SkewRole::kNone) {
         return partition_rows_skewed(std::move(rows), ntasks, si);
       }
-      return partition_rows(std::move(rows), ntasks);
+      return partition_rows(rows, ntasks);
     };
     dist::StageSpec st;
     st.name = "n" + std::to_string(i);
@@ -443,13 +505,17 @@ dist::JobSpec lower_dist(const LogicalPlan& plan, std::size_t ntasks,
           return finalize(std::move(rows));
         };
         break;
-      case OpKind::kJoin:
+      case OpKind::kJoin: {
+        // Always built from the left parent, whatever build_left says: a
+        // broadcast build is the left side, and the output order is fixed.
         st.parents = {nd.left, nd.right};
-        st.run = [finalize](std::size_t,
-                            const std::vector<std::vector<Bytes>>& in) {
-          return finalize(local_join(gather_rows(in, 0), gather_rows(in, 1)));
+        const std::uint64_t bound = bounds[i] <= kDenseReduceMaxDomain ? bounds[i] : 0;
+        st.run = [finalize, bound](std::size_t,
+                                   const std::vector<std::vector<Bytes>>& in) {
+          return finalize(local_join(gather_rows(in, 0), gather_rows(in, 1), bound));
         };
         break;
+      }
       case OpKind::kSortBy:
         st.parents = {nd.left};
         st.run = [salt, finalize](std::size_t,

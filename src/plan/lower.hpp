@@ -33,8 +33,8 @@ std::vector<Row> lower_local(const LogicalPlan& plan, dataflow::Context& ctx);
 std::vector<Row> lower_columnar(const LogicalPlan& plan, Executor& ex);
 
 /// Key-domain ceiling for the dense reduce accumulator and the key-indexed
-/// join table; wider domains fall back to the sort-based grouped reduction
-/// and the hashed join table.
+/// join tables of lower_columnar and lower_dist; wider domains fall back to
+/// the sort-based grouped reduction and the hashed join tables.
 inline constexpr std::uint64_t kDenseReduceMaxDomain = 1u << 16;
 
 /// Physical choices for lower_dist beyond the plan itself.
@@ -57,7 +57,10 @@ struct LowerDistOptions {
 /// ONE stage for its whole pipeline) plus a final collect stage over the
 /// sinks. Every stage hash-partitions its output by key with a fixed task
 /// count, so the key-based operators (reduce, join, distinct) are exact
-/// per-partition.
+/// per-partition. A join task always builds from the left parent, whatever
+/// build_left says, so its output order (probe-major, then build order) is
+/// fixed; it indexes the build side by key when the join's key bound is at
+/// most kDenseReduceMaxDomain, and hashes it above.
 dist::JobSpec lower_dist(const LogicalPlan& plan, std::size_t ntasks,
                          const LowerDistOptions& opts = {});
 

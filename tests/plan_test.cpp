@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <map>
 #include <set>
@@ -15,6 +16,8 @@
 #include "dataflow/context.hpp"
 #include "exec/thread_pool.hpp"
 #include "obs/metrics.hpp"
+#include "plan/bigbench.hpp"
+#include "plan/cost.hpp"
 #include "plan/jobs.hpp"
 #include "plan/lower.hpp"
 #include "plan/optimizer.hpp"
@@ -282,24 +285,34 @@ TEST(PlanLower, ColumnarSourceBlocksMatchLocalPerShape) {
 
 // ---- dist stage kernels --------------------------------------------------------
 
-/// Runs every stage of a lowered job in-process, task by task, feeding each
-/// task the blocks its parents' tasks addressed to it (in parent-task order,
-/// as the runtime delivers them), and folds every output block's bytes into
-/// one digest.
+/// Output blocks of every task of every stage run so far: [stage][task][child].
+using StageOutputs = std::vector<std::vector<std::vector<Bytes>>>;
+
+/// The blocks task `t` of stage `s` receives: per parent, the block each of
+/// the parent's tasks addressed to it, in parent-task order, as the runtime
+/// delivers them.
+std::vector<std::vector<Bytes>> task_inputs(const dist::JobSpec& job,
+                                            const StageOutputs& out, std::size_t s,
+                                            std::size_t t) {
+  std::vector<std::vector<Bytes>> in;
+  for (const std::size_t p : job.stages[s].parents) {
+    std::vector<Bytes> blocks;
+    for (const std::vector<Bytes>& task_out : out[p]) blocks.push_back(task_out.at(t));
+    in.push_back(std::move(blocks));
+  }
+  return in;
+}
+
+/// Runs every stage of a lowered job in-process, task by task, and folds
+/// every output block's bytes into one digest.
 std::uint64_t stage_bytes_digest(const dist::JobSpec& job) {
-  std::vector<std::vector<std::vector<Bytes>>> out(job.stages.size());
+  StageOutputs out(job.stages.size());
   std::uint64_t h = 0;
   for (std::size_t s = 0; s < job.stages.size(); ++s) {
     const dist::StageSpec& st = job.stages[s];
     out[s].resize(st.ntasks);
     for (std::size_t t = 0; t < st.ntasks; ++t) {
-      std::vector<std::vector<Bytes>> in;
-      for (const std::size_t p : st.parents) {
-        std::vector<Bytes> blocks;
-        for (const std::vector<Bytes>& task_out : out[p]) blocks.push_back(task_out.at(t));
-        in.push_back(std::move(blocks));
-      }
-      out[s][t] = st.run(t, in);
+      out[s][t] = st.run(t, task_inputs(job, out, s, t));
       h = hash_combine(h, out[s][t].size());
       for (const Bytes& b : out[s][t]) {
         h = hash_combine(h, hash_bytes(reinterpret_cast<const char*>(b.data()), b.size()));
@@ -428,6 +441,129 @@ TEST(PlanLower, DistStageBytesPinnedToParent) {
     }
   }
   EXPECT_EQ(i, want.size());
+}
+
+TEST(PlanLower, DistStarStageBytesPinnedToParent) {
+  // The two cost-optimized star queries, lowered as star_etl lowers them:
+  // every dimension a broadcast build, and joins the cost model flips to
+  // build right over a broadcast dimension, which lower_dist still builds
+  // from its left parent. Digests captured before the dist join indexed its
+  // build side by key and partition_rows encoded blocks in place.
+  LowerDistOptions bc;
+  bc.broadcast_join_rows = 16384;
+  const std::vector<std::uint64_t> want = {0x9ed2f4810b56846eULL, 0x23291880d59c8e6fULL,
+                                           0x2845525844df07a6ULL, 0x9eef3be8933dea09ULL};
+  std::size_t i = 0;
+  for (StarSpec s : {sales_star(1), clickstream_star(1)}) {
+    s.fact_rows = 3000;
+    const LogicalPlan costed = cost_optimize(star_query(s, order_star_dims(s)));
+    for (const std::size_t ntasks : {3u, 4u}) {
+      const dist::JobSpec job = lower_dist(costed, ntasks, bc);
+      std::size_t flipped_over_broadcast = 0;
+      for (const PlanNode& nd : costed.nodes) {
+        flipped_over_broadcast +=
+            nd.op == OpKind::kJoin && !nd.build_left && job.stages[nd.left].broadcast;
+      }
+      EXPECT_GT(flipped_over_broadcast, 0u) << s.fact_salt;
+      const std::uint64_t h = stage_bytes_digest(job);
+      ASSERT_LT(i, want.size());
+      EXPECT_EQ(h, want[i]) << s.fact_salt << " ntasks " << ntasks << " digest 0x"
+                            << std::hex << h;
+      ++i;
+    }
+  }
+  EXPECT_EQ(i, want.size());
+}
+
+std::vector<Row> decode_blocks(const std::vector<Bytes>& blocks) {
+  std::vector<Row> rows;
+  for (const Bytes& b : blocks) {
+    const auto part = from_bytes<std::vector<Row>>(b);
+    rows.insert(rows.end(), part.begin(), part.end());
+  }
+  return rows;
+}
+
+/// The join a dist join task must compute, as a nested loop: rhs-major, and
+/// build (lhs) order within one probe row.
+std::vector<Row> nested_loop_join(const std::vector<Row>& lhs,
+                                  const std::vector<Row>& rhs) {
+  std::vector<Row> out;
+  for (const Row& r : rhs) {
+    for (const Row& l : lhs) {
+      if (l.first == r.first) out.push_back(join_rows(r.first, l.second, r.second));
+    }
+  }
+  return out;
+}
+
+TEST(PlanLower, DistJoinEqualsNestedLoopAcrossTheDenseBound) {
+  // lower_dist's join indexes its build side by key when the join's key
+  // bound is at most kDenseReduceMaxDomain and hashes it above. Either way
+  // every join task must emit, byte for byte, the nested-loop join of its
+  // inputs hash-partitioned in that order. No workload or chaos plan has a
+  // key domain above 2^16, so this is the hashed path's only exact check.
+  constexpr std::uint64_t kAt = kDenseReduceMaxDomain;
+  // A skewed salt whose hot key lies below `below`, so the hot build rows
+  // meet probe rows under a narrower bound.
+  auto salt_hot_below = [](std::uint64_t salt, std::uint64_t domain,
+                           std::uint64_t below) {
+    while (hot_key_of(shaped_source(salt, 1, domain, 1, false)) >= below) ++salt;
+    return salt;
+  };
+  struct Case {
+    std::string name;
+    PlanNode lhs, rhs;
+    bool dense;
+  };
+  const std::vector<Case> cases = {
+      // One salt on both sides: the 3000 build rows are the probe side's
+      // first 3000, and both hot keys coincide.
+      {"dense at the bound", shaped_source(0xa01ULL, 3000, kAt, 20, false),
+       shaped_source(0xa01ULL, 4000, kAt, 20, false), true},
+      {"hashed one above", shaped_source(0xa02ULL, 3000, kAt + 1, 20, false),
+       shaped_source(0xa02ULL, 4000, kAt + 1, 20, false), false},
+      // Most build keys lie at or above the join's bound of 4096.
+      {"build keys above the bound",
+       shaped_source(salt_hot_below(0xa03ULL, kAt, 4096), 3000, kAt, 200, false),
+       shaped_source(0xa04ULL, 8192, 4096, 0, true), true},
+      // Most probe keys lie at or above the join's bound of 4096.
+      {"probe keys above the bound", shaped_source(0xa05ULL, 3 * 4096, 4096, 0, true),
+       shaped_source(0xa06ULL, 3000, kAt, 0, false), true},
+  };
+  for (const Case& c : cases) {
+    const LogicalPlan p = plan_of({c.lhs, c.rhs, node(OpKind::kJoin, 0, 1)}, {2});
+    EXPECT_EQ(key_upper_bounds(p)[2] <= kDenseReduceMaxDomain, c.dense) << c.name;
+    for (const std::size_t ntasks : {3u, 4u}) {
+      const dist::JobSpec job = lower_dist(p, ntasks);
+      StageOutputs out(job.stages.size());
+      for (std::size_t s = 0; s < 2; ++s) {
+        for (std::size_t t = 0; t < ntasks; ++t) {
+          out[s].push_back(job.stages[s].run(t, task_inputs(job, out, s, t)));
+        }
+      }
+      std::size_t pairs = 0, probes_matched = 0;
+      for (std::size_t t = 0; t < ntasks; ++t) {
+        const auto in = task_inputs(job, out, 2, t);
+        const std::vector<Row> lhs = decode_blocks(in[0]), rhs = decode_blocks(in[1]);
+        const std::vector<Row> ref = nested_loop_join(lhs, rhs);
+        std::vector<std::vector<Row>> parts(ntasks);
+        for (const Row& r : ref) parts[hash_u64(r.first) % ntasks].push_back(r);
+        std::vector<Bytes> want;
+        for (const auto& part : parts) want.push_back(to_bytes(part));
+        EXPECT_EQ(job.stages[2].run(t, in), want) << c.name << " ntasks " << ntasks
+                                                  << " task " << t;
+        pairs += ref.size();
+        for (const Row& r : rhs) {
+          probes_matched += std::any_of(lhs.begin(), lhs.end(),
+                                        [&r](const Row& l) { return l.first == r.first; });
+        }
+      }
+      // Some probe row meets several build rows, so build order shows.
+      EXPECT_GT(pairs, probes_matched) << c.name;
+      EXPECT_GT(probes_matched, 0u) << c.name;
+    }
+  }
 }
 
 // ---- map-side combine -------------------------------------------------------
