@@ -1,25 +1,18 @@
 #pragma once
-// Speculative execution for MapReduce-style jobs (experiment F8): a job of
-// independent tasks runs on a cluster where some nodes are stragglers
-// (degraded to a fraction of nominal speed). Without mitigation, job
-// completion is gated by the slowest task instance; with speculation, a
+// LATE-style speculative execution policy for MapReduce-style jobs: a
 // backup copy of a slow task is launched on a free node once the task's
-// expected remaining time (at its node's speed) exceeds the typical task
-// duration by a threshold — the MapReduce/LATE policy shape. First copy to
-// finish wins; the other is killed.
+// expected remaining time exceeds the typical task duration by a
+// threshold. First copy to finish wins; the other is killed.
 
 #include <algorithm>
-#include <cstdint>
+#include <cstddef>
 #include <vector>
-
-#include "common/rng.hpp"
 
 namespace hpbdc::cluster {
 
-/// Reusable LATE-style speculation policy: tracks completed task durations
-/// and decides whether a running copy deserves a backup. Shared by the
-/// self-contained F8 simulation below and the distributed runtime
-/// (src/dist), so both speculate with identical logic.
+/// LATE-style speculation policy: tracks completed task durations and
+/// decides whether a running copy deserves a backup. The distributed
+/// runtime (src/dist) speculates through it.
 class LatePolicy {
  public:
   /// A copy merits a backup once its remaining time exceeds this many
@@ -53,27 +46,5 @@ class LatePolicy {
   double default_;
   std::vector<double> durations_;
 };
-
-struct SpeculationConfig {
-  std::size_t nodes = 20;
-  std::size_t tasks = 200;
-  double task_work = 10.0;          // seconds at nominal speed
-  double task_work_cv = 0.2;        // per-task size variation (lognormal-ish)
-  double straggler_fraction = 0.1;  // fraction of nodes degraded
-  double straggler_speed = 0.2;     // degraded nodes run at this speed
-  bool speculate = true;
-  std::uint64_t seed = 1;
-};
-
-struct SpeculationResult {
-  double makespan = 0;
-  double total_node_seconds = 0;  // work actually executed (incl. killed copies)
-  std::size_t backups_launched = 0;
-  std::size_t backups_won = 0;    // backup finished before the original
-  double wasted_seconds = 0;      // execution time of losing copies
-};
-
-/// Run the job to completion under the configured policy.
-SpeculationResult simulate_speculation(const SpeculationConfig& cfg);
 
 }  // namespace hpbdc::cluster

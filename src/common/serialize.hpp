@@ -234,10 +234,16 @@ struct Serde<std::vector<T>> {
     }
   }
   static std::vector<T> read(BufReader& r) {
+    std::vector<T> v;
+    read_append(r, v);
+    return v;
+  }
+  /// read(), decoding the elements onto the end of `v` instead of into a
+  /// fresh vector. A rejected count leaves `v` unchanged.
+  static void read_append(BufReader& r, std::vector<T>& v) {
     const auto n = r.read_varint();
     // A count past what the bytes left can hold is corrupt: reject it before
     // it sizes an allocation.
-    std::vector<T> v;
     if constexpr (kBlock) {
       // One bounds check for the block, then per-field loads.
       constexpr std::size_t kW = FixedWidth<T>::width;
@@ -245,18 +251,18 @@ struct Serde<std::vector<T>> {
         throw std::runtime_error("BufReader: truncated input");
       }
       const std::byte* p = r.take(n * kW);
-      v.resize(n);
-      for (T& e : v) {
-        FixedWidth<T>::load(p, e);
+      const std::size_t at = v.size();
+      v.resize(at + n);
+      for (std::size_t i = at; i < v.size(); ++i) {
+        FixedWidth<T>::load(p, v[i]);
         p += kW;
       }
     } else {
       // Every element encodes to at least one byte.
       if (n > r.remaining()) throw std::runtime_error("BufReader: truncated input");
-      v.reserve(n);
+      if (v.empty()) v.reserve(n);
       for (std::uint64_t i = 0; i < n; ++i) v.push_back(Serde<T>::read(r));
     }
-    return v;
   }
 };
 
@@ -275,6 +281,15 @@ T from_bytes(std::span<const std::byte> b) {
   T v = Serde<T>::read(r);
   if (!r.done()) throw std::runtime_error("from_bytes: trailing garbage");
   return v;
+}
+
+/// Deserialize a vector that occupies the entire buffer onto the end of
+/// `out`: from_bytes<std::vector<T>> without the intermediate vector.
+template <typename T>
+void append_from_bytes(std::span<const std::byte> b, std::vector<T>& out) {
+  BufReader r(b);
+  Serde<std::vector<T>>::read_append(r, out);
+  if (!r.done()) throw std::runtime_error("from_bytes: trailing garbage");
 }
 
 }  // namespace hpbdc

@@ -36,8 +36,7 @@ DistRuntime::DistRuntime(sim::Comm& comm, DistConfig cfg, sim::Dfs* dfs,
   }
   members_->subscribe(*this);
   execs_.assign(n, ExecState(cfg_));
-  // Straggler assignment: a seeded random subset runs degraded, mirroring
-  // cluster::SpeculationConfig.
+  // Straggler assignment: a seeded random subset runs degraded.
   if (cfg_.straggler_fraction > 0) {
     Rng srng(mix_seed(cfg_.seed, 3));
     std::vector<std::size_t> ids(n);

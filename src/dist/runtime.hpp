@@ -10,8 +10,8 @@
 //     or a JobSlotPool's shared one), bounded task retry,
 //     lineage-based recomputation of shuffle outputs lost to a node death,
 //     optional stage checkpointing to the DFS that truncates lineage, and
-//     LATE-style straggler speculation (the policy object is shared with
-//     src/cluster/speculation).
+//     LATE-style straggler speculation (cluster::LatePolicy, in
+//     src/cluster/speculation.hpp).
 //
 // The runtime is entirely event-driven on the single-threaded Simulator, so
 // every run is deterministic: heartbeat jitter and straggler assignment

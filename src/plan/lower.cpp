@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <bit>
 #include <limits>
+#include <span>
 
 #include "common/hash.hpp"
 #include "dataflow/pair_ops.hpp"
@@ -187,22 +188,26 @@ std::vector<bool> pick_broadcast_nodes(const LogicalPlan& plan,
   return bcast;
 }
 
+/// Decode every block of `lists`, in order, onto the end of `rows`, sized
+/// up front: a block of k rows holds a varint of under 16 bytes and 16k
+/// bytes of rows, so its size / 16 is k. Each row is decoded once, in place.
+void append_rows(std::span<const std::vector<Bytes>> lists, std::vector<Row>& rows) {
+  std::size_t n = rows.size();
+  for (const auto& blocks : lists) {
+    for (const Bytes& b : blocks) n += b.size() / FixedWidth<Row>::width;
+  }
+  rows.reserve(n);
+  for (const auto& blocks : lists) {
+    for (const Bytes& b : blocks) append_from_bytes(b, rows);
+  }
+}
+
 /// Concatenate parent `pi`'s blocks for this task, in parent-task order
-/// (deterministic regardless of fetch completion order), into one vector
-/// sized up front: a block of k rows holds a varint of under 16 bytes and
-/// 16k bytes of rows, so its size / 16 is k.
+/// (deterministic regardless of fetch completion order), into one vector.
 std::vector<Row> gather_rows(const std::vector<std::vector<Bytes>>& inputs,
                              std::size_t pi) {
-  const std::vector<Bytes>& blocks = inputs.at(pi);
-  if (blocks.size() == 1) return from_bytes<std::vector<Row>>(blocks.front());
-  std::size_t n = 0;
-  for (const Bytes& b : blocks) n += b.size() / FixedWidth<Row>::width;
   std::vector<Row> rows;
-  rows.reserve(n);
-  for (const Bytes& b : blocks) {
-    const auto part = from_bytes<std::vector<Row>>(b);
-    rows.insert(rows.end(), part.begin(), part.end());
-  }
+  append_rows(std::span(&inputs.at(pi), 1), rows);
   return rows;
 }
 
@@ -549,10 +554,7 @@ dist::JobSpec lower_dist(const LogicalPlan& plan, std::size_t ntasks,
   fin.run = [nsinks = plan.sinks.size()](
                 std::size_t, const std::vector<std::vector<Bytes>>& in) {
     std::vector<Row> rows;
-    for (std::size_t pi = 0; pi < nsinks; ++pi) {
-      auto part = gather_rows(in, pi);
-      rows.insert(rows.end(), part.begin(), part.end());
-    }
+    append_rows(std::span(in).first(nsinks), rows);
     return std::vector<Bytes>{to_bytes(rows)};
   };
   job.stages.push_back(std::move(fin));
@@ -561,12 +563,7 @@ dist::JobSpec lower_dist(const LogicalPlan& plan, std::size_t ntasks,
 
 std::vector<Row> rows_from_result(const dist::JobResult& res) {
   std::vector<Row> rows;
-  for (const auto& blocks : res.output) {
-    for (const Bytes& b : blocks) {
-      auto part = from_bytes<std::vector<Row>>(b);
-      rows.insert(rows.end(), part.begin(), part.end());
-    }
-  }
+  append_rows(res.output, rows);
   return rows;
 }
 

@@ -1,7 +1,7 @@
 #include "sim/dfs.hpp"
 
 #include <algorithm>
-#include <iterator>
+#include <cstring>
 #include <memory>
 #include <set>
 #include <span>
@@ -12,18 +12,18 @@ namespace hpbdc::sim {
 namespace {
 constexpr std::uint64_t kNamenodeRpcBytes = 256;  // metadata RPC body size
 
-/// A stripe's stored shards as ReedSolomon::reconstruct reads them: each of
+/// A stripe's stored shards as ReedSolomon::repair reads them: each of
 /// `slots` points at its bytes, every other slot is lost (nullptr).
-std::vector<const std::uint8_t*> survivors(const std::vector<storage::Shard>& shards,
-                                           std::uint64_t shard_size,
-                                           const std::vector<std::size_t>& slots) {
+std::vector<const std::uint8_t*> survivors(
+    const std::vector<std::shared_ptr<const std::uint8_t[]>>& shards,
+    const std::vector<std::size_t>& slots) {
   std::vector<const std::uint8_t*> out(shards.size(), nullptr);
   for (auto slot : slots) {
-    if (shards[slot].size() != shard_size) {
+    if (!shards[slot]) {
       throw std::logic_error("Dfs: survivor shard " + std::to_string(slot) +
                              " has lost its bytes");
     }
-    out[slot] = shards[slot].data();
+    out[slot] = shards[slot].get();
   }
   return out;
 }
@@ -163,7 +163,7 @@ bool Dfs::lose_shard(const std::string& name, std::size_t block,
   Block& b = it->second.blocks[block];
   if (shard_idx >= b.shards.size() || b.shards[shard_idx].empty()) return false;
   b.shards[shard_idx].clear();
-  if (!b.shard_data.empty()) b.shard_data[shard_idx].clear();
+  if (!b.shard_data.empty()) b.shard_data[shard_idx].reset();
   stats_.shards_lost++;
   arm_auto_repair();
   return true;
@@ -366,17 +366,29 @@ void Dfs::put(std::size_t client, const std::string& name,
     f.content = std::move(content);
     return;
   }
-  // Stripe each block's bytes into k data + m parity shards; split() pads
-  // every data shard to shard_size = ceil(size / k).
-  const std::span<const std::uint8_t> bytes(content);
+  // Stripe each block into one allocation of k data + m parity shards of
+  // shard_size = ceil(size / k) bytes: the block's bytes are copied in once,
+  // only the last data shard's pad is zeroed, and parity is encoded in
+  // place. Every slot aliases the stripe.
+  const std::size_t k = cfg_.ec_data_shards;
+  const std::size_t width = ec_stripe_width();
+  std::vector<const std::uint8_t*> data(k);
+  std::vector<std::uint8_t*> parity(width - k);
   std::uint64_t off = 0;
   for (Block& b : f.blocks) {
-    b.shard_data = storage::ReedSolomon::split(bytes.subspan(off, b.size),
-                                               cfg_.ec_data_shards);
+    const std::size_t len = b.shard_size;
+    const auto stripe = std::make_shared_for_overwrite<std::uint8_t[]>(width * len);
+    std::uint8_t* p = stripe.get();
+    std::memcpy(p, content.data() + off, b.size);
+    std::memset(p + b.size, 0, k * len - b.size);
     off += b.size;
-    auto parity = rs_.encode(b.shard_data);
-    b.shard_data.insert(b.shard_data.end(), std::make_move_iterator(parity.begin()),
-                        std::make_move_iterator(parity.end()));
+    for (std::size_t j = 0; j < k; ++j) data[j] = p + j * len;
+    for (std::size_t i = 0; i < parity.size(); ++i) parity[i] = p + (k + i) * len;
+    rs_.encode(data, len, parity);
+    b.shard_data.reserve(width);
+    for (std::size_t slot = 0; slot < width; ++slot) {
+      b.shard_data.emplace_back(stripe, p + slot * len);
+    }
   }
 }
 
@@ -581,14 +593,17 @@ void Dfs::read_ex(std::size_t client, const std::string& name, ReadFn cb) {
     std::size_t pending = 0;
     bool unavailable = false;
     bool degraded = false;
-    // Content-bearing EC files: every block reconstructs into this one
-    // file-sized buffer, at offset bi * block_size.
-    std::vector<std::uint8_t> data;
+    // Content-bearing EC files: per block, the k+m slots with the bytes of
+    // the k shards it fetched (null where not fetched), snapshotted when
+    // they land. Assembled into the file's bytes when the last block lands.
+    std::vector<std::vector<ShardBytes>> fetched;
     ReadFn cb;
   };
   auto st = std::make_shared<ReadState>();
   st->pending = f.blocks.size();
-  if (f.has_content && f.content.empty()) st->data.resize(f.size);
+  if (f.has_content && f.policy == StoragePolicy::kErasureCoded) {
+    st->fetched.resize(f.blocks.size());
+  }
   st->cb = std::move(cb);
   auto finish = [this, st, name] {
     const ReadStatus status = st->unavailable ? ReadStatus::kUnavailable
@@ -599,10 +614,14 @@ void Dfs::read_ex(std::size_t client, const std::string& name, ReadFn cb) {
       st->cb(status, {});
       return;
     }
-    // Replicated content is handed over in place: files are never removed,
-    // so the stored copy outlives the callback.
+    // Replicated content (or a size-only file's empty content) is handed
+    // over in place: files are never removed, so it outlives the callback.
     const File& file = files_.at(name);
-    st->cb(status, file.content.empty() ? st->data : file.content);
+    if (st->fetched.empty()) {
+      st->cb(status, file.content);
+      return;
+    }
+    st->cb(status, assemble(file, st->fetched));
   };
   auto done_one = [st, finish](bool ok) {
     if (!ok) st->unavailable = true;
@@ -705,23 +724,24 @@ void Dfs::read_block_ec(std::size_t client, const std::string& name,
   auto shard_done = [this, br, st, client, bi, name, chosen, degraded, replan_of,
                      done_one] {
     if (--br->remaining > 0) return;
-    // All k shards at the client: reconstruct content-bearing blocks from
-    // exactly the shards that were fetched (never a lost shard's stale
-    // bytes) — the bit-identity guarantee degraded-read tests assert.
-    if (!st->data.empty()) {
+    // All k shards at the client: content-bearing blocks keep exactly the
+    // shards that were fetched (never a lost shard's stale bytes, nor a
+    // shard lost or repaired after this point) — the bit-identity
+    // guarantee degraded-read tests assert.
+    if (!st->fetched.empty()) {
       const Block& blk = files_.at(name).blocks[bi];
       // A chosen shard lost while its fetch was in flight has no bytes to
       // decode from: re-plan the block from the slots live now, which
       // resolves kUnavailable below k.
-      if (std::any_of(chosen.begin(), chosen.end(), [&blk](std::size_t slot) {
-            return blk.shard_data[slot].size() != blk.shard_size;
-          })) {
+      if (std::any_of(chosen.begin(), chosen.end(),
+                      [&blk](std::size_t slot) { return !blk.shard_data[slot]; })) {
         read_block_ec(client, name, bi, st, done_one,
                       degraded || replan_of.value_or(false));
         return;
       }
-      rs_.reconstruct(survivors(blk.shard_data, blk.shard_size, chosen), blk.shard_size,
-                      st->data.data() + bi * cfg_.block_size, blk.size);
+      auto& got = st->fetched[bi];
+      got.assign(blk.shard_data.size(), nullptr);
+      for (auto slot : chosen) got[slot] = blk.shard_data[slot];
     }
     done_one(true);
   };
@@ -740,6 +760,33 @@ void Dfs::read_block_ec(std::size_t client, const std::string& name,
       }
     });
   }
+}
+
+std::vector<std::uint8_t> Dfs::assemble(
+    const File& f, const std::vector<std::vector<ShardBytes>>& fetched) const {
+  const std::size_t k = cfg_.ec_data_shards;
+  std::vector<std::uint8_t> out;
+  out.reserve(f.size);
+  std::vector<const std::uint8_t*> ptrs(ec_stripe_width());
+  for (std::size_t bi = 0; bi < f.blocks.size(); ++bi) {
+    const Block& b = f.blocks[bi];
+    for (std::size_t slot = 0; slot < ptrs.size(); ++slot) {
+      ptrs[slot] = fetched[bi][slot].get();
+    }
+    for (std::size_t j = 0; j < k && j * b.shard_size < b.size; ++j) {
+      const std::size_t n = std::min(b.shard_size, b.size - j * b.shard_size);
+      if (ptrs[j] != nullptr) {
+        out.insert(out.end(), ptrs[j], ptrs[j] + n);
+        continue;
+      }
+      // Not fetched: decode this data shard's n bytes from the k fetched.
+      const std::size_t at = out.size();
+      out.resize(at + n);
+      std::uint8_t* dst = out.data() + at;
+      rs_.repair(ptrs, n, std::span(&j, 1), std::span(&dst, 1));
+    }
+  }
+  return out;
 }
 
 // ---------------------------------------------------------------------------
@@ -894,11 +941,13 @@ void Dfs::plan_ec_repair(const std::string& name, std::size_t bi, StatePtr st,
   // are only published when their disk writes land, so a concurrent
   // degraded read still reconstructs from survivors).
   if (file.has_content && !block.shard_data.empty()) {
-    auto rebuilt =
-        rs_.repair(survivors(block.shard_data, block.shard_size, survivor_slots),
-                   block.shard_size, lost_slots);
+    const std::size_t len = block.shard_size;
+    const auto fresh = std::make_shared_for_overwrite<std::uint8_t[]>(lost_slots.size() * len);
+    std::vector<std::uint8_t*> out(lost_slots.size());
+    for (std::size_t i = 0; i < out.size(); ++i) out[i] = fresh.get() + i * len;
+    rs_.repair(survivors(block.shard_data, survivor_slots), len, lost_slots, out);
     for (std::size_t i = 0; i < lost_slots.size(); ++i) {
-      block.shard_data[lost_slots[i]] = std::move(rebuilt[i]);
+      block.shard_data[lost_slots[i]] = ShardBytes(fresh, out[i]);
     }
   }
 

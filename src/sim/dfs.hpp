@@ -43,6 +43,7 @@
 #include <cstdint>
 #include <functional>
 #include <map>
+#include <memory>
 #include <optional>
 #include <string>
 #include <vector>
@@ -69,7 +70,7 @@ class Disk {
       : bandwidth_bps_(bandwidth_bps), seek_time_(seek_time) {}
 
   /// Schedule an access of `bytes`; cb fires at completion time.
-  void access(Simulator& sim, std::uint64_t bytes, std::function<void()> cb) {
+  void access(Simulator& sim, std::uint64_t bytes, Action cb) {
     const SimTime start = std::max(sim.now(), free_);
     const SimTime end = start + seek_time_ + static_cast<double>(bytes) / bandwidth_bps_;
     free_ = end;
@@ -260,13 +261,18 @@ class Dfs {
   }
 
  private:
+  using ShardBytes = std::shared_ptr<const std::uint8_t[]>;
   struct Block {
     std::uint64_t size = 0;
     std::vector<std::size_t> replicas;  // kReplicated
     // kErasureCoded: holders per shard slot; slot i < k is data shard i.
     std::vector<std::vector<std::size_t>> shards;
     std::uint64_t shard_size = 0;
-    std::vector<storage::Shard> shard_data;  // content files only (k+m slots)
+    // Content files only: k+m slots of shard_size bytes. Slots written by
+    // put() alias one allocation per stripe; a repaired slot owns fresh
+    // memory; a lost slot is null. The bytes are immutable, so a read that
+    // snapshots a slot keeps exactly the bytes it fetched.
+    std::vector<ShardBytes> shard_data;
   };
   struct File {
     std::uint64_t size = 0;
@@ -309,6 +315,12 @@ class Dfs {
   void read_block_ec(std::size_t client, const std::string& name, std::size_t bi,
                      StatePtr st, DoneOne done_one,
                      std::optional<bool> replan_of = std::nullopt);
+  /// A content EC file's bytes in block order, from the k slots each block
+  /// fetched (`fetched[bi]`: k+m slots, null where not fetched). Fetched
+  /// data shards are appended; only a data shard that was not fetched is
+  /// decoded, into the tail.
+  std::vector<std::uint8_t> assemble(const File& f,
+                                     const std::vector<std::vector<ShardBytes>>& fetched) const;
   void arm_auto_repair();
   /// Pace `bytes` through the repair throttle; cb fires when the transfer
   /// may start (immediately when unthrottled).

@@ -31,10 +31,20 @@ std::vector<Shard> ReedSolomon::encode(const std::vector<Shard>& data) const {
     srcs[j] = data[j].data();
   }
   std::vector<Shard> parity(m_, Shard(len));
-  for (std::size_t i = 0; i < m_; ++i) {
-    dot(&parity_tables_[i * k_], srcs.data(), k_, parity[i].data(), len);
-  }
+  std::vector<std::uint8_t*> dsts(m_);
+  for (std::size_t i = 0; i < m_; ++i) dsts[i] = parity[i].data();
+  encode(srcs, len, dsts);
   return parity;
+}
+
+void ReedSolomon::encode(std::span<const std::uint8_t* const> data, std::size_t len,
+                         std::span<std::uint8_t* const> parity) const {
+  if (data.size() != k_) throw std::invalid_argument("ReedSolomon: need k data shards");
+  if (parity.size() != m_) throw std::invalid_argument("ReedSolomon: need m parity shards");
+  if (len == 0) return;  // empty shards have no bytes to point at
+  for (std::size_t i = 0; i < m_; ++i) {
+    dot(&parity_tables_[i * k_], data.data(), k_, parity[i], len);
+  }
 }
 
 std::vector<Shard> ReedSolomon::decode(
@@ -76,6 +86,19 @@ void ReedSolomon::reconstruct(std::span<const std::uint8_t* const> shards,
 std::vector<Shard> ReedSolomon::repair(std::span<const std::uint8_t* const> shards,
                                        std::size_t shard_len,
                                        std::span<const std::size_t> lost) const {
+  std::vector<Shard> out(lost.size(), Shard(shard_len));
+  std::vector<std::uint8_t*> dsts(lost.size());
+  for (std::size_t i = 0; i < lost.size(); ++i) dsts[i] = out[i].data();
+  repair(shards, shard_len, lost, dsts);
+  return out;
+}
+
+void ReedSolomon::repair(std::span<const std::uint8_t* const> shards, std::size_t len,
+                         std::span<const std::size_t> lost,
+                         std::span<std::uint8_t* const> out) const {
+  if (out.size() != lost.size()) {
+    throw std::invalid_argument("ReedSolomon: one output per lost slot");
+  }
   const auto rows = basis(shards);
   // Lost slot s is row s of [I_k ; C] times the data, and the data is the
   // inverse times the survivors: so its coefficients over the survivors
@@ -89,12 +112,11 @@ std::vector<Shard> ReedSolomon::repair(std::span<const std::uint8_t* const> shar
                                      : parity_rows_.at(slot - k_, c);
     }
   }
+  if (len == 0) return;  // empty shards have no bytes to point at
   const GFMatrix coeffs = lost_rows.mul(decode_matrix(rows));
-  std::vector<Shard> out(lost.size(), Shard(shard_len));
   for (std::size_t i = 0; i < lost.size(); ++i) {
-    dot_row(coeffs, i, rows, shards, out[i].data(), shard_len);
+    dot_row(coeffs, i, rows, shards, out[i], len);
   }
-  return out;
 }
 
 std::vector<std::size_t> ReedSolomon::basis(

@@ -25,8 +25,16 @@ class ReedSolomon {
   /// Requires 1 <= k, 0 <= m, k + m <= 256.
   ReedSolomon(std::size_t k, std::size_t m);
 
-  /// Compute m parity shards from k equal-length data shards.
+  /// Compute m parity shards from k equal-length data shards. A wrapper over
+  /// the pointer form.
   std::vector<Shard> encode(const std::vector<Shard>& data) const;
+
+  /// Pointer form of encode(): parity shard i of the k `len`-byte data
+  /// shards goes to parity[i]. Each parity byte is written once, so the
+  /// parity buffers may be uninitialised. Throws std::invalid_argument
+  /// unless there are k data and m parity pointers.
+  void encode(std::span<const std::uint8_t* const> data, std::size_t len,
+              std::span<std::uint8_t* const> parity) const;
 
   /// Reconstruct the original k data shards from any k survivors.
   /// `shards[i]` is shard i (0..k-1 data, k..k+m-1 parity) or nullopt if
@@ -48,9 +56,18 @@ class ReedSolomon {
   /// of the survivor matrix's inverse; parity slot p is Cauchy row p times
   /// that inverse; either way one dot product over the k survivors. Throws
   /// std::invalid_argument if fewer than k survive or a slot is out of range.
+  /// A wrapper over the pointer form.
   std::vector<Shard> repair(std::span<const std::uint8_t* const> shards,
                             std::size_t shard_len,
                             std::span<const std::size_t> lost) const;
+
+  /// Pointer form of repair(): the first `len` bytes of slot lost[i] go to
+  /// out[i], each byte written once, so `out` may be uninitialised. `len`
+  /// may be shorter than the survivors (a stripe's partial last shard).
+  /// Throws as repair() does, or if `out` and `lost` differ in size.
+  void repair(std::span<const std::uint8_t* const> shards, std::size_t len,
+              std::span<const std::size_t> lost,
+              std::span<std::uint8_t* const> out) const;
 
   /// Split a byte blob into k data shards of shard_len = ceil(n/k) bytes;
   /// only the bytes past the blob's end are zero-padded.

@@ -568,6 +568,101 @@ TEST(DfsEc, ShardLostMidReadResolvesTyped) {
   }
 }
 
+// A read keeps the bytes of the shards it fetched: losing a fetched shard
+// of block 0 after its shards land, and repairing it, while later blocks are
+// still in flight, must not change what the read returns.
+TEST(DfsEc, ShardLostAndRepairedAfterItsBlockLandedReadsFetchedBytes) {
+  for (const bool repair : {false, true}) {
+    SCOPED_TRACE(repair ? "lost, then repaired" : "lost");
+    DfsConfig cfg;
+    cfg.block_size = MiB;
+    NetworkConfig nc;
+    nc.nodes = 16;  // flat: a healthy block fetches its k data slots
+    DfsFixture f(cfg, nc);
+    const auto content = pattern_bytes(5 * MiB + 12345, 0x7b);  // six blocks
+    f.dfs.put(0, "/ec", content, StoragePolicy::kErasureCoded, [](bool) {});
+    f.sim.run();
+    const auto before = f.dfs.stats();
+
+    bool resolved = false;
+    ReadStatus status{};
+    std::vector<std::uint8_t> got;
+    f.dfs.read_ex(5, "/ec", [&](ReadStatus s, const std::vector<std::uint8_t>& d) {
+      resolved = true;
+      status = s;
+      got = d;
+    });
+    bool in_flight = false;
+    bool repaired = false;
+    // Block 0's shards land at about 4.3 ms, the last block at about 10.4 ms.
+    f.sim.schedule_after(7e-3, [&] {
+      in_flight = !resolved;
+      ASSERT_TRUE(f.dfs.lose_shard("/ec", 0, 0));
+      if (repair) f.dfs.re_replicate([&] { repaired = true; });
+    });
+    f.sim.run();
+    ASSERT_TRUE(in_flight);
+    ASSERT_TRUE(resolved);
+    // Slot 0 was fetched, and the read did not re-plan block 0 (which would
+    // fetch k more shards and flag it degraded): its shards had landed.
+    const auto shard_reads = [](const DfsStats& s) {
+      return s.ec_shard_reads_same_rack + s.ec_shard_reads_cross_rack;
+    };
+    EXPECT_EQ(shard_reads(f.dfs.stats()), shard_reads(before) + 6 * cfg.ec_data_shards);
+    EXPECT_EQ(status, ReadStatus::kOk);
+    EXPECT_EQ(got, content);
+    if (!repair) continue;
+    ASSERT_TRUE(repaired);
+    EXPECT_EQ(f.dfs.stats().shards_repaired, before.shards_repaired + 1);
+    // The next read fetches the rebuilt slot.
+    got.clear();
+    f.dfs.read_ex(5, "/ec", [&](ReadStatus s, const std::vector<std::uint8_t>& d) {
+      status = s;
+      got = d;
+    });
+    f.sim.run();
+    EXPECT_EQ(status, ReadStatus::kOk);
+    EXPECT_EQ(got, content);
+  }
+}
+
+// One read whose blocks mix fetched and decoded data shards: a block with
+// two data slots lost, healthy blocks, and a last block whose lost data
+// shard is partial (shards of 3 bytes short) or a single byte (a 5-byte
+// block has data shards of 2, 2 and 1 bytes and an empty fourth).
+TEST(DfsEc, ReadMixesFetchedAndDecodedShardsAcrossBlocks) {
+  struct Case {
+    std::uint64_t last_block;
+    std::size_t last_lost;  // the last block's lost data slot
+  };
+  for (const Case c : {Case{300 * 1024 + 1, 3}, Case{5, 2}}) {
+    SCOPED_TRACE("last block " + std::to_string(c.last_block) + " B");
+    DfsConfig cfg;
+    cfg.block_size = MiB;
+    NetworkConfig nc;
+    nc.nodes = 16;
+    DfsFixture f(cfg, nc);
+    const auto content = pattern_bytes(3 * MiB + c.last_block, 0x2d);
+    f.dfs.put(0, "/ec", content, StoragePolicy::kErasureCoded, [](bool) {});
+    f.sim.run();
+    ASSERT_TRUE(f.dfs.lose_shard("/ec", 0, 0));
+    ASSERT_TRUE(f.dfs.lose_shard("/ec", 0, 2));
+    ASSERT_TRUE(f.dfs.lose_shard("/ec", 2, 1));
+    ASSERT_TRUE(f.dfs.lose_shard("/ec", 3, c.last_lost));
+    ReadStatus status{};
+    std::vector<std::uint8_t> got;
+    f.dfs.read_ex(9, "/ec", [&](ReadStatus s, const std::vector<std::uint8_t>& d) {
+      status = s;
+      got = d;
+    });
+    f.sim.run();
+    EXPECT_EQ(status, ReadStatus::kDegraded);
+    EXPECT_EQ(f.dfs.stats().degraded_reads, 3u);  // blocks 0, 2 and 3; not 1
+    ASSERT_EQ(got.size(), content.size());
+    EXPECT_EQ(got, content);
+  }
+}
+
 // ISSUE-named regression: repair re-encodes a lost shard onto a new node;
 // when the original holder later recovers, the next repair pass trims the
 // over-repaired copy so every slot keeps exactly one live holder.

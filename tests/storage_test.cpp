@@ -567,6 +567,88 @@ TEST(ReedSolomon, RepairRebuildsEveryLostSlot) {
   }
 }
 
+// The pointer forms the block store codes through: encode() into
+// uninitialised (here garbage-filled, unaligned) buffers equals the vector
+// form, and repair() of a len-byte prefix equals the prefix of the vector
+// repair, writing nothing past len. Random (k, m, len, lost) shapes.
+TEST(ReedSolomon, PointerFormsMatchVectorForms) {
+  Rng rng(0x9f0e);
+  for (int trial = 0; trial < 200; ++trial) {
+    const std::size_t k = 1 + rng.next_below(10);
+    const std::size_t m = rng.next_below(5);
+    const std::size_t len = trial % 8 == 0 ? 4096 + rng.next_below(300)
+                                           : 1 + rng.next_below(300);
+    SCOPED_TRACE("RS(" + std::to_string(k) + "," + std::to_string(m) +
+                 ") len=" + std::to_string(len));
+    const ReedSolomon rs(k, m);
+    std::vector<Shard> shards(k, Shard(len));
+    for (auto& s : shards) {
+      for (auto& b : s) b = static_cast<std::uint8_t>(rng());
+    }
+    const auto parity = rs.encode(shards);
+
+    constexpr std::size_t kGuard = 8;
+    constexpr std::uint8_t kJunk = 0xa5;
+    std::vector<const std::uint8_t*> srcs(k);
+    for (std::size_t j = 0; j < k; ++j) srcs[j] = shards[j].data();
+    std::vector<std::vector<std::uint8_t>> bufs(m);
+    std::vector<std::uint8_t*> dsts(m);
+    for (std::size_t i = 0; i < m; ++i) {
+      const std::size_t off = 1 + (i + trial) % 15;
+      bufs[i].assign(off + len + kGuard, kJunk);
+      dsts[i] = bufs[i].data() + off;
+    }
+    rs.encode(srcs, len, dsts);
+    for (std::size_t i = 0; i < m; ++i) {
+      ASSERT_TRUE(std::equal(parity[i].begin(), parity[i].end(), dsts[i])) << "parity " << i;
+      ASSERT_TRUE(std::all_of(dsts[i] + len, dsts[i] + len + kGuard,
+                              [](std::uint8_t b) { return b == kJunk; }));
+    }
+    shards.insert(shards.end(), parity.begin(), parity.end());
+
+    // Lose a random set of at most m slots (at least one when m > 0).
+    std::vector<std::size_t> slots(k + m);
+    for (std::size_t i = 0; i < slots.size(); ++i) slots[i] = i;
+    rng.shuffle(slots);
+    std::vector<std::size_t> lost(slots.begin(),
+                                  slots.begin() + static_cast<std::ptrdiff_t>(
+                                                      m == 0 ? 0 : 1 + rng.next_below(m)));
+    std::vector<const std::uint8_t*> ptrs(k + m, nullptr);
+    for (std::size_t i = 0; i < k + m; ++i) {
+      if (std::find(lost.begin(), lost.end(), i) == lost.end()) ptrs[i] = shards[i].data();
+    }
+    const auto whole = rs.repair(ptrs, len, lost);
+    const std::size_t plen = rng.next_below(len + 1);
+    std::vector<std::vector<std::uint8_t>> outs(lost.size(),
+                                                std::vector<std::uint8_t>(plen + kGuard, kJunk));
+    std::vector<std::uint8_t*> out(lost.size());
+    for (std::size_t i = 0; i < lost.size(); ++i) out[i] = outs[i].data();
+    rs.repair(ptrs, plen, lost, out);
+    for (std::size_t i = 0; i < lost.size(); ++i) {
+      ASSERT_EQ(whole[i], shards[lost[i]]) << "slot " << lost[i];
+      ASSERT_TRUE(std::equal(out[i], out[i] + plen, whole[i].begin()))
+          << "slot " << lost[i] << " prefix " << plen;
+      ASSERT_TRUE(std::all_of(out[i] + plen, out[i] + plen + kGuard,
+                              [](std::uint8_t b) { return b == kJunk; }))
+          << "wrote past len=" << plen;
+    }
+  }
+
+  // Shape errors: pointer counts that do not match k, m or `lost`.
+  const ReedSolomon rs(4, 2);
+  std::vector<std::uint8_t> buf(6 * 8);
+  std::vector<const std::uint8_t*> src(4);
+  std::vector<std::uint8_t*> dst(2);
+  for (std::size_t i = 0; i < 4; ++i) src[i] = buf.data() + i * 8;
+  for (std::size_t i = 0; i < 2; ++i) dst[i] = buf.data() + (4 + i) * 8;
+  EXPECT_THROW(rs.encode(std::span(src).first(3), 8, dst), std::invalid_argument);
+  EXPECT_THROW(rs.encode(src, 8, std::span(dst).first(1)), std::invalid_argument);
+  std::vector<const std::uint8_t*> ptrs(6, nullptr);
+  for (std::size_t i = 1; i < 6; ++i) ptrs[i] = buf.data() + i * 8;
+  const std::vector<std::size_t> lost{0};
+  EXPECT_THROW(rs.repair(ptrs, 8, lost, std::span(dst).first(2)), std::invalid_argument);
+}
+
 // GF(256) property sweep beyond the axioms above: division inverts
 // multiplication and inversion is an involution, across seeded draws.
 TEST(GF256, DivisionAndInvolutionSweep) {
