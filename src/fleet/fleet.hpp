@@ -3,9 +3,8 @@
 // fixed simulated cluster into a demand-shaped cloud deployment. A
 // FleetController polls the serve layer's own signals on the sim clock —
 // executor-slot utilization, queue depth, backpressure, and the
-// deadline-miss rate — feeds them through the SAME target-tracking policy
-// the F7 autoscaler experiment validated (cluster::TargetTracker), and
-// actuates capacity in two coupled layers:
+// deadline-miss rate — feeds them through a target-tracking policy
+// (cluster::TargetTracker), and actuates capacity in two coupled layers:
 //
 //   nodes — each non-driver cluster node is a machine with a lifecycle:
 //           off -> (provision_delay) -> active -> draining -> off. A warm

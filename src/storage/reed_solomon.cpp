@@ -1,7 +1,6 @@
 #include "storage/reed_solomon.hpp"
 
 #include <algorithm>
-#include <cstring>
 #include <stdexcept>
 
 namespace hpbdc::storage {
@@ -67,20 +66,23 @@ std::vector<Shard> ReedSolomon::decode(
     ptrs[i] = shards[i]->data();
   }
   if (found < k_) throw std::invalid_argument("ReedSolomon: fewer than k shards survive");
-  std::vector<Shard> out(k_, Shard(len));
-  if (len == 0) return out;  // empty shards have no bytes to point at
-  std::vector<std::uint8_t*> dst(k_);
-  for (std::size_t j = 0; j < k_; ++j) dst[j] = out[j].data();
-  rebuild(ptrs, len, dst, k_ * len);
+  // A surviving data shard is in the basis, so it is copied; the lost ones
+  // are rebuilt by one repair().
+  std::vector<Shard> out(k_);
+  std::vector<std::size_t> lost;
+  std::vector<std::uint8_t*> dsts;
+  for (std::size_t j = 0; j < k_; ++j) {
+    if (shards[j]) {
+      out[j] = *shards[j];
+      continue;
+    }
+    out[j].resize(len);
+    lost.push_back(j);
+    dsts.push_back(out[j].data());
+  }
+  // Empty shards have no bytes to point at, so they name no survivors.
+  if (len > 0 && !lost.empty()) repair(ptrs, len, lost, dsts);
   return out;
-}
-
-void ReedSolomon::reconstruct(std::span<const std::uint8_t* const> shards,
-                              std::size_t shard_len, std::uint8_t* out,
-                              std::size_t n) const {
-  std::vector<std::uint8_t*> dst(k_, nullptr);
-  for (std::size_t j = 0; j < k_ && j * shard_len < n; ++j) dst[j] = out + j * shard_len;
-  rebuild(shards, shard_len, dst, n);
 }
 
 std::vector<Shard> ReedSolomon::repair(std::span<const std::uint8_t* const> shards,
@@ -162,28 +164,6 @@ void ReedSolomon::dot_row(const GFMatrix& coeffs, std::size_t row,
     srcs.push_back(shards[rows[r]]);
   }
   dot(tables.data(), srcs.data(), srcs.size(), dst, len);
-}
-
-void ReedSolomon::rebuild(std::span<const std::uint8_t* const> shards,
-                          std::size_t shard_len, std::span<std::uint8_t* const> out,
-                          std::size_t n) const {
-  const auto rows = basis(shards);
-  if (n > k_ * shard_len) {
-    throw std::invalid_argument("ReedSolomon: n exceeds k * shard_len");
-  }
-  // A surviving data shard is one of the basis rows, so its row of the
-  // inverse is a unit vector: copy it. Only a lost one needs the inverse,
-  // data[j] = sum_r inv[j][r] * survivor[r], one dot product.
-  std::optional<GFMatrix> inv;
-  for (std::size_t j = 0; j < k_ && j * shard_len < n; ++j) {
-    const std::size_t len = std::min(shard_len, n - j * shard_len);
-    if (shards[j] != nullptr) {
-      std::memcpy(out[j], shards[j], len);
-      continue;
-    }
-    if (!inv) inv = decode_matrix(rows);
-    dot_row(*inv, j, rows, shards, out[j], len);
-  }
 }
 
 std::vector<Shard> ReedSolomon::split(std::span<const std::uint8_t> blob,

@@ -39,24 +39,18 @@ class ReedSolomon {
   /// Reconstruct the original k data shards from any k survivors.
   /// `shards[i]` is shard i (0..k-1 data, k..k+m-1 parity) or nullopt if
   /// lost. Throws std::invalid_argument if fewer than k survive or the
-  /// survivors differ in length. A wrapper over reconstruct().
+  /// survivors differ in length. Copies the surviving data shards and
+  /// rebuilds the lost ones with one pointer-form repair().
   std::vector<Shard> decode(const std::vector<std::optional<Shard>>& shards) const;
-
-  /// Reconstruct the first `n` bytes of the blob that split() striped into
-  /// the data shards, writing them straight to `out`. `shards[i]` points at
-  /// shard i's `shard_len` bytes, or is nullptr if lost. The first k
-  /// survivors in slot order are the basis, as in decode(). Throws
-  /// std::invalid_argument if fewer than k survive or n > k * shard_len.
-  void reconstruct(std::span<const std::uint8_t* const> shards,
-                   std::size_t shard_len, std::uint8_t* out, std::size_t n) const;
 
   /// Rebuild the shards of the `lost` slots (data or parity, any order)
   /// from the first k survivors in slot order, one shard_len-byte shard per
-  /// entry of `lost`. `shards` is as in reconstruct(). Data slot j is row j
-  /// of the survivor matrix's inverse; parity slot p is Cauchy row p times
-  /// that inverse; either way one dot product over the k survivors. Throws
-  /// std::invalid_argument if fewer than k survive or a slot is out of range.
-  /// A wrapper over the pointer form.
+  /// entry of `lost`. `shards[i]` points at shard i's `shard_len` bytes, or
+  /// is nullptr if lost. Data slot j is row j of the survivor matrix's
+  /// inverse; parity slot p is Cauchy row p times that inverse; either way
+  /// one dot product over the k survivors. Throws std::invalid_argument if
+  /// fewer than k survive or a slot is out of range. A wrapper over the
+  /// pointer form.
   std::vector<Shard> repair(std::span<const std::uint8_t* const> shards,
                             std::size_t shard_len,
                             std::span<const std::size_t> lost) const;
@@ -78,11 +72,6 @@ class ReedSolomon {
                                         std::size_t original_size);
 
  private:
-  /// The core: data shard j's first min(shard_len, n - j * shard_len)
-  /// bytes go to out[j], for every j with j * shard_len < n.
-  void rebuild(std::span<const std::uint8_t* const> shards, std::size_t shard_len,
-               std::span<std::uint8_t* const> out, std::size_t n) const;
-
   /// Slots of the first k survivors (non-null entries). Throws
   /// std::invalid_argument unless there are k + m slots and k survivors.
   std::vector<std::size_t> basis(std::span<const std::uint8_t* const> shards) const;

@@ -1,6 +1,5 @@
-// Tests for the autoscaler: policy behaviour on synthetic load traces,
-// boot-lag effects, cooldowns, and the cost/availability trade-off against
-// static fleets.
+// Tests for the target-tracking autoscaling policy that the fleet
+// controller runs: targets, cooldowns and instance bounds.
 
 #include <gtest/gtest.h>
 
@@ -8,141 +7,6 @@
 
 namespace hpbdc::cluster {
 namespace {
-
-AutoscalerConfig fast_cfg() {
-  AutoscalerConfig cfg;
-  cfg.capacity_per_instance = 100;
-  cfg.target_utilization = 0.7;
-  cfg.evaluation_period = 30;
-  cfg.boot_time = 60;
-  cfg.scale_up_cooldown = 30;
-  cfg.scale_down_cooldown = 120;
-  return cfg;
-}
-
-std::vector<double> constant_load(std::size_t periods, double rps) {
-  return std::vector<double>(periods, rps);
-}
-
-// ---- basics -----------------------------------------------------------------------
-
-TEST(Autoscaler, ScalesUpToMeetConstantLoad) {
-  const auto cfg = fast_cfg();
-  auto res = simulate_autoscaler(cfg, constant_load(100, 1000));
-  // Steady state: ceil(1000 / (100 * 0.7)) = 15 instances.
-  EXPECT_EQ(res.trace.back().running, 15u);
-  // Once converged, nothing drops.
-  EXPECT_EQ(res.trace.back().dropped, 0.0);
-  EXPECT_GT(res.scale_ups, 0u);
-}
-
-TEST(Autoscaler, InitialRampDropsDuringBoot) {
-  const auto cfg = fast_cfg();
-  auto res = simulate_autoscaler(cfg, constant_load(100, 1000));
-  // The first periods run with min_instances while capacity boots.
-  EXPECT_GT(res.trace.front().dropped, 0.0);
-  EXPECT_GT(res.dropped_fraction, 0.0);
-  EXPECT_LT(res.dropped_fraction, 0.2);
-}
-
-TEST(Autoscaler, ScalesDownAfterLoadFalls) {
-  const auto cfg = fast_cfg();
-  auto load = constant_load(60, 2000);
-  auto tail = constant_load(120, 100);
-  load.insert(load.end(), tail.begin(), tail.end());
-  auto res = simulate_autoscaler(cfg, load);
-  EXPECT_GT(res.scale_downs, 0u);
-  // Final fleet sized for 100 rps: ceil(100/70) = 2.
-  EXPECT_EQ(res.trace.back().running, 2u);
-}
-
-TEST(Autoscaler, RespectsInstanceBounds) {
-  auto cfg = fast_cfg();
-  cfg.max_instances = 5;
-  auto res = simulate_autoscaler(cfg, constant_load(100, 10000));
-  for (const auto& s : res.trace) {
-    EXPECT_LE(s.running, 5u);
-    EXPECT_GE(s.running, cfg.min_instances);
-  }
-  // Capped fleet under 10k rps load: persistent drops.
-  EXPECT_GT(res.dropped_fraction, 0.5);
-}
-
-TEST(Autoscaler, CooldownLimitsOrderRate) {
-  auto cfg = fast_cfg();
-  cfg.scale_up_cooldown = 600;  // one order per 20 periods
-  auto res = simulate_autoscaler(cfg, constant_load(40, 5000));
-  EXPECT_LE(res.scale_ups, 3u);
-}
-
-TEST(Autoscaler, RejectsBadConfig) {
-  auto cfg = fast_cfg();
-  cfg.target_utilization = 0;
-  EXPECT_THROW(simulate_autoscaler(cfg, {}), std::invalid_argument);
-  cfg = fast_cfg();
-  cfg.min_instances = 10;
-  cfg.max_instances = 5;
-  EXPECT_THROW(simulate_autoscaler(cfg, {}), std::invalid_argument);
-  EXPECT_THROW(simulate_static_fleet(fast_cfg(), 0, {}), std::invalid_argument);
-}
-
-// ---- vs static fleets ---------------------------------------------------------------
-
-TEST(Autoscaler, CheaperThanPeakProvisionedStatic) {
-  const auto cfg = fast_cfg();
-  Rng rng(7);
-  LoadTraceConfig lcfg;
-  lcfg.base_rps = 1000;
-  auto load = generate_load_trace(lcfg, rng);
-  const double peak = *std::max_element(load.begin(), load.end());
-  const auto peak_fleet = static_cast<std::size_t>(
-      std::ceil(peak / (cfg.capacity_per_instance * cfg.target_utilization)));
-
-  auto scaled = simulate_autoscaler(cfg, load);
-  auto overprov = simulate_static_fleet(cfg, peak_fleet, load);
-  EXPECT_LT(scaled.instance_seconds, overprov.instance_seconds * 0.8);
-  EXPECT_EQ(overprov.dropped_fraction, 0.0);
-  EXPECT_LT(scaled.dropped_fraction, 0.05);
-}
-
-TEST(Autoscaler, UnderProvisionedStaticDropsMore) {
-  const auto cfg = fast_cfg();
-  Rng rng(8);
-  LoadTraceConfig lcfg;
-  auto load = generate_load_trace(lcfg, rng);
-  auto scaled = simulate_autoscaler(cfg, load);
-  auto tiny = simulate_static_fleet(cfg, 3, load);  // 300 rps capacity
-  EXPECT_GT(tiny.dropped_fraction, scaled.dropped_fraction);
-}
-
-// ---- load trace ------------------------------------------------------------------
-
-TEST(LoadTrace, ShapeAndDeterminism) {
-  LoadTraceConfig cfg;
-  cfg.periods = 200;
-  Rng a(1), b(1);
-  auto la = generate_load_trace(cfg, a);
-  auto lb = generate_load_trace(cfg, b);
-  EXPECT_EQ(la, lb);
-  ASSERT_EQ(la.size(), 200u);
-  for (double v : la) EXPECT_GE(v, 0.0);
-  // Flash crowd: the mid-trace spike towers over the early trough.
-  const double spike = *std::max_element(la.begin() + 100, la.begin() + 120);
-  const double trough = la[10];
-  EXPECT_GT(spike, trough * 2);
-}
-
-TEST(LoadTrace, FlashCrowdOptional) {
-  LoadTraceConfig with, without;
-  without.flash_crowd = false;
-  Rng a(2), b(2);
-  auto lw = generate_load_trace(with, a);
-  auto lo = generate_load_trace(without, b);
-  const auto mid = lw.size() / 2;
-  EXPECT_GT(lw[mid + 2], lo[mid + 2] * 2);
-}
-
-// ---- TargetTracker (the decision core shared with src/fleet) ----------------------
 
 TEST(TargetTracker, TargetsAndCooldownsMatchThePolicy) {
   // capacity 100 @ 0.7 target: 350 rps wants ceil(350/70) = 5 instances.

@@ -277,7 +277,7 @@ TEST(ReedSolomon, ZeroLengthAndNonMultipleBlocks) {
 }
 
 // Both decode paths (every data shard present, or some rebuilt from
-// parity) check the survivor basis the same way; so does reconstruct.
+// parity) check the survivor basis the same way; so does repair.
 TEST(ReedSolomon, RaggedShardsThrowOnEveryPath) {
   ReedSolomon rs(4, 2);
   const std::vector<Shard> data(4, Shard(16, 0x5a));
@@ -302,14 +302,18 @@ TEST(ReedSolomon, RaggedShardsThrowOnEveryPath) {
 
   std::vector<const std::uint8_t*> ptrs{data[0].data(), data[1].data(), nullptr,
                                         nullptr,        parity[0].data(), nullptr};
-  std::vector<std::uint8_t> out(64);
-  EXPECT_THROW(rs.reconstruct(ptrs, 16, out.data(), 64), std::invalid_argument);
+  std::vector<Shard> out(2, Shard(16));
+  const std::vector<std::uint8_t*> dsts{out[0].data(), out[1].data()};
+  const std::vector<std::size_t> lost{2, 3};
+  EXPECT_THROW(rs.repair(ptrs, 16, lost, dsts), std::invalid_argument);
   ptrs[5] = parity[1].data();
-  EXPECT_THROW(rs.reconstruct(ptrs, 16, out.data(), 65), std::invalid_argument);
-  EXPECT_THROW(rs.reconstruct(std::span(ptrs).first(5), 16, out.data(), 64),
+  const std::vector<std::size_t> no_such_slot{2, 6};
+  EXPECT_THROW(rs.repair(ptrs, 16, no_such_slot, dsts), std::invalid_argument);
+  EXPECT_THROW(rs.repair(std::span(ptrs).first(5), 16, lost, dsts),
                std::invalid_argument);
-  rs.reconstruct(ptrs, 16, out.data(), 64);
-  EXPECT_EQ(out, ReedSolomon::join(data, 64));
+  rs.repair(ptrs, 16, lost, dsts);
+  EXPECT_EQ(out[0], data[2]);
+  EXPECT_EQ(out[1], data[3]);
 }
 
 // ---- The dot kernel against the per-byte codec -----------------------------------
@@ -384,8 +388,8 @@ std::vector<std::uint32_t> erasure_patterns(std::size_t k, std::size_t m, Rng& r
 // Every compiled dot body (the scalar loop always, AVX2 where the CPU has
 // it) must reproduce the per-byte sum, and the codec over the picked body
 // must reproduce the per-byte codec exactly: parity, decoded data and
-// reconstructed blobs, at lengths around the 32-byte step and from
-// unaligned slices.
+// repaired shards, at lengths around the 32-byte step and from unaligned
+// slices.
 TEST(ReedSolomon, KernelEqualsPerByteReference) {
   Rng rng(0x4e1b);
   const std::size_t lengths[] = {0, 1, 15, 16, 17, 31, 33, 1023, 65543};
@@ -452,7 +456,7 @@ TEST(ReedSolomon, KernelEqualsPerByteReference) {
         ASSERT_EQ(parity, ref.encode(data));
       }
 
-      // Survivors at 1..15-byte offsets, so reconstruct's loads are unaligned.
+      // Survivors at 1..15-byte offsets, so repair's loads are unaligned.
       std::vector<std::vector<std::uint8_t>> slices(total);
       std::vector<const std::uint8_t*> at(total);
       for (std::size_t i = 0; i < total; ++i) {
@@ -462,8 +466,7 @@ TEST(ReedSolomon, KernelEqualsPerByteReference) {
         slices[i].insert(slices[i].end(), s.begin(), s.end());
         at[i] = slices[i].data() + off;
       }
-      const std::vector<std::uint8_t> blob = ReedSolomon::join(data, k * len);
-      std::vector<std::uint8_t> out(k * len + 16);
+      std::vector<std::uint8_t> out(total * len + 16);
       const std::size_t out_off = 1 + len % 15;
       for (std::size_t p = 0; p < patterns.size(); ++p) {
         const std::uint32_t bits = patterns[p];
@@ -481,15 +484,26 @@ TEST(ReedSolomon, KernelEqualsPerByteReference) {
         if (len < 65543 || p % 16 == 0) {
           ASSERT_EQ(got, ref.decode(shards)) << "lost 0x" << std::hex << bits;
         }
-        rs.reconstruct(ptrs, len, out.data() + out_off, blob.size());
-        ASSERT_TRUE(std::equal(blob.begin(), blob.end(), out.begin() + out_off))
-            << "lost 0x" << std::hex << bits;
+        // Every lost slot, data or parity, into one unaligned buffer.
+        std::vector<std::size_t> lost;
+        std::vector<std::uint8_t*> dsts;
+        for (std::size_t i = 0; i < total; ++i) {
+          if (!(bits & (1u << i))) continue;
+          lost.push_back(i);
+          dsts.push_back(out.data() + out_off + (lost.size() - 1) * len);
+        }
+        rs.repair(ptrs, len, lost, dsts);
+        for (std::size_t i = 0; i < lost.size(); ++i) {
+          const Shard& want = lost[i] < k ? data[lost[i]] : parity[lost[i] - k];
+          ASSERT_TRUE(std::equal(want.begin(), want.end(), dsts[i]))
+              << "lost 0x" << std::hex << bits << " slot " << std::dec << lost[i];
+        }
       }
     }
   }
 
-  // reconstruct(n) against join(decode(), n) for every n <= k * shard_len,
-  // with a guard band: no byte past n may be written.
+  // repair() of every prefix len' <= shard_len against the decoded shards'
+  // prefixes, with a guard band: no byte past len' may be written.
   const ReedSolomon rs(4, 2);
   Rng prng(0x70);
   for (std::size_t len : {std::size_t{1}, std::size_t{3}, std::size_t{17}}) {
@@ -501,21 +515,32 @@ TEST(ReedSolomon, KernelEqualsPerByteReference) {
     for (std::uint32_t bits : erasure_patterns(4, 2, prng)) {
       std::vector<std::optional<Shard>> shards(6);
       std::vector<const std::uint8_t*> ptrs(6, nullptr);
+      std::vector<std::size_t> lost;
       for (std::size_t i = 0; i < 6; ++i) {
-        if (bits & (1u << i)) continue;
+        if (bits & (1u << i)) {
+          lost.push_back(i);
+          continue;
+        }
         shards[i] = i < 4 ? data[i] : parity[i - 4];
         ptrs[i] = shards[i]->data();
       }
       const auto decoded = rs.decode(shards);
-      for (std::size_t n = 0; n <= 4 * len; ++n) {
-        std::vector<std::uint8_t> out(n + 8, 0xee);
-        rs.reconstruct(ptrs, len, out.data(), n);
-        const auto want = ReedSolomon::join(decoded, n);
-        ASSERT_TRUE(std::equal(want.begin(), want.end(), out.begin()))
-            << "len=" << len << " n=" << n << " lost 0x" << std::hex << bits;
-        ASSERT_TRUE(std::all_of(out.begin() + static_cast<std::ptrdiff_t>(n), out.end(),
-                                [](std::uint8_t b) { return b == 0xee; }))
-            << "wrote past n=" << n;
+      for (std::size_t n = 0; n <= len; ++n) {
+        std::vector<std::vector<std::uint8_t>> outs(lost.size(),
+                                                    std::vector<std::uint8_t>(n + 8, 0xee));
+        std::vector<std::uint8_t*> dsts;
+        for (auto& o : outs) dsts.push_back(o.data());
+        rs.repair(ptrs, n, lost, dsts);
+        for (std::size_t i = 0; i < lost.size(); ++i) {
+          const Shard& want = lost[i] < 4 ? decoded[lost[i]] : parity[lost[i] - 4];
+          ASSERT_TRUE(std::equal(want.begin(),
+                                 want.begin() + static_cast<std::ptrdiff_t>(n),
+                                 outs[i].begin()))
+              << "len=" << len << " n=" << n << " lost 0x" << std::hex << bits;
+          ASSERT_TRUE(std::all_of(outs[i].begin() + static_cast<std::ptrdiff_t>(n),
+                                  outs[i].end(), [](std::uint8_t b) { return b == 0xee; }))
+              << "wrote past n=" << n;
+        }
       }
     }
   }

@@ -86,7 +86,9 @@ def main():
     ap.add_argument("build_dir", help="coverage build tree whose binaries ran")
     args = ap.parse_args()
     src = os.path.realpath(os.path.join(ROOT, "src"))
-    unreached, unmentioned = reach(gcov_reports(args.build_dir), src)
+    # gcov runs in a temporary directory, so its paths must not be relative.
+    build_dir = os.path.abspath(args.build_dir)
+    unreached, unmentioned = reach(gcov_reports(build_dir), src)
     print(f"unreached functions: {len(unreached)}")
     for f, line, name in unreached:
         print(f"  {f}:{line}  {name}")
