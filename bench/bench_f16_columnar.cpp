@@ -20,9 +20,16 @@
 // row join dominates). The skewed clickstream star gets salted joins from
 // the cost pass; the columnar join ignores the fanout (its probe row chunks
 // are never skewed), so only lower_dist acts on it.
+//
+// A second table times the source generator alone (source Mrows/s):
+// every SourceGen::fill body this CPU runs, on each star's fact table,
+// keys only (the sketch's read) and full rows (the lowerings' read), in
+// SourceGen::kBatch-row buffers, best of the reps. Expected shape: the AVX2
+// body ahead of the scalar body on every shape.
 
 #include <chrono>
 #include <cstdint>
+#include <functional>
 #include <iostream>
 #include <string>
 #include <vector>
@@ -55,6 +62,27 @@ double wall_best(int reps, const std::function<std::vector<plan::Row>()>& fn,
     best = std::min(best, s);
   }
   return best;
+}
+
+/// Rows per second, in millions, of one fill body over a fact table's rows
+/// in kBatch-row buffers: best of `reps`.
+double source_mrows_per_s(int reps, plan::detail::FillBody body, const plan::SourceGen& gen,
+                          std::uint64_t rows, bool with_vals) {
+  std::uint64_t keys[plan::SourceGen::kBatch], vals[plan::SourceGen::kBatch];
+  double best = 1e100;
+  for (int r = 0; r < reps; ++r) {
+    const auto t0 = std::chrono::steady_clock::now();
+    for (std::uint64_t done = 0; done < rows; done += plan::SourceGen::kBatch) {
+      const auto m =
+          static_cast<std::size_t>(std::min<std::uint64_t>(rows - done, plan::SourceGen::kBatch));
+      // An indirect call the compiler cannot see into, so no batch is
+      // optimized away.
+      body(gen, done, 1, m, keys, with_vals ? vals : nullptr);
+    }
+    best = std::min(best, std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
+                              .count());
+  }
+  return static_cast<double>(rows) / best / 1e6;
 }
 
 }  // namespace
@@ -157,6 +185,26 @@ int main(int argc, char** argv) {
   }
   t.print(std::cout);
   json.metric("best_speedup_vs_raw", best_speedup);
+
+  std::cout << "\nsource generator (fact rows, best of " << reps << "):\n\n";
+  Table st({"body", "fact", "keys only (Mrows/s)", "full rows (Mrows/s)"});
+  for (const auto& [body_name, body] : plan::detail::fill_bodies()) {
+    for (const Query& q : queries) {
+      const plan::SourceGen gen(q.spec.fact_salt, q.spec.fact_domain, q.spec.fact_skew, false);
+      std::vector<std::string> cells = {body_name, q.name};
+      for (const bool with_vals : {false, true}) {
+        const double mrows =
+            source_mrows_per_s(reps, body, gen, q.spec.fact_rows, with_vals);
+        cells.push_back(Table::num(mrows, 1));
+        json.metric("source_mrows_per_s", mrows,
+                    {{"body", body_name},
+                     {"fact", q.name},
+                     {"read", with_vals ? "rows" : "keys"}});
+      }
+      st.row(std::move(cells));
+    }
+  }
+  st.print(std::cout);
 
   std::cout << "\nAll columnar results bit-identical to the row engine: "
             << (all_verified ? "yes" : "NO — MISMATCH") << "\n"

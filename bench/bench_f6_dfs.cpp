@@ -6,10 +6,17 @@
 // network bytes grow R-fold; local reads ~2x faster than cross-pod; rack-
 // aware placement survives a full rack loss where same-rack placement
 // would not.
+//
+// --json=FILE writes, per table row, every gauge Dfs::export_metrics and
+// Network::export_metrics leave in a registry after that row's run,
+// labelled with the table and the row.
 
 #include <iostream>
+#include <string>
 
+#include "bench_json.hpp"
 #include "common/stats.hpp"
+#include "obs/metrics.hpp"
 #include "sim/dfs.hpp"
 
 namespace {
@@ -28,9 +35,19 @@ NetworkConfig fat_tree_16() {
   return nc;
 }
 
+/// One table row's sim-layer stats, from the registry, into the JSON.
+void export_row(bench::JsonWriter& json, const Dfs& dfs, const Network& net,
+                bench::JsonWriter::Labels labels) {
+  obs::MetricsRegistry reg;
+  dfs.export_metrics(reg);
+  net.export_metrics(reg);
+  json.registry(reg, labels);
+}
+
 }  // namespace
 
-int main() {
+int main(int argc, char** argv) {
+  bench::JsonWriter json("f6_dfs", argc, argv);
   std::cout << "F6: DFS on a 16-node fat-tree (64 MiB blocks, 200 MB/s disks)\n\n";
 
   // --- write throughput vs replication ------------------------------------
@@ -50,6 +67,7 @@ int main() {
     wt.row({std::to_string(r), Table::num(end, 2),
             Table::num(512.0 * MiB / 1e6 / end, 0),
             Table::num(static_cast<double>(net.stats().bytes) / 1e9, 2)});
+    export_row(json, dfs, net, {{"table", "write"}, {"replication", std::to_string(r)}});
   }
   wt.print(std::cout);
 
@@ -75,6 +93,7 @@ int main() {
     });
     sim.run();
     rt.row({std::to_string(rd.node), rd.label, Table::num(end - start, 3)});
+    export_row(json, dfs, net, {{"table", "read_locality"}, {"reader", std::to_string(rd.node)}});
   }
   rt.print(std::cout);
 
@@ -108,6 +127,8 @@ int main() {
     sim.run();
     ft.row({rack_aware ? "rack-aware" : "random", std::to_string(readable) + "/20",
             std::to_string(after) + "/20"});
+    export_row(json, dfs, net,
+               {{"table", "rack_failure"}, {"placement", rack_aware ? "rack_aware" : "random"}});
   }
   ft.print(std::cout);
   std::cout << "\nexpected shape: rack-aware placement keeps every file "

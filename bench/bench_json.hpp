@@ -18,9 +18,12 @@
 //     bench::JsonWriter json("f12_job_service", argc, argv);
 //     ...
 //     json.metric("p99_latency_s", p99, {{"tenants", "8"}, {"load", "2x"}});
+//     json.registry(reg, {{"tenants", "8"}});  // every counter and gauge
 //   }  // written at scope exit; no-op when --json was not passed
 //
-// Header-only and dependency-free: values are doubles, labels are strings,
+// Header-only; its one dependency is the metrics registry, so a bench that
+// exports its layers' stats into an obs::MetricsRegistry writes them from
+// there rather than naming each. Values are doubles, labels are strings,
 // and the writer escapes strings itself. It fails loudly rather than leave a
 // missing or unparseable document behind: an unwritable --json path throws
 // std::runtime_error at construction (before the bench runs), and a NaN or
@@ -33,6 +36,8 @@
 #include <string>
 #include <utility>
 #include <vector>
+
+#include "obs/metrics.hpp"
 
 namespace hpbdc::bench {
 
@@ -63,6 +68,15 @@ class JsonWriter {
                                   " is not finite: " + std::to_string(value));
     }
     metrics_.push_back({name, value, std::move(labels)});
+  }
+
+  /// Every counter and gauge of one snapshot of `reg`, each as a metric of
+  /// its own name carrying `labels`. Histograms are left out: a bench
+  /// writes the quantiles it reports with metric().
+  void registry(const obs::MetricsRegistry& reg, const Labels& labels = {}) {
+    const obs::MetricsSnapshot snap = reg.snapshot();
+    for (const auto& [name, v] : snap.counters) metric(name, static_cast<double>(v), labels);
+    for (const auto& [name, v] : snap.gauges) metric(name, static_cast<double>(v), labels);
   }
 
   /// Write the document now (idempotent; also runs at destruction).

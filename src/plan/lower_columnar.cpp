@@ -56,18 +56,17 @@ RowBlock apply_step_block(Executor& ex, RowBlock b, const NarrowStep& st) {
   }
 }
 
-/// A source's rows written straight from the generator into a block.
+/// A source's rows appended batch by batch from the generator to a block.
 template <typename Shape>
 RowBlock source_block(const Shape& src) {
-  const SourceGen gen(src);
   RowBlock b;
-  b.key.resize(src.rows);
-  b.val.resize(src.rows);
-  for (std::uint64_t i = 0; i < src.rows; ++i) {
-    const Row r = gen.row(i);
-    b.key[i] = r.first;
-    b.val[i] = r.second;
-  }
+  b.reserve(src.rows);
+  SourceGen(src).for_each_batch(
+      0, 1, src.rows, true,
+      [&b](const std::uint64_t* keys, const std::uint64_t* vals, std::size_t m) {
+        b.key.insert(b.key.end(), keys, keys + m);
+        b.val.insert(b.val.end(), vals, vals + m);
+      });
   return b;
 }
 

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "common/cpu.hpp"
 #include "common/hash.hpp"
 
 namespace hpbdc::plan {
@@ -74,11 +75,188 @@ std::vector<Row> source_rows(std::uint64_t salt, std::uint64_t n) {
   return source_rows_ex(salt, n, 0, 0, false);
 }
 
+#ifdef HPBDC_X86_AVX2
+namespace {
+
+/// A 64-bit constant split into its 32-bit halves, each broadcast to all
+/// four lanes, for mul64.
+struct Split64 {
+  __m256i lo, hi;
+};
+
+__attribute__((target("avx2"))) inline Split64 split64(std::uint64_t c) noexcept {
+  return {_mm256_set1_epi64x(static_cast<long long>(c & 0xffffffffULL)),
+          _mm256_set1_epi64x(static_cast<long long>(c >> 32))};
+}
+
+/// a * c mod 2^64 per lane, from three 32x32 products (the hi * hi product
+/// only reaches bits past 64).
+__attribute__((target("avx2"))) inline __m256i mul64(__m256i a, Split64 c) noexcept {
+  const __m256i cross = _mm256_add_epi64(_mm256_mul_epu32(_mm256_srli_epi64(a, 32), c.lo),
+                                         _mm256_mul_epu32(a, c.hi));
+  return _mm256_add_epi64(_mm256_mul_epu32(a, c.lo), _mm256_slli_epi64(cross, 32));
+}
+
+/// x ^ (x >> S) per lane.
+template <int S>
+__attribute__((target("avx2"))) inline __m256i xorshift(__m256i x) noexcept {
+  return _mm256_xor_si256(x, _mm256_srli_epi64(x, S));
+}
+
+__attribute__((target("avx2"))) inline __m256i set4(std::uint64_t a, std::uint64_t b,
+                                                    std::uint64_t c, std::uint64_t d) noexcept {
+  return _mm256_setr_epi64x(static_cast<long long>(a), static_cast<long long>(b),
+                            static_cast<long long>(c), static_cast<long long>(d));
+}
+
+__attribute__((target("avx2"))) inline __m256i set1(std::uint64_t a) noexcept {
+  return _mm256_set1_epi64x(static_cast<long long>(a));
+}
+
+}  // namespace
+#endif
+
+/// The bodies of SourceGen::fill. The scalar body is row(i)/key(i) itself;
+/// the AVX2 body is the same arithmetic in four 64-bit lanes.
+struct detail::FillKernels {
+  static void scalar(const SourceGen& g, std::uint64_t first, std::uint64_t stride,
+                     std::size_t n, std::uint64_t* keys, std::uint64_t* vals) noexcept {
+    std::uint64_t i = first;
+    if (vals == nullptr) {
+      for (std::size_t j = 0; j < n; ++j, i += stride) keys[j] = g.key(i);
+      return;
+    }
+    for (std::size_t j = 0; j < n; ++j, i += stride) {
+      const Row r = g.row(i);
+      keys[j] = r.first;
+      vals[j] = r.second;
+    }
+  }
+
+#ifdef HPBDC_X86_AVX2
+  /// Four rows per step. A key is the high word of h * domain and a skew
+  /// roll the high word of low * 1000, each from two 32x32 products, which
+  /// is exact while the domain is below 2^32; a wider domain runs the
+  /// scalar body. A dimension's lanes step i mod domain by
+  /// 4 * stride mod domain with one conditional subtract, which is exact
+  /// while the row index does not wrap past 2^64; an index that would runs
+  /// the scalar body too. Every roll is below 1000, so a skew above 1000
+  /// draws the same as 1000.
+  __attribute__((target("avx2"))) static void avx2(const SourceGen& g, std::uint64_t first,
+                                                   std::uint64_t stride, std::size_t n,
+                                                   std::uint64_t* keys,
+                                                   std::uint64_t* vals) noexcept {
+    std::uint64_t last = 0;
+    if (g.domain_ >> 32 != 0 ||
+        (g.distinct_ && n != 0 &&
+         (__builtin_mul_overflow(n - 1, stride, &last) ||
+          __builtin_add_overflow(first, last, &last)))) {
+      scalar(g, first, stride, n, keys, vals);
+      return;
+    }
+    const bool with_vals = vals != nullptr;
+    if (g.distinct_) {
+      with_vals ? lanes<true, false, true>(g, first, stride, n, keys, vals)
+                : lanes<true, false, false>(g, first, stride, n, keys, vals);
+    } else if (g.skew_ != 0) {
+      with_vals ? lanes<false, true, true>(g, first, stride, n, keys, vals)
+                : lanes<false, true, false>(g, first, stride, n, keys, vals);
+    } else {
+      with_vals ? lanes<false, false, true>(g, first, stride, n, keys, vals)
+                : lanes<false, false, false>(g, first, stride, n, keys, vals);
+    }
+  }
+
+  template <bool kDistinct, bool kSkew, bool kVals>
+  __attribute__((target("avx2"))) static void lanes(const SourceGen& g, std::uint64_t first,
+                                                    std::uint64_t stride, std::size_t n,
+                                                    std::uint64_t* keys,
+                                                    std::uint64_t* vals) noexcept {
+    constexpr std::uint64_t kPhi = 0x9e3779b97f4a7c15ULL;  // mix_seed's and splitmix64's
+    const std::size_t n4 = n & ~std::size_t{3};
+    // Lane l holds row first + (j + l) * stride: its index times phi, and
+    // for a dimension its index mod domain.
+    const std::uint64_t i1 = first + stride, i2 = i1 + stride, i3 = i2 + stride;
+    __m256i iphi = set4(first * kPhi, i1 * kPhi, i2 * kPhi, i3 * kPhi);
+    const __m256i iphi_step = set1(4 * stride * kPhi);
+    const std::uint64_t d = g.domain_;
+    __m256i dkey = set4(first % d, i1 % d, i2 % d, i3 % d);
+    const __m256i dkey_step = set1((stride % d) * 4 % d);
+    const __m256i domain = set1(d), salt = set1(g.salt_), phi = set1(kPhi);
+    const __m256i thousand = set1(1000), skew = set1(std::min<std::uint64_t>(g.skew_, 1000));
+    const __m256i hot = set1(g.hot_), value_mix = set1(SourceGen::kValueMix);
+    const Split64 sm1 = split64(0xbf58476d1ce4e5b9ULL), sm2 = split64(0x94d049bb133111ebULL);
+    const Split64 mx1 = split64(0xff51afd7ed558ccdULL), mx2 = split64(0xc4ceb9fe1a85ec53ULL);
+    for (std::size_t j = 0; j < n4; j += 4) {
+      __m256i h = _mm256_setzero_si256();
+      if constexpr (!kDistinct || kVals) {  // mix_seed(salt, i)
+        h = _mm256_add_epi64(_mm256_xor_si256(salt, iphi), phi);
+        h = mul64(xorshift<30>(h), sm1);
+        h = xorshift<31>(mul64(xorshift<27>(h), sm2));
+        iphi = _mm256_add_epi64(iphi, iphi_step);
+      }
+      __m256i key;
+      if constexpr (kDistinct) {
+        key = dkey;
+        dkey = _mm256_add_epi64(dkey, dkey_step);  // below 2 * domain
+        dkey = _mm256_sub_epi64(dkey, _mm256_andnot_si256(_mm256_cmpgt_epi64(domain, dkey), domain));
+      } else {
+        // h * domain = sum * 2^32 + (lo mod 2^32): key = sum >> 32, and the
+        // low word's halves are sum mod 2^32 and lo mod 2^32.
+        const __m256i lo = _mm256_mul_epu32(h, domain);
+        const __m256i sum = _mm256_add_epi64(_mm256_mul_epu32(_mm256_srli_epi64(h, 32), domain),
+                                             _mm256_srli_epi64(lo, 32));
+        key = _mm256_srli_epi64(sum, 32);
+        if constexpr (kSkew) {
+          const __m256i roll = _mm256_srli_epi64(
+              _mm256_add_epi64(_mm256_mul_epu32(sum, thousand),
+                               _mm256_srli_epi64(_mm256_mul_epu32(lo, thousand), 32)),
+              32);
+          key = _mm256_blendv_epi8(key, hot, _mm256_cmpgt_epi64(skew, roll));
+        }
+      }
+      _mm256_storeu_si256(reinterpret_cast<__m256i*>(keys + j), key);
+      if constexpr (kVals) {  // mix64(h ^ kValueMix)
+        __m256i v = xorshift<33>(_mm256_xor_si256(h, value_mix));
+        v = xorshift<33>(mul64(v, mx1));
+        v = xorshift<33>(mul64(v, mx2));
+        _mm256_storeu_si256(reinterpret_cast<__m256i*>(vals + j), v);
+      }
+    }
+    scalar(g, first + n4 * stride, stride, n - n4, keys + n4, kVals ? vals + n4 : nullptr);
+  }
+#endif
+};
+
+void SourceGen::fill(std::uint64_t first, std::uint64_t stride, std::size_t n,
+                     std::uint64_t* keys, std::uint64_t* vals) const noexcept {
+#ifdef HPBDC_X86_AVX2
+  static const detail::FillBody body =
+      has_avx2() ? detail::FillKernels::avx2 : detail::FillKernels::scalar;
+#else
+  static const detail::FillBody body = detail::FillKernels::scalar;
+#endif
+  body(*this, first, stride, n, keys, vals);
+}
+
+std::vector<detail::NamedFillBody> detail::fill_bodies() {
+  std::vector<NamedFillBody> out{{"scalar", FillKernels::scalar}};
+#ifdef HPBDC_X86_AVX2
+  if (has_avx2()) out.push_back({"avx2", FillKernels::avx2});
+#endif
+  return out;
+}
+
 std::vector<Row> source_slice(const SourceGen& gen, std::uint64_t n,
                               std::uint64_t task, std::uint64_t ntasks) {
   std::vector<Row> out;
-  out.reserve(n > task ? (n - task - 1) / ntasks + 1 : 0);
-  for (std::uint64_t i = task; i < n; i += ntasks) out.push_back(gen.row(i));
+  const std::uint64_t count = n > task ? (n - task - 1) / ntasks + 1 : 0;
+  out.reserve(count);
+  gen.for_each_batch(task, ntasks, count, true,
+                     [&out](const std::uint64_t* keys, const std::uint64_t* vals,
+                            std::size_t m) {
+                       for (std::size_t j = 0; j < m; ++j) out.emplace_back(keys[j], vals[j]);
+                     });
   return out;
 }
 

@@ -15,6 +15,8 @@
 // which is what makes rewrites checkable with a canonical sorted-bytes
 // comparison — see canonical_bytes().
 
+#include <algorithm>
+#include <cstddef>
 #include <cstdint>
 #include <string>
 #include <utility>
@@ -121,9 +123,9 @@ struct PlanNode {
 struct LogicalPlan {
   std::uint64_t seed = 0;
   std::uint64_t rows_per_source = 0;
-  /// Non-zero marks the plan as cost-optimized: the stats salt the cost
-  /// model sampled under (plan::cost_optimize). Folded into fingerprint()
-  /// so differently-costed plans never alias in the serve result cache.
+  /// Non-zero marks the plan as cost-optimized: StatsOptions::stats_salt
+  /// as plan::cost_optimize recorded it. Folded into fingerprint() so
+  /// differently-costed plans never alias in the serve result cache.
   std::uint64_t stats_salt = 0;
   std::vector<PlanNode> nodes;     // parents always precede children
   std::vector<std::size_t> sinks;  // their union is the plan result
@@ -142,6 +144,29 @@ struct LogicalPlan {
 
 std::vector<Row> source_rows(std::uint64_t salt, std::uint64_t n);
 
+class SourceGen;
+
+namespace detail {
+
+/// A body of SourceGen::fill: writes the keys (and, when vals is not null,
+/// the values) of rows first, first + stride, ..., n of them.
+using FillBody = void (*)(const SourceGen&, std::uint64_t first, std::uint64_t stride,
+                          std::size_t n, std::uint64_t* keys, std::uint64_t* vals) noexcept;
+
+struct NamedFillBody {
+  const char* name;
+  FillBody body;
+};
+
+/// Every fill body compiled in that this CPU can run, scalar first. For
+/// tests that check each body, not only the one fill picks.
+std::vector<NamedFillBody> fill_bodies();
+
+/// The bodies behind SourceGen::fill (plan.cpp).
+struct FillKernels;
+
+}  // namespace detail
+
 /// The one source generator. Row i of a shaped source is a pure function of
 /// (salt, i, shape), so a task can build its own slice of a source and a
 /// sketch can read a prefix's keys without their values (BigBench's PDGF
@@ -158,8 +183,19 @@ std::vector<Row> source_rows(std::uint64_t salt, std::uint64_t n);
 ///     once per cycle, and ignores skew.
 /// `key_domain` 0 means kKeyDomain. The first m rows of an n-row source are
 /// the m-row source.
+///
+/// row(i) and key(i) are the one definition of a row. Bulk reads go through
+/// fill, which computes the same rows in batches with one of two bodies,
+/// picked once per process: the scalar body calls row/key, and the AVX2 body
+/// computes four rows per step in 64-bit lanes (domains below 2^32; a wider
+/// domain runs the scalar body). Callers consume a source in kBatch-row
+/// stack buffers through for_each_batch, so no row is zero-filled before it
+/// is written.
 class SourceGen {
  public:
+  /// Rows per for_each_batch buffer.
+  static constexpr std::size_t kBatch = 256;
+
   SourceGen(std::uint64_t salt, std::uint64_t key_domain,
             std::uint64_t skew_permille, bool distinct_keys) noexcept
       : salt_(salt),
@@ -183,7 +219,29 @@ class SourceGen {
     return {distinct_ ? i % domain_ : drawn_key(h), mix64(h ^ kValueMix)};
   }
 
+  /// keys[j] = key(first + j * stride) for j < n, and vals[j] the value of
+  /// that row when vals is not null: row(i) for n rows at once. Writes
+  /// nothing past n.
+  void fill(std::uint64_t first, std::uint64_t stride, std::size_t n,
+            std::uint64_t* keys, std::uint64_t* vals) const noexcept;
+
+  /// Rows first, first + stride, ..., n of them, in order, through fill in
+  /// kBatch-row stack buffers: consume(keys, vals, m) once per batch of m
+  /// rows. vals holds the batch's values only when with_vals is set.
+  template <typename Consume>
+  void for_each_batch(std::uint64_t first, std::uint64_t stride, std::uint64_t n,
+                      bool with_vals, Consume&& consume) const {
+    std::uint64_t keys[kBatch], vals[kBatch];
+    for (std::uint64_t done = 0; done < n; done += kBatch) {
+      const auto m = static_cast<std::size_t>(std::min<std::uint64_t>(n - done, kBatch));
+      fill(first + done * stride, stride, m, keys, with_vals ? vals : nullptr);
+      consume(keys, vals, m);
+    }
+  }
+
  private:
+  friend struct detail::FillKernels;
+
   static constexpr std::uint64_t kValueMix = 0xd6e8feb86659fd93ULL;
 
   std::uint64_t drawn_key(std::uint64_t h) const noexcept {
@@ -206,9 +264,9 @@ class SourceGen {
 };
 
 /// Task `task`'s slice of an n-row source: rows task, task + ntasks, ...,
-/// each computed on its own. A dist source task builds only its own rows
-/// this way, and interleaving the slices of tasks 0..ntasks-1 gives the
-/// whole source back.
+/// each a pure function of its index. A dist source task builds only its
+/// own rows this way, and interleaving the slices of tasks 0..ntasks-1 gives
+/// the whole source back.
 std::vector<Row> source_slice(const SourceGen& gen, std::uint64_t n,
                               std::uint64_t task, std::uint64_t ntasks);
 

@@ -142,7 +142,11 @@ NodeStats sketch_source(std::uint64_t salt, std::uint64_t rows,
              sample_n <= std::numeric_limits<std::uint32_t>::max()) {
     // Every source key is < key_bound, so a key is its own count slot.
     std::vector<std::uint32_t> counts(key_bound);
-    for (std::uint64_t i = 0; i < sample_n; ++i) ++counts[gen.key(i)];
+    gen.for_each_batch(0, 1, sample_n, false,
+                       [&counts](const std::uint64_t* keys, const std::uint64_t*,
+                                 std::size_t m) {
+                         for (std::size_t j = 0; j < m; ++j) ++counts[keys[j]];
+                       });
     sketch_keys(
         [&](const auto& f) {
           for (std::uint64_t k = 0; k < key_bound; ++k) {
@@ -158,13 +162,19 @@ NodeStats sketch_source(std::uint64_t salt, std::uint64_t rows,
     };
     std::vector<KeyCount> table(table_size);
     const std::size_t mask = table_size - 1;
-    for (std::uint64_t r = 0; r < sample_n; ++r) {
-      const std::uint64_t key = gen.key(r);
-      std::size_t i = static_cast<std::size_t>(hash_u64(key)) & mask;
-      while (table[i].count != 0 && table[i].key != key) i = (i + 1) & mask;
-      table[i].key = key;
-      ++table[i].count;
-    }
+    gen.for_each_batch(0, 1, sample_n, false,
+                       [&table, mask](const std::uint64_t* keys, const std::uint64_t*,
+                                      std::size_t m) {
+                         for (std::size_t j = 0; j < m; ++j) {
+                           const std::uint64_t key = keys[j];
+                           std::size_t i = static_cast<std::size_t>(hash_u64(key)) & mask;
+                           while (table[i].count != 0 && table[i].key != key) {
+                             i = (i + 1) & mask;
+                           }
+                           table[i].key = key;
+                           ++table[i].count;
+                         }
+                       });
     sketch_keys(
         [&](const auto& f) {
           for (const KeyCount& kc : table) {

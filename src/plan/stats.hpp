@@ -3,8 +3,11 @@
 // nodes are sketched on every collect_stats call: a HyperLogLog estimates the
 // distinct-key count and a count-min sketch surfaces heavy-hitter keys, both
 // over a prefix sample of the keys of the one source generator,
-// plan::SourceGen, which computes row i on its own (dimensions, whose keys
-// cycle through their domain, are counted in closed form without it). The
+// plan::SourceGen, where row i is a pure function of i (dimensions, whose
+// keys cycle through their domain, are counted in closed form without it).
+// The sample's keys, never its values, come from SourceGen's batched entry
+// point in 256-row stack buffers, computed four rows per step by its AVX2
+// body where the CPU has one and by its scalar body elsewhere. The
 // estimates propagate through the plan with the standard textbook formulas
 // (filters halve, joins multiply and divide by the larger NDV, reduces
 // collapse to one row per key). A star query is sketched twice: in full by
@@ -43,8 +46,10 @@ struct NodeStats {
 };
 
 struct StatsOptions {
-  /// Salt folded into the sampling; recorded on cost-optimized plans as
-  /// LogicalPlan::stats_salt. Must be non-zero (0 means "not costed").
+  /// Marks a costed plan: cost_optimize records it as
+  /// LogicalPlan::stats_salt, which fingerprint() folds in. No sketch reads
+  /// it; the sample is the same prefix whatever its value. Must be non-zero
+  /// (0 means "not costed").
   std::uint64_t stats_salt = 0x57a75ULL;
   /// Per-source sketch cap: sources larger than this are sketched on a
   /// prefix sample and scaled.

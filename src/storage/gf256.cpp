@@ -1,9 +1,6 @@
 #include "storage/gf256.hpp"
 
-#if defined(__x86_64__) && (defined(__GNUC__) || defined(__clang__))
-#define HPBDC_GF256_AVX2 1
-#include <immintrin.h>
-#endif
+#include "common/cpu.hpp"
 
 namespace hpbdc::storage {
 namespace {
@@ -28,7 +25,7 @@ void dot_scalar(const MulTable* coeffs, const std::uint8_t* const* srcs, std::si
   dot_scalar_range(coeffs, srcs, n, dst, 0, len);
 }
 
-#ifdef HPBDC_GF256_AVX2
+#ifdef HPBDC_X86_AVX2
 __attribute__((target("avx2"))) inline __m256i load(const std::uint8_t* p) noexcept {
   return _mm256_loadu_si256(reinterpret_cast<const __m256i*>(p));
 }
@@ -83,20 +80,11 @@ __attribute__((target("avx2"))) void dot_avx2(const MulTable* coeffs,
 }
 #endif
 
-bool has_avx2() noexcept {
-#ifdef HPBDC_GF256_AVX2
-  __builtin_cpu_init();
-  return __builtin_cpu_supports("avx2");
-#else
-  return false;
-#endif
-}
-
 }  // namespace
 
 void dot(const MulTable* coeffs, const std::uint8_t* const* srcs, std::size_t n,
          std::uint8_t* dst, std::size_t len) noexcept {
-#ifdef HPBDC_GF256_AVX2
+#ifdef HPBDC_X86_AVX2
   static const detail::DotBody body = has_avx2() ? dot_avx2 : dot_scalar;
 #else
   static const detail::DotBody body = dot_scalar;
@@ -106,7 +94,7 @@ void dot(const MulTable* coeffs, const std::uint8_t* const* srcs, std::size_t n,
 
 std::vector<detail::NamedDotBody> detail::dot_bodies() {
   std::vector<NamedDotBody> out{{"scalar", dot_scalar}};
-#ifdef HPBDC_GF256_AVX2
+#ifdef HPBDC_X86_AVX2
   if (has_avx2()) out.push_back({"avx2", dot_avx2});
 #endif
   return out;

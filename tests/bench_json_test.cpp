@@ -10,6 +10,7 @@
 #include <string>
 
 #include "bench_json.hpp"
+#include "obs/metrics.hpp"
 
 namespace hpbdc::bench {
 namespace {
@@ -47,6 +48,29 @@ TEST(JsonWriter, NonFiniteMetricIsRejectedByName) {
   EXPECT_EQ(doc.find("p99_s"), std::string::npos) << doc;
   EXPECT_EQ(doc.find("nan"), std::string::npos) << doc;
   EXPECT_EQ(doc.find("inf"), std::string::npos) << doc;
+}
+
+TEST(JsonWriter, RegistryWritesEveryCounterAndGaugeWithItsLabels) {
+  const std::string path = ::testing::TempDir() + "hpbdc_bench_json_registry.json";
+  {
+    obs::MetricsRegistry reg;
+    reg.counter("dfs.blocks_written").add(3);
+    reg.gauge("net.msgs_sent").set(-2);
+    reg.histogram("serve.latency_s").record(0.5);
+    JsonWriter json = writer_for(path);
+    json.registry(reg, {{"table", "write"}, {"replication", "2"}});
+  }
+  std::ifstream in(path);
+  const std::string doc{std::istreambuf_iterator<char>(in), {}};
+  EXPECT_NE(doc.find("{\"name\": \"dfs.blocks_written\", \"value\": 3, \"labels\": "
+                     "{\"table\": \"write\", \"replication\": \"2\"}}"),
+            std::string::npos)
+      << doc;
+  EXPECT_NE(doc.find("{\"name\": \"net.msgs_sent\", \"value\": -2, \"labels\": "
+                     "{\"table\": \"write\", \"replication\": \"2\"}}"),
+            std::string::npos)
+      << doc;
+  EXPECT_EQ(doc.find("serve.latency_s"), std::string::npos) << doc;
 }
 
 }  // namespace

@@ -664,6 +664,74 @@ TEST(PlanSource, SlicesInterleaveToTheSourceAndPrefixesAreExact) {
   }
 }
 
+TEST(PlanSource, FillBodiesMatchRowByRow) {
+  // Every fill body, and the one fill picks, against row(i) and key(i), keys
+  // only and keys with values: domains on both sides of 2^32 (where the AVX2
+  // body's 32x32 products stop being exact), skews on both sides of 1000
+  // (where it clamps), dimension keys, a far first row, strides, and lengths
+  // around its 4-row steps and the 256-row batches. Entries past n stay
+  // untouched.
+  constexpr std::uint64_t kGuard = 0xfeedfacecafebeefULL;
+  constexpr std::size_t kMaxN = 1000, kPad = 5;
+  auto bodies = detail::fill_bodies();
+  ASSERT_FALSE(bodies.empty());
+  EXPECT_STREQ(bodies[0].name, "scalar");
+  bodies.push_back({"fill", [](const SourceGen& g, std::uint64_t first, std::uint64_t stride,
+                               std::size_t n, std::uint64_t* keys,
+                               std::uint64_t* vals) noexcept {
+                      g.fill(first, stride, n, keys, vals);
+                    }});
+  const std::uint64_t two32 = std::uint64_t{1} << 32;
+  const std::vector<std::size_t> lengths = {0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 255, 256, 257, kMaxN};
+  std::vector<std::uint64_t> keys(kMaxN + kPad), vals(kMaxN + kPad);
+  std::vector<std::uint64_t> want_keys, want_vals;
+  for (const std::uint64_t domain : {std::uint64_t{1}, std::uint64_t{2}, std::uint64_t{7},
+                                     std::uint64_t{64}, std::uint64_t{4096},
+                                     std::uint64_t{1} << 16, (two32 >> 1) + 1, two32 - 1, two32,
+                                     std::uint64_t{1} << 40}) {
+    for (const std::uint64_t skew : {std::uint64_t{0}, std::uint64_t{1}, std::uint64_t{300},
+                                     std::uint64_t{999}, std::uint64_t{1000}, std::uint64_t{1001},
+                                     (std::uint64_t{1} << 63) + 5}) {
+      for (const bool distinct : {false, true}) {
+        const SourceGen gen(0xf111ULL + domain + skew, domain, skew, distinct);
+        for (const std::uint64_t first : {std::uint64_t{0}, std::uint64_t{1},
+                                          (std::uint64_t{1} << 40) + 5}) {
+          for (const std::uint64_t stride : {1ull, 3ull, 4ull, 7ull}) {
+            std::vector<Row> want(kMaxN);
+            for (std::size_t j = 0; j < kMaxN; ++j) {
+              want[j] = gen.row(first + j * stride);
+              ASSERT_EQ(gen.key(first + j * stride), want[j].first);
+            }
+            for (const auto& [name, body] : bodies) {
+              for (const std::size_t n : lengths) {
+                for (const bool with_vals : {false, true}) {
+                  std::fill(keys.begin(), keys.end(), kGuard);
+                  std::fill(vals.begin(), vals.end(), kGuard);
+                  body(gen, first, stride, n, keys.data(), with_vals ? vals.data() : nullptr);
+                  want_keys.assign(kMaxN + kPad, kGuard);
+                  want_vals.assign(kMaxN + kPad, kGuard);
+                  for (std::size_t j = 0; j < n; ++j) {
+                    want_keys[j] = want[j].first;
+                    if (with_vals) want_vals[j] = want[j].second;
+                  }
+                  ASSERT_EQ(keys, want_keys)
+                      << name << " domain " << domain << " skew " << skew << " distinct "
+                      << distinct << " first " << first << " stride " << stride << " n " << n
+                      << " vals " << with_vals;
+                  ASSERT_EQ(vals, want_vals)
+                      << name << " domain " << domain << " skew " << skew << " distinct "
+                      << distinct << " first " << first << " stride " << stride << " n " << n
+                      << " vals " << with_vals;
+                }
+              }
+            }
+          }
+        }
+      }
+    }
+  }
+}
+
 /// Pearson's chi-square statistic of per-key counts against equal shares,
 /// leaving out `skip` (a hot key) when it is in range.
 double chi_square_uniform(const std::vector<std::uint64_t>& counts,
