@@ -75,7 +75,7 @@ std::vector<Row> source_rows(std::uint64_t salt, std::uint64_t n) {
   return source_rows_ex(salt, n, 0, 0, false);
 }
 
-#ifdef HPBDC_X86_AVX2
+#ifdef HPBDC_X86_SIMD
 namespace {
 
 /// A 64-bit constant split into its 32-bit halves, each broadcast to all
@@ -113,11 +113,36 @@ __attribute__((target("avx2"))) inline __m256i set1(std::uint64_t a) noexcept {
   return _mm256_set1_epi64x(static_cast<long long>(a));
 }
 
+// x >> S per lane, and the product of each lane's low 32 bits, in eight
+// lanes. The all-lanes masked forms compile to the same instructions as
+// _mm512_srli_epi64 and _mm512_mul_epu32, whose GCC 12 definitions trip
+// -Wmaybe-uninitialized.
+template <int S>
+__attribute__((target("avx512f,avx512dq"))) inline __m512i srl8(__m512i x) noexcept {
+  return _mm512_maskz_srli_epi64(0xff, x, S);
+}
+
+__attribute__((target("avx512f,avx512dq"))) inline __m512i mul32x8(__m512i a,
+                                                                   __m512i b) noexcept {
+  return _mm512_maskz_mul_epu32(0xff, a, b);
+}
+
+/// x ^ (x >> S) per lane, eight lanes.
+template <int S>
+__attribute__((target("avx512f,avx512dq"))) inline __m512i xorshift8(__m512i x) noexcept {
+  return _mm512_xor_si512(x, srl8<S>(x));
+}
+
+__attribute__((target("avx512f,avx512dq"))) inline __m512i set8(std::uint64_t a) noexcept {
+  return _mm512_set1_epi64(static_cast<long long>(a));
+}
+
 }  // namespace
 #endif
 
 /// The bodies of SourceGen::fill. The scalar body is row(i)/key(i) itself;
-/// the AVX2 body is the same arithmetic in four 64-bit lanes.
+/// the AVX2 and AVX-512 bodies are the same arithmetic in four and eight
+/// 64-bit lanes.
 struct detail::FillKernels {
   static void scalar(const SourceGen& g, std::uint64_t first, std::uint64_t stride,
                      std::size_t n, std::uint64_t* keys, std::uint64_t* vals) noexcept {
@@ -133,46 +158,78 @@ struct detail::FillKernels {
     }
   }
 
-#ifdef HPBDC_X86_AVX2
-  /// Four rows per step. A key is the high word of h * domain and a skew
-  /// roll the high word of low * 1000, each from two 32x32 products, which
-  /// is exact while the domain is below 2^32; a wider domain runs the
-  /// scalar body. A dimension's lanes step i mod domain by
-  /// 4 * stride mod domain with one conditional subtract, which is exact
-  /// while the row index does not wrap past 2^64; an index that would runs
-  /// the scalar body too. Every roll is below 1000, so a skew above 1000
-  /// draws the same as 1000.
+#ifdef HPBDC_X86_SIMD
+  /// Whether the lane bodies compute these rows exactly. A key is the high
+  /// word of h * domain and a skew roll the high word of low * 1000, each
+  /// from two 32x32 products, which is exact while the domain is below
+  /// 2^32. A dimension's lanes step i mod domain by (lanes * stride) mod
+  /// domain with one conditional subtract, which is exact while the row
+  /// index does not wrap past 2^64. A call that fails either runs the
+  /// scalar body. Every roll is below 1000, so a skew above 1000 draws the
+  /// same as 1000.
+  static bool lanes_exact(const SourceGen& g, std::uint64_t first, std::uint64_t stride,
+                          std::size_t n) noexcept {
+    std::uint64_t last = 0;
+    return g.domain_ >> 32 == 0 &&
+           !(g.distinct_ && n != 0 &&
+             (__builtin_mul_overflow(n - 1, stride, &last) ||
+              __builtin_add_overflow(first, last, &last)));
+  }
+
+  /// Four rows per step.
   __attribute__((target("avx2"))) static void avx2(const SourceGen& g, std::uint64_t first,
                                                    std::uint64_t stride, std::size_t n,
                                                    std::uint64_t* keys,
                                                    std::uint64_t* vals) noexcept {
-    std::uint64_t last = 0;
-    if (g.domain_ >> 32 != 0 ||
-        (g.distinct_ && n != 0 &&
-         (__builtin_mul_overflow(n - 1, stride, &last) ||
-          __builtin_add_overflow(first, last, &last)))) {
+    if (!lanes_exact(g, first, stride, n)) {
       scalar(g, first, stride, n, keys, vals);
       return;
     }
     const bool with_vals = vals != nullptr;
     if (g.distinct_) {
-      with_vals ? lanes<true, false, true>(g, first, stride, n, keys, vals)
-                : lanes<true, false, false>(g, first, stride, n, keys, vals);
+      with_vals ? lanes4<true, false, true>(g, first, stride, n, keys, vals)
+                : lanes4<true, false, false>(g, first, stride, n, keys, vals);
     } else if (g.skew_ != 0) {
-      with_vals ? lanes<false, true, true>(g, first, stride, n, keys, vals)
-                : lanes<false, true, false>(g, first, stride, n, keys, vals);
+      with_vals ? lanes4<false, true, true>(g, first, stride, n, keys, vals)
+                : lanes4<false, true, false>(g, first, stride, n, keys, vals);
     } else {
-      with_vals ? lanes<false, false, true>(g, first, stride, n, keys, vals)
-                : lanes<false, false, false>(g, first, stride, n, keys, vals);
+      with_vals ? lanes4<false, false, true>(g, first, stride, n, keys, vals)
+                : lanes4<false, false, false>(g, first, stride, n, keys, vals);
     }
   }
 
+  /// Eight rows per step; AVX-512DQ multiplies 64-bit lanes natively.
+  __attribute__((target("avx512f,avx512dq"))) static void avx512(
+      const SourceGen& g, std::uint64_t first, std::uint64_t stride, std::size_t n,
+      std::uint64_t* keys, std::uint64_t* vals) noexcept {
+    if (!lanes_exact(g, first, stride, n)) {
+      scalar(g, first, stride, n, keys, vals);
+      return;
+    }
+    const bool with_vals = vals != nullptr;
+    if (g.distinct_) {
+      with_vals ? lanes8<true, false, true>(g, first, stride, n, keys, vals)
+                : lanes8<true, false, false>(g, first, stride, n, keys, vals);
+    } else if (g.skew_ != 0) {
+      with_vals ? lanes8<false, true, true>(g, first, stride, n, keys, vals)
+                : lanes8<false, true, false>(g, first, stride, n, keys, vals);
+    } else {
+      with_vals ? lanes8<false, false, true>(g, first, stride, n, keys, vals)
+                : lanes8<false, false, false>(g, first, stride, n, keys, vals);
+    }
+  }
+
+  static constexpr std::uint64_t kPhi = 0x9e3779b97f4a7c15ULL;  // mix_seed's and splitmix64's
+  static constexpr std::uint64_t kSplitMix1 = 0xbf58476d1ce4e5b9ULL;
+  static constexpr std::uint64_t kSplitMix2 = 0x94d049bb133111ebULL;
+  static constexpr std::uint64_t kMix1 = 0xff51afd7ed558ccdULL;  // mix64's
+  static constexpr std::uint64_t kMix2 = 0xc4ceb9fe1a85ec53ULL;
+
   template <bool kDistinct, bool kSkew, bool kVals>
-  __attribute__((target("avx2"))) static void lanes(const SourceGen& g, std::uint64_t first,
-                                                    std::uint64_t stride, std::size_t n,
-                                                    std::uint64_t* keys,
-                                                    std::uint64_t* vals) noexcept {
-    constexpr std::uint64_t kPhi = 0x9e3779b97f4a7c15ULL;  // mix_seed's and splitmix64's
+  __attribute__((target("avx2"))) static void lanes4(const SourceGen& g, std::uint64_t first,
+                                                     std::uint64_t stride, std::size_t n,
+                                                     std::uint64_t* keys,
+                                                     std::uint64_t* vals) noexcept {
     const std::size_t n4 = n & ~std::size_t{3};
     // Lane l holds row first + (j + l) * stride: its index times phi, and
     // for a dimension its index mod domain.
@@ -185,8 +242,8 @@ struct detail::FillKernels {
     const __m256i domain = set1(d), salt = set1(g.salt_), phi = set1(kPhi);
     const __m256i thousand = set1(1000), skew = set1(std::min<std::uint64_t>(g.skew_, 1000));
     const __m256i hot = set1(g.hot_), value_mix = set1(SourceGen::kValueMix);
-    const Split64 sm1 = split64(0xbf58476d1ce4e5b9ULL), sm2 = split64(0x94d049bb133111ebULL);
-    const Split64 mx1 = split64(0xff51afd7ed558ccdULL), mx2 = split64(0xc4ceb9fe1a85ec53ULL);
+    const Split64 sm1 = split64(kSplitMix1), sm2 = split64(kSplitMix2);
+    const Split64 mx1 = split64(kMix1), mx2 = split64(kMix2);
     for (std::size_t j = 0; j < n4; j += 4) {
       __m256i h = _mm256_setzero_si256();
       if constexpr (!kDistinct || kVals) {  // mix_seed(salt, i)
@@ -225,24 +282,89 @@ struct detail::FillKernels {
     }
     scalar(g, first + n4 * stride, stride, n - n4, keys + n4, kVals ? vals + n4 : nullptr);
   }
+
+  /// lanes4's arithmetic in eight lanes: splitmix64's and mix64's multiplies
+  /// are one _mm512_mullo_epi64 each, and the dimension wrap and the hot-key
+  /// select are mask operations.
+  template <bool kDistinct, bool kSkew, bool kVals>
+  __attribute__((target("avx512f,avx512dq"))) static void lanes8(
+      const SourceGen& g, std::uint64_t first, std::uint64_t stride, std::size_t n,
+      std::uint64_t* keys, std::uint64_t* vals) noexcept {
+    const std::size_t n8 = n & ~std::size_t{7};
+    const std::uint64_t d = g.domain_;
+    // Lane l holds row first + (j + l) * stride: its index times phi, and
+    // for a dimension its index mod domain. Both are built in registers: a
+    // stack array of lanes would be placed 64-byte aligned, which ASan's
+    // fake stack (detect_stack_use_after_return) does not honour.
+    const __m512i lane = _mm512_set_epi64(7, 6, 5, 4, 3, 2, 1, 0);
+    __m512i iphi = _mm512_add_epi64(set8(first * kPhi),
+                                    _mm512_mullo_epi64(lane, set8(stride * kPhi)));
+    const __m512i iphi_step = set8(8 * stride * kPhi);
+    __m512i dkey = _mm512_setzero_si512();
+    if constexpr (kDistinct) {
+      // (first mod d) + l * (stride mod d) is below 8 * domain; subtracting
+      // 4, 2 and 1 domains where each fits leaves it mod domain.
+      dkey = _mm512_add_epi64(set8(first % d), _mm512_mullo_epi64(lane, set8(stride % d)));
+      for (const std::uint64_t m : {4, 2, 1}) {
+        const __m512i md = set8(m * d);
+        dkey = _mm512_mask_sub_epi64(dkey, _mm512_cmpge_epu64_mask(dkey, md), dkey, md);
+      }
+    }
+    const __m512i dkey_step = set8((stride % d) * 8 % d);
+    const __m512i domain = set8(d), salt = set8(g.salt_), phi = set8(kPhi);
+    const __m512i thousand = set8(1000), skew = set8(std::min<std::uint64_t>(g.skew_, 1000));
+    const __m512i hot = set8(g.hot_), value_mix = set8(SourceGen::kValueMix);
+    const __m512i sm1 = set8(kSplitMix1), sm2 = set8(kSplitMix2);
+    const __m512i mx1 = set8(kMix1), mx2 = set8(kMix2);
+    for (std::size_t j = 0; j < n8; j += 8) {
+      __m512i h = _mm512_setzero_si512();
+      if constexpr (!kDistinct || kVals) {  // mix_seed(salt, i)
+        h = _mm512_add_epi64(_mm512_xor_si512(salt, iphi), phi);
+        h = _mm512_mullo_epi64(xorshift8<30>(h), sm1);
+        h = xorshift8<31>(_mm512_mullo_epi64(xorshift8<27>(h), sm2));
+        iphi = _mm512_add_epi64(iphi, iphi_step);
+      }
+      __m512i key;
+      if constexpr (kDistinct) {
+        key = dkey;
+        dkey = _mm512_add_epi64(dkey, dkey_step);  // below 2 * domain
+        dkey = _mm512_mask_sub_epi64(dkey, _mm512_cmpge_epu64_mask(dkey, domain), dkey, domain);
+      } else {
+        // As in lanes4: key = sum >> 32, and the low word's halves are
+        // sum mod 2^32 and lo mod 2^32.
+        const __m512i lo = mul32x8(h, domain);
+        const __m512i sum = _mm512_add_epi64(mul32x8(srl8<32>(h), domain), srl8<32>(lo));
+        key = srl8<32>(sum);
+        if constexpr (kSkew) {
+          const __m512i roll = srl8<32>(
+              _mm512_add_epi64(mul32x8(sum, thousand), srl8<32>(mul32x8(lo, thousand))));
+          key = _mm512_mask_blend_epi64(_mm512_cmplt_epu64_mask(roll, skew), key, hot);
+        }
+      }
+      _mm512_storeu_si512(keys + j, key);
+      if constexpr (kVals) {  // mix64(h ^ kValueMix)
+        __m512i v = xorshift8<33>(_mm512_xor_si512(h, value_mix));
+        v = xorshift8<33>(_mm512_mullo_epi64(v, mx1));
+        v = xorshift8<33>(_mm512_mullo_epi64(v, mx2));
+        _mm512_storeu_si512(vals + j, v);
+      }
+    }
+    scalar(g, first + n8 * stride, stride, n - n8, keys + n8, kVals ? vals + n8 : nullptr);
+  }
 #endif
 };
 
 void SourceGen::fill(std::uint64_t first, std::uint64_t stride, std::size_t n,
                      std::uint64_t* keys, std::uint64_t* vals) const noexcept {
-#ifdef HPBDC_X86_AVX2
-  static const detail::FillBody body =
-      has_avx2() ? detail::FillKernels::avx2 : detail::FillKernels::scalar;
-#else
-  static const detail::FillBody body = detail::FillKernels::scalar;
-#endif
+  static const detail::FillBody body = detail::fill_bodies().back().body;
   body(*this, first, stride, n, keys, vals);
 }
 
 std::vector<detail::NamedFillBody> detail::fill_bodies() {
   std::vector<NamedFillBody> out{{"scalar", FillKernels::scalar}};
-#ifdef HPBDC_X86_AVX2
+#ifdef HPBDC_X86_SIMD
   if (has_avx2()) out.push_back({"avx2", FillKernels::avx2});
+  if (has_avx512()) out.push_back({"avx512", FillKernels::avx512});
 #endif
   return out;
 }

@@ -158,8 +158,9 @@ struct NamedFillBody {
   FillBody body;
 };
 
-/// Every fill body compiled in that this CPU can run, scalar first. For
-/// tests that check each body, not only the one fill picks.
+/// Every fill body compiled in that this CPU can run, narrowest first
+/// (scalar, avx2, avx512). SourceGen::fill runs the last one; tests check
+/// them all.
 std::vector<NamedFillBody> fill_bodies();
 
 /// The bodies behind SourceGen::fill (plan.cpp).
@@ -185,12 +186,12 @@ struct FillKernels;
 /// the m-row source.
 ///
 /// row(i) and key(i) are the one definition of a row. Bulk reads go through
-/// fill, which computes the same rows in batches with one of two bodies,
-/// picked once per process: the scalar body calls row/key, and the AVX2 body
-/// computes four rows per step in 64-bit lanes (domains below 2^32; a wider
-/// domain runs the scalar body). Callers consume a source in kBatch-row
-/// stack buffers through for_each_batch, so no row is zero-filled before it
-/// is written.
+/// fill, which computes the same rows in batches with the widest of three
+/// bodies the CPU runs, picked once per process: the scalar body calls
+/// row/key, the AVX2 body computes four rows per step in 64-bit lanes, and
+/// the AVX-512 body eight (domains below 2^32 in both; a wider domain runs
+/// the scalar body). Callers consume a source in kBatch-row stack buffers
+/// through for_each_batch, so no row is zero-filled before it is written.
 class SourceGen {
  public:
   /// Rows per for_each_batch buffer.

@@ -6,8 +6,8 @@
 // plan::SourceGen, where row i is a pure function of i (dimensions, whose
 // keys cycle through their domain, are counted in closed form without it).
 // The sample's keys, never its values, come from SourceGen's batched entry
-// point in 256-row stack buffers, computed four rows per step by its AVX2
-// body where the CPU has one and by its scalar body elsewhere. The
+// point in 256-row stack buffers, computed by the widest body the CPU runs:
+// eight rows per step with AVX-512, four with AVX2, else one at a time. The
 // estimates propagate through the plan with the standard textbook formulas
 // (filters halve, joins multiply and divide by the larger NDV, reduces
 // collapse to one row per key). A star query is sketched twice: in full by

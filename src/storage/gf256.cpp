@@ -25,7 +25,7 @@ void dot_scalar(const MulTable* coeffs, const std::uint8_t* const* srcs, std::si
   dot_scalar_range(coeffs, srcs, n, dst, 0, len);
 }
 
-#ifdef HPBDC_X86_AVX2
+#ifdef HPBDC_X86_SIMD
 __attribute__((target("avx2"))) inline __m256i load(const std::uint8_t* p) noexcept {
   return _mm256_loadu_si256(reinterpret_cast<const __m256i*>(p));
 }
@@ -84,17 +84,13 @@ __attribute__((target("avx2"))) void dot_avx2(const MulTable* coeffs,
 
 void dot(const MulTable* coeffs, const std::uint8_t* const* srcs, std::size_t n,
          std::uint8_t* dst, std::size_t len) noexcept {
-#ifdef HPBDC_X86_AVX2
-  static const detail::DotBody body = has_avx2() ? dot_avx2 : dot_scalar;
-#else
-  static const detail::DotBody body = dot_scalar;
-#endif
+  static const detail::DotBody body = detail::dot_bodies().back().body;
   body(coeffs, srcs, n, dst, len);
 }
 
 std::vector<detail::NamedDotBody> detail::dot_bodies() {
   std::vector<NamedDotBody> out{{"scalar", dot_scalar}};
-#ifdef HPBDC_X86_AVX2
+#ifdef HPBDC_X86_SIMD
   if (has_avx2()) out.push_back({"avx2", dot_avx2});
 #endif
   return out;

@@ -97,8 +97,8 @@ struct NamedDotBody {
   DotBody body;
 };
 
-/// Every dot body compiled in that this CPU can run, scalar first. For tests
-/// that check each body, not only the one dot picks.
+/// Every dot body compiled in that this CPU can run, narrowest first (scalar,
+/// then AVX2). dot runs the last one; tests check them all.
 std::vector<NamedDotBody> dot_bodies();
 
 }  // namespace detail

@@ -625,6 +625,90 @@ TEST(CostOptimize, StarPlansPinnedToParent) {
   }
 }
 
+/// The actual row count of every node of `p`: node i is the one sink of p's
+/// first i + 1 nodes (parents precede children), run through the reference
+/// engine. A sink's map-side combine is dropped: it is a physical hint for
+/// the reduce downstream, and the estimate is of the rows before it.
+std::vector<std::uint64_t> actual_rows(const LogicalPlan& p) {
+  std::vector<std::uint64_t> out;
+  for (std::size_t i = 0; i < p.nodes.size(); ++i) {
+    LogicalPlan prefix = p;
+    prefix.nodes.resize(i + 1);
+    prefix.nodes[i].combine_output = false;
+    prefix.sinks = {i};
+    dataflow::Context ctx(pool());
+    out.push_back(lower_local(prefix, ctx).size());
+  }
+  return out;
+}
+
+TEST(CostOptimize, StarRowEstimatesWithinQErrorTwoOfActual) {
+  // The cost pass's row estimate of every node of a costed star plan
+  // against the rows that node actually produces, at benchmark-like fact
+  // sizes and several fact salts. The q-error max(est/act, act/est) stays
+  // at most 2 at every node, and every join builds on the side that is
+  // actually smaller (either side on a tie).
+  //
+  // One gap is known, and pinned here rather than bounded: the join
+  // estimate l.rows * r.rows / max(ndv) spreads a skewed fact's hot key
+  // like any other key. When every dimension holds the hot key, its rows
+  // (skew permille of the fact) survive every join, so from the first join
+  // on the estimate is ~5.5x low, and a later join may build on its larger
+  // side. For such a query the test asserts that the first join's q-error
+  // is above 2, and bounds only the nodes before it; a fix of the estimate
+  // fails here, and this branch goes with it.
+  double worst = 1;
+  std::size_t queries = 0, gaps = 0;
+  for (const StarSpec& base : {sales_star(1), clickstream_star(1)}) {
+    for (const std::uint64_t rows : {60000ull, 100000ull}) {
+      for (const std::uint64_t salt : {0ull, 0x9e3779b97f4a7c15ULL, 0xc2b2ae3d27d4eb4fULL}) {
+        StarSpec spec = base;
+        spec.fact_rows = rows;
+        spec.fact_salt ^= salt;
+        const std::uint64_t hot = mix64(spec.fact_salt ^ 0x5ca1ab1eULL) % spec.fact_domain;
+        const bool gap = spec.fact_skew != 0 &&
+                         std::all_of(spec.dims.begin(), spec.dims.end(), [&](const DimSpec& d) {
+                           return !d.filter && hot < d.domain;
+                         });
+        CostReport report;
+        const LogicalPlan costed =
+            cost_optimize(star_query(spec, order_star_dims(spec)), {}, &report);
+        const std::vector<std::uint64_t> actual = actual_rows(costed);
+        ASSERT_EQ(report.stats.size(), costed.nodes.size());
+        ++queries;
+        gaps += gap;
+        bool joined = false;
+        for (std::size_t i = 0; i < costed.nodes.size(); ++i) {
+          const PlanNode& nd = costed.nodes[i];
+          const double est = std::max(report.stats[i].rows, 1.0);
+          const double act = std::max(static_cast<double>(actual[i]), 1.0);
+          const double q = std::max(est / act, act / est);
+          const std::string where = "fact " + std::to_string(spec.fact_salt) + " rows " +
+                                    std::to_string(rows) + " node " + std::to_string(i) +
+                                    " of " + costed.describe() + ": estimated " +
+                                    std::to_string(report.stats[i].rows) + ", actual " +
+                                    std::to_string(actual[i]);
+          if (gap && joined) continue;
+          if (gap && nd.op == OpKind::kJoin) {
+            EXPECT_GT(q, 2.0) << where;
+            joined = true;
+            continue;
+          }
+          worst = std::max(worst, q);
+          EXPECT_LE(q, 2.0) << where;
+          if (nd.op == OpKind::kJoin && actual[nd.left] != actual[nd.right]) {
+            EXPECT_EQ(nd.build_left, actual[nd.left] < actual[nd.right])
+                << where << "; left " << actual[nd.left] << ", right " << actual[nd.right];
+          }
+        }
+      }
+    }
+  }
+  EXPECT_EQ(queries, 12u);
+  EXPECT_EQ(gaps, 2u);  // the clickstream stars at the second salt
+  RecordProperty("qerror_max", std::to_string(worst));
+}
+
 TEST(BigBench, StarQueryOrdersAgreePerOrderAcrossBackends) {
   StarSpec spec = clickstream_star(1);
   spec.fact_rows = 6000;  // keep the test-sized query quick

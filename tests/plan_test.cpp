@@ -666,23 +666,30 @@ TEST(PlanSource, SlicesInterleaveToTheSourceAndPrefixesAreExact) {
 
 TEST(PlanSource, FillBodiesMatchRowByRow) {
   // Every fill body, and the one fill picks, against row(i) and key(i), keys
-  // only and keys with values: domains on both sides of 2^32 (where the AVX2
-  // body's 32x32 products stop being exact), skews on both sides of 1000
-  // (where it clamps), dimension keys, a far first row, strides, and lengths
-  // around its 4-row steps and the 256-row batches. Entries past n stay
-  // untouched.
+  // only and keys with values: domains on both sides of 2^32 (where the
+  // vector bodies' 32x32 products stop being exact), skews on both sides of
+  // 1000 (where they clamp), dimension keys, a far first row and one whose
+  // slice wraps past 2^64 (where a dimension's lanes would step wrong),
+  // strides, and lengths around the vector bodies' 4- and 8-row steps and
+  // the 256-row batches.
+  // Entries past n stay untouched. The bodies checked go into the test's
+  // properties, so a log shows whether this host ran the AVX-512 body.
   constexpr std::uint64_t kGuard = 0xfeedfacecafebeefULL;
   constexpr std::size_t kMaxN = 1000, kPad = 5;
   auto bodies = detail::fill_bodies();
   ASSERT_FALSE(bodies.empty());
   EXPECT_STREQ(bodies[0].name, "scalar");
+  std::string checked;
+  for (const auto& b : bodies) checked += (checked.empty() ? "" : ",") + std::string(b.name);
+  RecordProperty("fill_bodies", checked);
   bodies.push_back({"fill", [](const SourceGen& g, std::uint64_t first, std::uint64_t stride,
                                std::size_t n, std::uint64_t* keys,
                                std::uint64_t* vals) noexcept {
                       g.fill(first, stride, n, keys, vals);
                     }});
   const std::uint64_t two32 = std::uint64_t{1} << 32;
-  const std::vector<std::size_t> lengths = {0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 255, 256, 257, kMaxN};
+  const std::vector<std::size_t> lengths = {0,  1,  2,  3,  4,  5,  6,  7,  8,
+                                            9, 15, 16, 17, 255, 256, 257, kMaxN};
   std::vector<std::uint64_t> keys(kMaxN + kPad), vals(kMaxN + kPad);
   std::vector<std::uint64_t> want_keys, want_vals;
   for (const std::uint64_t domain : {std::uint64_t{1}, std::uint64_t{2}, std::uint64_t{7},
@@ -694,8 +701,9 @@ TEST(PlanSource, FillBodiesMatchRowByRow) {
                                      (std::uint64_t{1} << 63) + 5}) {
       for (const bool distinct : {false, true}) {
         const SourceGen gen(0xf111ULL + domain + skew, domain, skew, distinct);
-        for (const std::uint64_t first : {std::uint64_t{0}, std::uint64_t{1},
-                                          (std::uint64_t{1} << 40) + 5}) {
+        for (const std::uint64_t first :
+             {std::uint64_t{0}, std::uint64_t{1}, (std::uint64_t{1} << 40) + 5,
+              ~std::uint64_t{0} - 600}) {
           for (const std::uint64_t stride : {1ull, 3ull, 4ull, 7ull}) {
             std::vector<Row> want(kMaxN);
             for (std::size_t j = 0; j < kMaxN; ++j) {
